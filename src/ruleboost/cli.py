@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import serialization
 from .dataio import load_arff, load_csv, save_arff
 from .dataset import Dataset
@@ -103,10 +105,11 @@ def _cmd_predict(args) -> int:
     ensemble = serialization.load(args.model)
     dataset = _load_dataset(args.data, args.labels)
     predicted, method = _decode_predictions(ensemble, dataset, args.decode)
-    lines = [",".join(ensemble.label_names)]
-    for row in predicted:
-        lines.append(",".join("1" if v == 1 else "0" for v in row))
-    text = "\n".join(lines) + "\n"
+    # Each row is "d,d,...,d\n": digits at even offsets, a separator after each.
+    rows = np.full((len(predicted), 2 * predicted.shape[1]), ord(","), dtype=np.uint8)
+    rows[:, 0::2] = np.where(predicted == 1, ord("1"), ord("0"))
+    rows[:, -1] = ord("\n")
+    text = ",".join(ensemble.label_names) + "\n" + rows.tobytes().decode("ascii")
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {len(predicted)} predictions ({method} decoding) to {args.output}")

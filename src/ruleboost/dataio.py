@@ -7,6 +7,10 @@ names); they must be nominal with domain {0, 1} and are mapped to -1/+1.
 
 Sparse rows follow ARFF semantics: unspecified numeric entries are 0 and
 unspecified nominal entries are the first value of their domain.
+
+The data block is split into a grid of tokens (sparse rows expanded into
+it) and converted one column at a time; a bad cell is reported with its
+line number, the earliest one first.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import csv
 
 import numpy as np
 
-from .dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
+from .dataset import MISSING_CODE, NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
 from .errors import ParseError, SchemaError
 
 _NUMERIC_TYPES = {"numeric", "real", "integer"}
@@ -86,31 +90,24 @@ def _parse_attribute(rest: str, line: int) -> Attribute:
     )
 
 
-def _parse_value(attr: Attribute, token: str, line: int):
-    token = _unquote(token)
-    if token == "?":
-        return None
-    if attr.is_numeric:
-        try:
-            return float(token)
-        except ValueError:
-            raise ParseError(
-                f"expected a number for attribute {attr.name!r}, got {token!r}", line=line
-            ) from None
-    if token not in attr.values:
-        raise SchemaError(
-            f"line {line}: value {token!r} is not in the domain of attribute {attr.name!r}"
-        )
-    return token
+class _CellError(Exception):
+    """A cell that does not convert, with its row so that the earliest is reported."""
+
+    def __init__(self, row: int, error: Exception):
+        super().__init__(row, error)
+        self.row = row
+        self.error = error
 
 
-def _sparse_defaults(attributes) -> list:
-    return [0.0 if a.is_numeric else a.values[0] for a in attributes]
+# Stands for an entry a sparse row leaves out of a nominal column, which is
+# the first value of its domain, even where that value is '?'.
+_SPARSE_DEFAULT = object()
 
 
-def _parse_sparse_row(text: str, attributes, line: int) -> list:
-    body = text.strip()[1:-1].strip()
-    row = _sparse_defaults(attributes)
+def _sparse_tokens(text: str, defaults: list, line: int) -> list:
+    """Expand a sparse row into one token per attribute."""
+    body = text[1:-1].strip()
+    row = list(defaults)
     if not body:
         return row
     for chunk in _split_csv_like(body, line):
@@ -124,54 +121,136 @@ def _parse_sparse_row(text: str, attributes, line: int) -> list:
             index = int(pieces[0])
         except ValueError:
             raise ParseError(f"invalid sparse index {pieces[0]!r}", line=line) from None
-        if not 0 <= index < len(attributes):
+        if not 0 <= index < len(defaults):
             raise ParseError(f"sparse index {index} out of range", line=line)
-        row[index] = _parse_value(attributes[index], pieces[1], line)
+        row[index] = pieces[1]
     return row
 
 
-def _read_arff(path):
-    attributes: list[Attribute] = []
-    rows = []
-    in_data = False
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            if not in_data:
-                lowered = stripped.lower()
-                if lowered.startswith("@relation"):
-                    continue
-                if lowered.startswith("@attribute"):
-                    attributes.append(_parse_attribute(stripped[len("@attribute") :], line_number))
-                    continue
-                if lowered.startswith("@data"):
-                    if not attributes:
-                        raise ParseError("@data before any @attribute", line=line_number)
-                    in_data = True
-                    continue
-                raise ParseError(f"unexpected header line {stripped!r}", line=line_number)
-            if stripped.startswith("{"):
+def _tokenize_data(lines, data_line: int, attributes):
+    """Token rows after the @data line, their line numbers and the first row error.
+
+    Reading stops at a row that cannot be split into one token per
+    attribute; its error is returned rather than raised, so that a bad
+    value in an earlier row is still reported first.
+    """
+    width = len(attributes)
+    defaults = ["0" if a.is_numeric else _SPARSE_DEFAULT for a in attributes]
+    rows, numbers = [], []
+    for number, raw in enumerate(lines[data_line:], start=data_line + 1):
+        stripped = raw.strip()
+        if not stripped or stripped[0] == "%":
+            continue
+        try:
+            if stripped[0] == "{":
                 if not stripped.endswith("}"):
-                    raise ParseError("unterminated sparse row", line=line_number)
-                rows.append(_parse_sparse_row(stripped, attributes, line_number))
+                    raise ParseError("unterminated sparse row", line=number)
+                tokens = _sparse_tokens(stripped, defaults, number)
+            elif "'" in stripped or '"' in stripped:
+                tokens = _split_csv_like(stripped, number)
             else:
-                tokens = _split_csv_like(stripped, line_number)
-                if len(tokens) != len(attributes):
-                    raise ParseError(
-                        f"row has {len(tokens)} values, expected {len(attributes)}",
-                        line=line_number,
-                    )
-                rows.append(
-                    [
-                        _parse_value(attr, token, line_number)
-                        for attr, token in zip(attributes, tokens)
-                    ]
-                )
-    if not in_data:
+                tokens = stripped.split(",")
+            if len(tokens) != width:
+                raise ParseError(f"row has {len(tokens)} values, expected {width}", line=number)
+        except ParseError as error:
+            return rows, numbers, error
+        rows.append(tokens)
+        numbers.append(number)
+    return rows, numbers, None
+
+
+def _numeric_column(attr: Attribute, cells, numbers) -> np.ndarray:
+    try:
+        return np.array(list(map(float, cells)), dtype=np.float64)
+    except ValueError:
+        pass  # missing or quoted cells, or a bad one
+    column = np.empty(len(cells), dtype=np.float64)
+    for i, cell in enumerate(cells):
+        try:
+            column[i] = float(cell)
+            continue
+        except ValueError:
+            token = _unquote(cell)
+        if token == "?":
+            column[i] = np.nan
+            continue
+        try:
+            column[i] = float(token)
+        except ValueError:
+            raise _CellError(i, ParseError(
+                f"expected a number for attribute {attr.name!r}, got {token!r}", line=numbers[i]
+            )) from None
+    return column
+
+
+class _NominalCodes(dict):
+    """Value code of each raw token of one nominal attribute, filled on first sight."""
+
+    def __init__(self, attr: Attribute):
+        self.code_of = {v: c for c, v in enumerate(attr.values)}
+        super().__init__({_SPARSE_DEFAULT: self.code_of[attr.values[0]]})
+        self.code_of["?"] = MISSING_CODE
+
+    def __missing__(self, cell):
+        try:
+            code = self.code_of[_unquote(cell)]
+        except KeyError:
+            raise KeyError(cell) from None
+        self[cell] = code
+        return code
+
+
+def _nominal_column(attr: Attribute, cells, numbers) -> np.ndarray:
+    try:
+        return np.array(list(map(_NominalCodes(attr).__getitem__, cells)), dtype=np.int64)
+    except KeyError as unknown:
+        cell = unknown.args[0]
+        i = cells.index(cell)
+    raise _CellError(i, SchemaError(
+        f"line {numbers[i]}: value {_unquote(cell)!r} is not in the domain "
+        f"of attribute {attr.name!r}"
+    ))
+
+
+def _read_arff(path):
+    """Attributes and one converted column per attribute of an ARFF file."""
+    attributes: list[Attribute] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    data_line = None
+    for line_number, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        lowered = stripped.lower()
+        if lowered.startswith("@relation"):
+            continue
+        if lowered.startswith("@attribute"):
+            attributes.append(_parse_attribute(stripped[len("@attribute") :], line_number))
+            continue
+        if lowered.startswith("@data"):
+            if not attributes:
+                raise ParseError("@data before any @attribute", line=line_number)
+            data_line = line_number
+            break
+        raise ParseError(f"unexpected header line {stripped!r}", line=line_number)
+    if data_line is None:
         raise ParseError(f"{path}: no @data section found")
-    return attributes, rows
+
+    rows, numbers, row_error = _tokenize_data(lines, data_line, attributes)
+    cells_by_column = list(zip(*rows)) if rows else [() for _ in attributes]
+    columns, cell_errors = [], []
+    for j, (attr, cells) in enumerate(zip(attributes, cells_by_column)):
+        convert = _numeric_column if attr.is_numeric else _nominal_column
+        try:
+            columns.append(convert(attr, cells, numbers))
+        except _CellError as bad:
+            cell_errors.append((bad.row, j, bad.error))
+    if cell_errors:
+        raise min(cell_errors)[2]
+    if row_error is not None:
+        raise row_error
+    return attributes, columns
 
 
 def _label_indices(attributes, labels) -> list[int]:
@@ -193,19 +272,7 @@ def _label_indices(attributes, labels) -> list[int]:
     return indices
 
 
-def _to_sign(attr: Attribute, value, row_number: int) -> int:
-    if value is None:
-        raise SchemaError(f"example {row_number}: missing label value for {attr.name!r}")
-    if value == "1":
-        return 1
-    if value == "0":
-        return -1
-    raise SchemaError(
-        f"example {row_number}: label {attr.name!r} has value {value!r}, expected 0 or 1"
-    )
-
-
-def _assemble(attributes, rows, labels) -> Dataset:
+def _assemble(attributes, columns, labels) -> Dataset:
     label_idx = _label_indices(attributes, labels)
     label_set = set(label_idx)
     for i in label_idx:
@@ -214,26 +281,33 @@ def _assemble(attributes, rows, labels) -> Dataset:
             raise SchemaError(
                 f"label attribute {attr.name!r} must be nominal with domain {{0, 1}}"
             )
+    codes = np.column_stack([columns[i] for i in label_idx])
+    missing = np.argwhere(codes == MISSING_CODE)
+    if missing.size:
+        row, k = missing[0]
+        raise SchemaError(
+            f"example {row}: missing label value for {attributes[label_idx[k]].name!r}"
+        )
+    label_matrix = np.empty(codes.shape, dtype=np.int8)
+    for k, i in enumerate(label_idx):
+        sign = np.array([1 if v == "1" else -1 for v in attributes[i].values], dtype=np.int8)
+        label_matrix[:, k] = sign[codes[:, k]]
     feature_idx = [i for i in range(len(attributes)) if i not in label_set]
     schema = AttributeSchema(tuple(attributes[i] for i in feature_idx))
-    label_names = [attributes[i].name for i in label_idx]
-    feature_rows = [[row[i] for i in feature_idx] for row in rows]
-    label_matrix = np.array(
-        [
-            [_to_sign(attributes[i], row[i], r) for i in label_idx]
-            for r, row in enumerate(rows)
-        ],
-        dtype=np.int8,
-    ).reshape(len(rows), len(label_idx))
-    return Dataset.from_rows(schema, feature_rows, label_matrix, label_names)
+    return Dataset(
+        schema,
+        [columns[i] for i in feature_idx],
+        label_matrix,
+        [attributes[i].name for i in label_idx],
+    )
 
 
 def load_arff(path, labels) -> Dataset:
     """Load an ARFF file; ``labels`` is a trailing count or a name list."""
-    attributes, rows = _read_arff(path)
-    if not rows:
+    attributes, columns = _read_arff(path)
+    if len(columns[0]) == 0:
         raise ParseError(f"{path}: no data rows")
-    return _assemble(attributes, rows, labels)
+    return _assemble(attributes, columns, labels)
 
 
 def _needs_quoting(value: str) -> bool:
@@ -259,17 +333,20 @@ def save_arff(dataset: Dataset, path, relation: str = "ruleboost") -> None:
         lines.append(f"@attribute {_format_nominal(name)} {{0,1}}")
     lines.append("")
     lines.append("@data")
-    for i in range(dataset.n_examples):
-        cells = []
-        for value in dataset.example(i).values:
-            if value is None:
-                cells.append("?")
-            elif isinstance(value, float):
-                cells.append(repr(value))
-            else:
-                cells.append(_format_nominal(value))
-        cells.extend("1" if v == 1 else "0" for v in dataset.labels[i])
-        lines.append(",".join(cells))
+    cells = []
+    for attr, column in zip(dataset.schema.attributes, dataset.columns):
+        if attr.is_numeric:
+            text = list(map(repr, column.tolist()))
+            for i in np.flatnonzero(np.isnan(column)).tolist():
+                text[i] = "?"
+        else:
+            # Code -1 (missing) picks the trailing '?'.
+            formatted = [_format_nominal(v) for v in attr.values] + ["?"]
+            text = np.array(formatted, dtype=object)[column].tolist()
+        cells.append(text)
+    for labels in dataset.labels.T:
+        cells.append(np.where(labels == 1, "1", "0").tolist())
+    lines.extend(map(",".join, zip(*cells)))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines))
         handle.write("\n")
@@ -317,7 +394,7 @@ def load_csv(path, labels) -> Dataset:
         raise SchemaError(f"label columns not found in header: {sorted(missing_labels)}")
 
     attributes = []
-    columns_raw: list[list] = []
+    columns = []
     for j, name in enumerate(header):
         if name in label_set:
             continue
@@ -331,37 +408,33 @@ def load_csv(path, labels) -> Dataset:
             except ValueError:
                 numeric = False
         if numeric:
-            column = []
-            for line, token in tokens:
+            column = np.empty(len(tokens), dtype=np.float64)
+            for i, (line, token) in enumerate(tokens):
                 if _is_missing(token):
-                    column.append(None)
+                    column[i] = np.nan
                 else:
                     try:
-                        column.append(float(token))
+                        column[i] = float(token)
                     except ValueError:
                         raise ParseError(
                             f"column {name!r} is numeric but got {token!r}", line=line
                         ) from None
             attributes.append(Attribute(name, NUMERIC))
         else:
-            values: list[str] = []
-            column = []
-            for _, token in tokens:
+            code_of: dict[str, int] = {}
+            column = np.empty(len(tokens), dtype=np.int64)
+            for i, (_, token) in enumerate(tokens):
                 if _is_missing(token):
-                    column.append(None)
+                    column[i] = MISSING_CODE
                 else:
-                    if token not in values:
-                        values.append(token)
-                    column.append(token)
-            if not values:
+                    column[i] = code_of.setdefault(token, len(code_of))
+            if not code_of:
                 raise SchemaError(f"column {name!r} has no values at all")
-            attributes.append(Attribute(name, NOMINAL, tuple(values)))
-        columns_raw.append(column)
+            attributes.append(Attribute(name, NOMINAL, tuple(code_of)))
+        columns.append(column)
 
     schema = AttributeSchema(tuple(attributes))
     n = len(raw_rows)
-    feature_rows = [[columns_raw[j][i] for j in range(len(attributes))] for i in range(n)]
-
     label_matrix = np.empty((n, len(label_names)), dtype=np.int8)
     for k, name in enumerate(label_names):
         j = header.index(name)
@@ -375,4 +448,4 @@ def load_csv(path, labels) -> Dataset:
                 raise SchemaError(
                     f"line {line}: label {name!r} has value {token!r}, expected 0 or 1"
                 )
-    return Dataset.from_rows(schema, feature_rows, label_matrix, label_names)
+    return Dataset(schema, columns, label_matrix, label_names)

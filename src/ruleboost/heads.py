@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .dataset import Dataset
 from .errors import SolverError
@@ -104,6 +103,9 @@ def solve_full_head(stats: AggregatedStats, l2_weight: float) -> Head:
                 f"(min diagonal {denom.min():.3e}); increase the L2 weight"
             )
         return Head(-g / denom, None)
+    # Imported here so that loading a model and predicting never import scipy.
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     system = stats.hessian + l2_weight * np.eye(stats.n_labels)
     try:
         factor = cho_factor(system, lower=True)

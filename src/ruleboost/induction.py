@@ -217,12 +217,16 @@ def _evaluate_candidates(table: _CandidateTable, diagonal: bool, l2_weight: floa
                 p[i] = np.linalg.solve(system[i], -g[i])
             except np.linalg.LinAlgError:
                 singular[i] = True
-    objectives = (
-        (g * p).sum(axis=1)
-        + 0.5 * np.einsum("ck,ckj,cj->c", p, table.hessians, p)
-        + 0.5 * l2_weight * (p * p).sum(axis=1)
-    )
-    objectives[singular] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        objectives = (
+            (g * p).sum(axis=1)
+            + 0.5 * np.einsum("ck,ckj,cj->c", p, table.hessians, p)
+            + 0.5 * l2_weight * (p * p).sum(axis=1)
+        )
+    # A nearly singular system (possible at l2_weight = 0) can solve without
+    # raising yet give a head so large that its objective overflows; such a
+    # candidate is as unusable as a singular one.
+    objectives[singular | ~np.isfinite(objectives)] = np.inf
     return objectives, p, None
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import Dataset
 from .errors import ConfigError
@@ -29,6 +28,17 @@ from .rules import Rule, body_mask
 
 LABEL_WISE_LOGISTIC = "label-wise-logistic"
 EXAMPLE_WISE_LOGISTIC = "example-wise-logistic"
+
+
+def expit(x):
+    """The logistic function 1 / (1 + exp(-x)), evaluated by scipy.
+
+    scipy is imported on first use, so that loading a model and predicting
+    never import it.
+    """
+    from scipy.special import expit as logistic
+
+    return logistic(x)
 
 
 def _check_scores(q: np.ndarray):

@@ -39,16 +39,68 @@ def _known_vector_losses(score_matrix: np.ndarray, candidates: np.ndarray) -> np
     return shift + np.log(total)
 
 
+# Score rows are decoded in chunks of about this many (row, candidate) cells.
+_CHUNK_CELLS = 1 << 22
+# Rows are decided by _known_vector_losses, so that near-ties are broken
+# exactly as the log-domain losses break them, where the two best
+# candidates are closer than _NEAR_TIE (relative), where the best one lies
+# among underflowing terms, or where max |q| is so large that the
+# log-domain losses themselves round by more than _NEAR_TIE.
+_NEAR_TIE = 1e-9
+_UNDERFLOW = 1e-300
+_LARGE_SCORE = 1e5
+
+
+def _decode_chunk(scores: np.ndarray, candidates: np.ndarray, indicators: np.ndarray) -> np.ndarray:
+    """Index of the loss-minimizing candidate for each row of a chunk.
+
+    The loss of candidate y is log(1 + sum_k exp(-y_k q_k)), so the best y
+    minimizes u_y = sum_k exp(-y_k q_k - s), with s the row's max |q| so
+    that no term exceeds 1.  u is one matrix product of
+    [exp(-q - s), exp(q - s)] with the candidates' positive and negative
+    indicators.
+    """
+    shift = np.abs(scores).max(axis=1, keepdims=True)
+    u = np.exp(np.concatenate([-scores, scores], axis=1) - shift) @ indicators.T
+    best = np.argmin(u, axis=1)
+    rows = np.arange(len(u))
+    lowest = u[rows, best]
+    u[rows, best] = np.inf
+    decided = (
+        (u.min(axis=1) > lowest * (1.0 + _NEAR_TIE))
+        & (lowest >= _UNDERFLOW)
+        & (shift[:, 0] <= _LARGE_SCORE)
+    )
+    redo = np.flatnonzero(~decided)
+    # The log-domain form allocates n_candidates * n_labels values per row.
+    step = max(1, len(scores) // max(1, scores.shape[1]))
+    for start in range(0, len(redo), step):
+        part = redo[start : start + step]
+        best[part] = np.argmin(_known_vector_losses(scores[part], candidates), axis=1)
+    return best
+
+
 def predict_known_vectors(score_matrix: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Loss-minimizing known label vector per row of the score matrix."""
+    """Loss-minimizing known label vector per row of the score matrix.
+
+    Ties go to the earliest candidate.  Memory grows with the chunk size
+    times the number of candidates, not with the number of rows.
+    """
     candidates = np.asarray(candidates)
     if candidates.ndim != 2 or candidates.shape[0] == 0:
         raise ValueError("candidate label vectors must be a non-empty matrix")
+    if not np.all(np.abs(candidates) == 1):
+        raise ValueError("candidate label vectors must have entries -1 or +1")
     score_matrix = np.atleast_2d(np.asarray(score_matrix, dtype=np.float64))
     if np.isnan(score_matrix).any():
         raise ValueError("scores contain NaN")
-    losses = _known_vector_losses(score_matrix, candidates.astype(np.float64))
-    best = np.argmin(losses, axis=1)  # first occurrence wins ties
+    as_float = candidates.astype(np.float64)
+    indicators = np.concatenate([as_float > 0, as_float < 0], axis=1).astype(np.float64)
+    chunk = max(1, _CHUNK_CELLS // len(candidates))
+    best = np.empty(len(score_matrix), dtype=np.intp)
+    for start in range(0, len(score_matrix), chunk):
+        stop = start + chunk
+        best[start:stop] = _decode_chunk(score_matrix[start:stop], as_float, indicators)
     return candidates[best].astype(np.int8)
 
 

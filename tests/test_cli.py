@@ -1,9 +1,14 @@
 """End-to-end command line runs on temporary files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ruleboost
 from ruleboost.cli import main
 from ruleboost.serialization import load
 
@@ -108,6 +113,35 @@ class TestTrainPredictEvaluate:
             ]
         )
         assert code == 0
+
+
+SERVE_WITHOUT_SCIPY = """
+import sys
+import ruleboost.cli
+data, model, out = sys.argv[1:]
+for argv in (
+    ["predict", "--data", data, "--labels", "3", "--model", model, "--output", out],
+    ["predict", "--data", data, "--labels", "3", "--model", model, "--output", out,
+     "--decode", "known-vectors"],
+    ["evaluate", "--data", data, "--labels", "3", "--model", model],
+):
+    assert ruleboost.cli.main(argv) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+class TestServingImports:
+    def test_predict_and_evaluate_do_not_import_scipy(self, synth_dir, model_path, tmp_path):
+        src = str(Path(ruleboost.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", SERVE_WITHOUT_SCIPY, str(synth_dir / "test.arff"),
+             str(model_path), str(tmp_path / "predictions.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestTune:

@@ -175,6 +175,111 @@ class TestArffRoundTrip:
         assert reloaded.columns[0].tobytes() == dataset.columns[0].tobytes()
 
 
+MIXED_VALUES = ("plain", "with space", "comma,inside", "50%", "{brace}")
+
+
+def mixed_table(rng, n=60):
+    """Numeric columns with NaNs and nominal columns with missing codes and quoted values."""
+    from ruleboost.dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
+
+    schema = AttributeSchema((
+        Attribute("x", NUMERIC),
+        Attribute("odd name", NOMINAL, MIXED_VALUES),
+        Attribute("y", NUMERIC),
+        Attribute("z", NOMINAL, ("a", "b")),
+    ))
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    x[rng.random(n) < 0.2] = np.nan
+    x[:3] = [0.0, -0.0, 0.1]
+    y = np.where(rng.random(n) < 0.5, 0.0, rng.normal(size=n))
+    y[rng.random(n) < 0.2] = np.nan
+    columns = [
+        x,
+        rng.integers(-1, len(MIXED_VALUES), size=n),
+        y,
+        rng.integers(-1, 2, size=n),
+    ]
+    labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, 3))
+    return Dataset(schema, columns, labels, ["l0", "l1", "l2"])
+
+
+def sparse_arff(dense_text, dataset):
+    """The same table with every data row written sparsely, omitting default entries."""
+    header = dense_text[: dense_text.index("@data")] + "@data\n"
+    rows = []
+    for i in range(dataset.n_examples):
+        entries = []
+        for j, (attr, column) in enumerate(zip(dataset.schema.attributes, dataset.columns)):
+            value = column[i]
+            if attr.is_numeric:
+                if np.isnan(value):
+                    entries.append(f"{j} ?")
+                elif value != 0.0 or np.signbit(value):
+                    entries.append(f"{j} {float(value)!r}")
+            elif value == -1:
+                entries.append(f"{j} ?")
+            elif value != 0:
+                entries.append(f"{j} '{attr.values[value]}'")
+        first_label = dataset.n_attributes
+        entries += [f"{first_label + k} 1" for k in np.flatnonzero(dataset.labels[i] == 1)]
+        rows.append("{" + ", ".join(entries) + "}")
+    return header + "\n".join(rows) + "\n"
+
+
+class TestArffRoundTripMixed:
+    def assert_same(self, original, restored):
+        assert restored.schema == original.schema
+        assert restored.label_names == original.label_names
+        assert restored.labels.tobytes() == original.labels.tobytes()
+        for before, after in zip(original.columns, restored.columns):
+            assert after.dtype == before.dtype
+            assert after.tobytes() == before.tobytes()
+
+    def test_dense_sparse_comments_and_crlf(self, tmp_path, rng):
+        dataset = mixed_table(rng)
+        path = tmp_path / "mixed.arff"
+        save_arff(dataset, path)
+        dense = path.read_text()
+        self.assert_same(dataset, load_arff(path, 3))
+
+        head, data = dense.split("@data\n")
+        rows = data.splitlines()
+        rows.insert(5, "% a comment inside the data")
+        rows.insert(9, "")
+        rows.insert(12, "   ")
+        variants = {
+            "commented.arff": head + "@data\n" + "\n".join(rows) + "\n",
+            "crlf.arff": dense.replace("\n", "\r\n"),
+            "sparse.arff": sparse_arff(dense, dataset),
+        }
+        for name, text in variants.items():
+            variant = tmp_path / name
+            variant.write_bytes(text.encode("utf-8"))
+            self.assert_same(dataset, load_arff(variant, 3))
+
+    def test_save_writes_each_cell_format(self, tmp_path):
+        from ruleboost.dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
+
+        schema = AttributeSchema((
+            Attribute("x", NUMERIC), Attribute("odd name", NOMINAL, MIXED_VALUES)
+        ))
+        columns = [np.array([-0.0, np.nan, 0.1, 1e300]), np.array([0, 1, -1, 2])]
+        labels = np.array([[1], [-1], [1], [-1]], dtype=np.int8)
+        path = tmp_path / "cells.arff"
+        save_arff(Dataset(schema, columns, labels, ["l0"]), path, relation="cells")
+        assert path.read_text() == (
+            "@relation cells\n\n"
+            "@attribute x numeric\n"
+            "@attribute 'odd name' {plain,'with space','comma,inside','50%','{brace}'}\n"
+            "@attribute l0 {0,1}\n\n"
+            "@data\n"
+            "-0.0,plain,1\n"
+            "?,'with space',0\n"
+            "0.1,?,1\n"
+            "1e+300,'comma,inside',0\n"
+        )
+
+
 CSV_TEXT = """width,color,label1
 1.5,red,1
 2.5,blue,0

@@ -12,8 +12,11 @@ import pytest
 
 from ruleboost.dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
 from ruleboost.errors import InductionError
+from ruleboost.heads import HEAD_MULTI
 from ruleboost.induction import (
     RefinementContext,
+    _CandidateTable,
+    _evaluate_candidates,
     enumerate_conditions,
     feature_subset_size,
     objective_improvement,
@@ -21,7 +24,7 @@ from ruleboost.induction import (
     refine_rule_with_trace,
 )
 from ruleboost.losses import init_store, make_loss
-from ruleboost.rules import Condition
+from ruleboost.rules import OP_GT, OP_LEQ, Condition
 
 from conftest import random_dataset
 
@@ -226,6 +229,22 @@ class TestObjectiveImprovement:
     def test_nan_raises(self):
         with pytest.raises(InductionError):
             objective_improvement(float("nan"), -0.2)
+
+
+class TestNearlySingularCandidates:
+    def test_overflowing_objective_is_unusable(self):
+        # At l2 = 0 this system has an eigenvalue near 1e-180: LAPACK solves
+        # it without raising, the head comes out near 1e176 and the quadratic
+        # term overflows into inf - inf.
+        g = np.array([1e-3, -1e-3])
+        nearly_singular = 1e-170 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
+        table = _CandidateTable(
+            [OP_LEQ, OP_GT], [0.5, 0.5], np.array([g, g]), np.array([nearly_singular, np.eye(2)])
+        )
+        objectives, scores, _ = _evaluate_candidates(table, False, 0.0, HEAD_MULTI, None)
+        assert objectives[0] == np.inf
+        np.testing.assert_allclose(scores[1], -g)
+        assert objectives[1] == pytest.approx(-0.5 * (g @ g))
 
 
 # ---------------------------------------------------------------------------

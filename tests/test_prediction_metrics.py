@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ruleboost import prediction
 from ruleboost.losses import ExampleWiseLogisticLoss
 from ruleboost.metrics import example_based_f1, hamming_loss, subset_zero_one_loss
 from ruleboost.prediction import (
@@ -84,6 +85,78 @@ class TestPredictKnownVector:
         for i in range(20):
             values = [loss.evaluate(c.astype(float), scores[i]) for c in candidates]
             assert predicted[i].tolist() == candidates[int(np.argmin(values))].tolist()
+
+
+def log_domain_known_vectors(scores, candidates):
+    """Reference decoder: every candidate's example-wise logistic loss in the log domain.
+
+    Allocates (n, n_candidates, n_labels); the first minimum wins.
+    """
+    z = -scores[:, None, :] * candidates[None, :, :]
+    shift = np.maximum(z.max(axis=2), 0.0)
+    losses = shift + np.log(np.exp(-shift) + np.exp(z - shift[:, :, None]).sum(axis=2))
+    return candidates[np.argmin(losses, axis=1)]
+
+
+def all_label_vectors(n_labels, rng):
+    codes = rng.permutation(2**n_labels)
+    return np.where((codes[:, None] >> np.arange(n_labels)) & 1, 1, -1).astype(np.int8)
+
+
+class TestKnownVectorsAgainstLogDomain:
+    def assert_agrees(self, scores, candidates):
+        expected = log_domain_known_vectors(scores, candidates.astype(np.float64))
+        np.testing.assert_array_equal(predict_known_vectors(scores, candidates), expected)
+
+    def test_random_scores(self, rng):
+        for _ in range(50):
+            n_labels = int(rng.integers(1, 8))
+            candidates = all_label_vectors(n_labels, rng)[: int(rng.integers(1, 40))]
+            scores = rng.normal(scale=rng.choice([1e-3, 1.0, 10.0]), size=(200, n_labels))
+            self.assert_agrees(scores, candidates)
+
+    def test_repeated_candidates_and_rounded_scores_tie_like_the_log_domain(self, rng):
+        for _ in range(50):
+            n_labels = int(rng.integers(1, 5))
+            candidates = rng.choice([-1, 1], size=(int(rng.integers(1, 12)), n_labels))
+            self.assert_agrees(np.round(rng.normal(size=(100, n_labels))), candidates)
+
+    def test_all_zero_scores_pick_the_first_vector(self, rng):
+        candidates = all_label_vectors(4, rng)
+        predicted = predict_known_vectors(np.zeros((5, 4)), candidates)
+        assert (predicted == candidates[0]).all()
+        self.assert_agrees(np.zeros((5, 4)), candidates)
+
+    def test_large_scores_where_terms_underflow(self, rng):
+        candidates = all_label_vectors(5, rng)
+        for scale in (100.0, 400.0, 1e3):
+            self.assert_agrees(rng.uniform(-scale, scale, size=(300, 5)), candidates)
+        # One label near 740 pushes every other term into subnormal numbers.
+        # There, two candidates that differ on three small labels can round
+        # into the wrong order by a whole unit, far beyond any relative gap.
+        scores = rng.uniform(-1.5, 1.5, size=(3000, 4))
+        scores[:, 0] = rng.uniform(738.0, 746.0, size=3000)
+        self.assert_agrees(scores, np.array([[1, 1, 1, -1], [1, -1, -1, 1]]))
+
+    def test_huge_scores_where_the_log_domain_rounds(self, rng):
+        # At |q| = 1e7 the log-domain losses round to steps of 2e-9, so two
+        # candidates 1.5e-9 apart can tie there and go to the first one.
+        offset = rng.uniform(0.5, 2.0, size=1000)
+        scores = np.column_stack([
+            np.full(1000, 1e7), 1e7 - offset, 1e7 - offset - rng.uniform(-2e-8, 2e-8, 1000)
+        ])
+        self.assert_agrees(scores, np.array([[-1, -1, 1], [-1, 1, -1]]))
+
+    def test_chunk_boundaries_inside_the_input(self, rng, monkeypatch):
+        candidates = all_label_vectors(3, rng)
+        scores = rng.normal(size=(101, 3))
+        scores[40:60] = 0.0  # ties on both sides of a boundary
+        monkeypatch.setattr(prediction, "_CHUNK_CELLS", 7 * len(candidates))
+        self.assert_agrees(scores, candidates)
+
+    def test_candidate_entries_must_be_signs(self):
+        with pytest.raises(ValueError):
+            predict_known_vectors(np.zeros((1, 2)), np.array([[1, 0]]))
 
 
 class TestDecodeDispatch:
