@@ -18,11 +18,9 @@ from .heads import (
     find_head,
     objective_value,
     solve_full_head,
-    solve_single_label_head,
 )
 from .induction import (
     RefinementContext,
-    enumerate_conditions,
     feature_subset_size,
     objective_improvement,
     refine_rule,
@@ -43,7 +41,6 @@ from .prediction import (
     DECODE_SIGN,
     decode_scores,
     default_decode_method,
-    predict_known_vector,
     predict_known_vectors,
     predict_sign,
 )

@@ -2,8 +2,9 @@
 
 The ARFF reader supports @relation, numeric and nominal @attribute
 declarations, dense and sparse @data rows, quoted values and '?' missing
-markers.  Label attributes are the trailing ones (or an explicit list of
-names); they must be nominal with domain {0, 1} and are mapped to -1/+1.
+markers; a quoted '?' is a value where a nominal domain declares it.
+Label attributes are the trailing ones (or an explicit list of names);
+they must be nominal with domain {0, 1} and are mapped to -1/+1.
 
 Sparse rows follow ARFF semantics: unspecified numeric entries are 0 and
 unspecified nominal entries are the first value of their domain.
@@ -189,11 +190,12 @@ class _NominalCodes(dict):
     def __init__(self, attr: Attribute):
         self.code_of = {v: c for c, v in enumerate(attr.values)}
         super().__init__({_SPARSE_DEFAULT: self.code_of[attr.values[0]]})
-        self.code_of["?"] = MISSING_CODE
+        self.code_of.setdefault("?", MISSING_CODE)
 
     def __missing__(self, cell):
+        token = cell.strip()
         try:
-            code = self.code_of[_unquote(cell)]
+            code = MISSING_CODE if token == "?" else self.code_of[_unquote(token)]
         except KeyError:
             raise KeyError(cell) from None
         self[cell] = code

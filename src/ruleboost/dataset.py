@@ -9,7 +9,7 @@ Labels are kept as an (n_examples, n_labels) matrix with entries in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +116,6 @@ class Dataset:
     columns: list[np.ndarray]
     labels: np.ndarray
     label_names: list[str]
-    _rows_cache: list[Example] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_examples
@@ -172,14 +171,6 @@ class Dataset:
             else:
                 values.append(None if raw == MISSING_CODE else attr.values[int(raw)])
         return Example(tuple(values))
-
-    @property
-    def examples(self) -> list[Example]:
-        if self._rows_cache is None:
-            object.__setattr__(
-                self, "_rows_cache", [self.example(i) for i in range(self.n_examples)]
-            )
-        return self._rows_cache
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)

@@ -7,6 +7,11 @@ per-label closed form p_k = -g_k / (h_kk + lambda).  Single-label heads
 use the diagonal closed form per candidate label and keep the label whose
 quadratic objective is smallest, which is valid for non-decomposable
 losses too because all other head entries are zero.
+
+One batched solver, ``solve_heads``, scores every candidate of a
+refinement step; a single head (``find_head``) is a batch of one.  Dense
+systems are solved by LU factorization, and a candidate whose system is
+singular or whose objective is not finite scores +inf.
 """
 
 from __future__ import annotations
@@ -41,16 +46,6 @@ class AggregatedStats:
     def n_labels(self) -> int:
         return self.gradient.shape[0]
 
-    def hessian_diag(self) -> np.ndarray:
-        if self.diagonal:
-            return self.hessian
-        return np.diagonal(self.hessian)
-
-    def dense_hessian(self) -> np.ndarray:
-        if self.diagonal:
-            return np.diag(self.hessian)
-        return self.hessian
-
 
 def stats_for_rows(store: GradHessStore, rows) -> AggregatedStats:
     """Sum the store over an index array (repeated indices count repeatedly)."""
@@ -80,81 +75,74 @@ def aggregate_stats(
     else:
         indices = np.asarray(indices)
         rows = indices[mask[indices]]
-    if rows.size == 0:
-        n = store.n_labels
-        hess = np.zeros(n) if store.diagonal else np.zeros((n, n))
-        return AggregatedStats(np.zeros(n), hess, store.diagonal, 0)
     return stats_for_rows(store, rows)
 
 
-def solve_full_head(stats: AggregatedStats, l2_weight: float) -> Head:
-    """Head over all labels minimizing g.p + p'Hp/2 + l2 |p|^2 / 2.
+def solve_heads(gradients, hessians, diagonal: bool, l2_weight: float,
+                head_mode: str, fixed_label: int | None = None):
+    """Optimal head of every candidate: objectives, head scores and labels.
 
-    Diagonal statistics use the per-label closed form; dense statistics
-    are solved by Cholesky factorization, which rejects systems that are
-    not positive definite (e.g. l2_weight = 0 with a rank-deficient H).
+    ``gradients`` is (c, l); ``hessians`` is (c, l) when ``diagonal`` and
+    (c, l, l) otherwise.  Returns the (c,) objectives, the (c, l) head
+    scores and, for single-label heads, the (c,) chosen labels (None for
+    full heads).  ``fixed_label`` restricts single-label heads to one label
+    once a rule is committed to it; otherwise ties go to the lowest label.
+    A candidate without a usable head has objective +inf.
     """
-    g = stats.gradient
-    if stats.diagonal:
-        denom = stats.hessian + l2_weight
-        if np.any(denom <= 0.0):
-            raise SolverError(
-                "singular diagonal system: some h_kk + lambda <= 0 "
-                f"(min diagonal {denom.min():.3e}); increase the L2 weight"
-            )
-        return Head(-g / denom, None)
-    # Imported here so that loading a model and predicting never import scipy.
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
-    system = stats.hessian + l2_weight * np.eye(stats.n_labels)
+    g = gradients
+    n_candidates, n_labels = g.shape[0], g.shape[1]
+    if head_mode == HEAD_SINGLE:
+        if diagonal:
+            h_diag = hessians
+        else:
+            idx = np.arange(n_labels)
+            h_diag = hessians[:, idx, idx]
+        denom = h_diag + l2_weight
+        usable = denom > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.where(usable, -g / denom, 0.0)
+        per_label = np.where(usable, g * p + 0.5 * denom * p * p, np.inf)
+        if fixed_label is None:
+            labels = np.argmin(per_label, axis=1)
+        else:
+            labels = np.full(n_candidates, fixed_label)
+        rows = np.arange(n_candidates)
+        objectives = per_label[rows, labels]
+        scores = np.zeros_like(g)
+        scores[rows, labels] = p[rows, labels]
+        return objectives, scores, labels
+    if head_mode != HEAD_MULTI:
+        raise ValueError(f"unknown head mode {head_mode!r}")
+    if diagonal:
+        denom = hessians + l2_weight
+        usable = (denom > 0.0).all(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.where(denom > 0.0, -g / denom, 0.0)
+        objectives = (g * p + 0.5 * denom * p * p).sum(axis=1)
+        objectives = np.where(usable, objectives, np.inf)
+        return objectives, p, None
+    system = hessians + l2_weight * np.eye(n_labels)
+    singular = np.zeros(n_candidates, dtype=bool)
     try:
-        factor = cho_factor(system, lower=True)
-    except LinAlgError:
-        raise SolverError(
-            "head system is not positive definite "
-            f"(condition number {np.linalg.cond(system):.3e}); "
-            "increase the L2 weight"
-        ) from None
-    return Head(cho_solve(factor, -g), None)
-
-
-def solve_single_label_head(
-    stats: AggregatedStats,
-    l2_weight: float,
-    fixed_label: int | None = None,
-) -> Head:
-    """Best single-label head using only Hessian diagonal entries.
-
-    Candidate labels are all of them, or just ``fixed_label`` once a rule
-    is committed to a label during refinement.  Ties go to the lowest
-    label index.
-    """
-    g = stats.gradient
-    denom = stats.hessian_diag() + l2_weight
-    valid = denom > 0.0
-    if fixed_label is not None:
-        candidate_mask = np.zeros(stats.n_labels, dtype=bool)
-        candidate_mask[fixed_label] = True
-    else:
-        candidate_mask = np.ones(stats.n_labels, dtype=bool)
-    usable = candidate_mask & valid
-    if not usable.any():
-        raise SolverError("no candidate label has h_kk + lambda > 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(usable, -g / denom, 0.0)
-    objectives = g * p + 0.5 * denom * p * p
-    objectives = np.where(usable, objectives, np.inf)
-    label = int(np.argmin(objectives))
-    scores = np.zeros(stats.n_labels)
-    scores[label] = p[label]
-    return Head(scores, label)
-
-
-def objective_value(stats: AggregatedStats, head: Head, l2_weight: float) -> float:
-    """Quadratic model of the training objective for a candidate head."""
-    p = head.scores
-    quad = p @ (stats.hessian * p) if stats.diagonal else p @ stats.hessian @ p
-    return float(stats.gradient @ p + 0.5 * quad + 0.5 * l2_weight * (p @ p))
+        p = np.linalg.solve(system, -g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        p = np.zeros_like(g)
+        for i in range(n_candidates):
+            try:
+                p[i] = np.linalg.solve(system[i], -g[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        objectives = (
+            (g * p).sum(axis=1)
+            + 0.5 * np.einsum("ck,ckj,cj->c", p, hessians, p)
+            + 0.5 * l2_weight * (p * p).sum(axis=1)
+        )
+    # A nearly singular system (possible at l2_weight = 0) can solve without
+    # raising yet give a head so large that its objective overflows; such a
+    # candidate is as unusable as a singular one.
+    objectives[singular | ~np.isfinite(objectives)] = np.inf
+    return objectives, p, None
 
 
 def find_head(
@@ -163,9 +151,26 @@ def find_head(
     head_mode: str,
     fixed_label: int | None = None,
 ) -> Head:
-    """Dispatch to the single-label or full-head solver."""
-    if head_mode == HEAD_SINGLE:
-        return solve_single_label_head(stats, l2_weight, fixed_label)
-    if head_mode == HEAD_MULTI:
-        return solve_full_head(stats, l2_weight)
-    raise ValueError(f"unknown head mode {head_mode!r}")
+    """Optimal head of one set of statistics, solved as a batch of one."""
+    objectives, scores, labels = solve_heads(
+        stats.gradient[None], stats.hessian[None], stats.diagonal, l2_weight,
+        head_mode, fixed_label,
+    )
+    if not np.isfinite(objectives[0]):
+        raise SolverError(
+            f"no usable {head_mode} head: the system is singular or its "
+            "objective is not finite; increase the L2 weight"
+        )
+    return Head(scores[0], None if labels is None else int(labels[0]))
+
+
+def solve_full_head(stats: AggregatedStats, l2_weight: float) -> Head:
+    """Head over all labels minimizing g.p + p'Hp/2 + l2 |p|^2 / 2."""
+    return find_head(stats, l2_weight, HEAD_MULTI)
+
+
+def objective_value(stats: AggregatedStats, head: Head, l2_weight: float) -> float:
+    """Quadratic model of the training objective for a candidate head."""
+    p = head.scores
+    quad = p @ (stats.hessian * p) if stats.diagonal else p @ stats.hessian @ p
+    return float(stats.gradient @ p + 0.5 * quad + 0.5 * l2_weight * (p @ p))

@@ -25,9 +25,9 @@ import numpy as np
 
 from .dataset import MISSING_CODE, Dataset
 from .errors import InductionError
-from .heads import HEAD_SINGLE, find_head, objective_value, stats_for_rows
+from .heads import HEAD_SINGLE, find_head, objective_value, solve_heads, stats_for_rows
 from .losses import GradHessStore
-from .rules import OP_EQ, OP_GT, OP_LEQ, OP_NEQ, Body, Condition, Head, Rule
+from .rules import OP_EQ, OP_GT, OP_LEQ, OP_NEQ, Body, Condition, Head, Rule, condition_mask
 
 
 def feature_subset_size(n_attributes: int) -> int:
@@ -62,51 +62,15 @@ def _midpoints(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.where(mid < upper, mid, lower)
 
 
-def enumerate_conditions(dataset: Dataset, attribute_index: int, rows=None) -> list[Condition]:
-    """All conditions the attribute admits on the covered rows.
-
-    Numeric attributes split at midpoints of adjacent distinct covered
-    values (<= before >); nominal attributes test each occurring value
-    (== before !=) in schema order.  Missing values contribute nothing.
-    """
-    attr = dataset.schema[attribute_index]
-    column = dataset.columns[attribute_index]
-    values = column if rows is None else column[np.asarray(rows)]
-    conditions: list[Condition] = []
-    if attr.is_numeric:
-        values = values[~np.isnan(values)]
-        distinct = np.unique(values)
-        if distinct.size < 2:
-            return conditions
-        thresholds = _midpoints(distinct[:-1], distinct[1:])
-        for threshold in thresholds:
-            conditions.append(Condition(attribute_index, OP_LEQ, float(threshold)))
-            conditions.append(Condition(attribute_index, OP_GT, float(threshold)))
-    else:
-        occurring = np.unique(values[values != MISSING_CODE])
-        for code in occurring:
-            value = attr.values[int(code)]
-            conditions.append(Condition(attribute_index, OP_EQ, value))
-            conditions.append(Condition(attribute_index, OP_NEQ, value))
-    return conditions
-
-
-@dataclass
-class _CandidateTable:
-    """Vectorized candidate conditions of one attribute, in tie-break order."""
-
-    operators: list[str]
-    thresholds: list
-    gradients: np.ndarray  # (n_candidates, n_labels)
-    hessians: np.ndarray  # (n_candidates, n_labels) or (n_candidates, l, l)
-
-
 def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     stacked = np.stack([first, second], axis=1)
     return stacked.reshape((-1,) + first.shape[1:])
 
 
-def _numeric_candidates(column, rows, store: GradHessStore) -> _CandidateTable | None:
+# The candidate scans return the conditions of one attribute in tie-break
+# order as (operators, thresholds, gradients, hessians), the sums stacked
+# one row per condition, or None when the attribute admits no condition.
+def _numeric_candidates(column, rows, store: GradHessStore):
     values = column[rows]
     present = ~np.isnan(values)
     values = values[present]
@@ -130,12 +94,10 @@ def _numeric_candidates(column, rows, store: GradHessStore) -> _CandidateTable |
 
     operators = [OP_LEQ, OP_GT] * boundary.size
     threshold_list = np.repeat(thresholds, 2).tolist()
-    return _CandidateTable(
-        operators, threshold_list, _interleave(g_le, g_gt), _interleave(h_le, h_gt)
-    )
+    return operators, threshold_list, _interleave(g_le, g_gt), _interleave(h_le, h_gt)
 
 
-def _nominal_candidates(attr, column, rows, store: GradHessStore) -> _CandidateTable | None:
+def _nominal_candidates(attr, column, rows, store: GradHessStore):
     codes = column[rows]
     present = codes != MISSING_CODE
     rows_present = rows[present]
@@ -170,83 +132,7 @@ def _nominal_candidates(attr, column, rows, store: GradHessStore) -> _CandidateT
             hessians.append(h_total - h_eq)
     if not operators:
         return None
-    return _CandidateTable(operators, thresholds, np.array(gradients), np.array(hessians))
-
-
-def _evaluate_candidates(table: _CandidateTable, diagonal: bool, l2_weight: float,
-                         head_mode: str, fixed_label):
-    """Objective, head scores and label choice per candidate condition."""
-    g = table.gradients
-    n_candidates, n_labels = g.shape[0], g.shape[1]
-    if head_mode == HEAD_SINGLE:
-        if diagonal:
-            h_diag = table.hessians
-        else:
-            idx = np.arange(n_labels)
-            h_diag = table.hessians[:, idx, idx]
-        denom = h_diag + l2_weight
-        usable = denom > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(usable, -g / denom, 0.0)
-        per_label = np.where(usable, g * p + 0.5 * denom * p * p, np.inf)
-        if fixed_label is None:
-            labels = np.argmin(per_label, axis=1)
-        else:
-            labels = np.full(n_candidates, fixed_label)
-        rows = np.arange(n_candidates)
-        objectives = per_label[rows, labels]
-        scores = np.zeros_like(g)
-        scores[rows, labels] = p[rows, labels]
-        return objectives, scores, labels
-    if diagonal:
-        denom = table.hessians + l2_weight
-        usable = (denom > 0.0).all(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(denom > 0.0, -g / denom, 0.0)
-        objectives = (g * p + 0.5 * denom * p * p).sum(axis=1)
-        objectives = np.where(usable, objectives, np.inf)
-        return objectives, p, None
-    system = table.hessians + l2_weight * np.eye(n_labels)
-    singular = np.zeros(n_candidates, dtype=bool)
-    try:
-        p = np.linalg.solve(system, -g[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        p = np.zeros_like(g)
-        for i in range(n_candidates):
-            try:
-                p[i] = np.linalg.solve(system[i], -g[i])
-            except np.linalg.LinAlgError:
-                singular[i] = True
-    with np.errstate(over="ignore", invalid="ignore"):
-        objectives = (
-            (g * p).sum(axis=1)
-            + 0.5 * np.einsum("ck,ckj,cj->c", p, table.hessians, p)
-            + 0.5 * l2_weight * (p * p).sum(axis=1)
-        )
-    # A nearly singular system (possible at l2_weight = 0) can solve without
-    # raising yet give a head so large that its objective overflows; such a
-    # candidate is as unusable as a singular one.
-    objectives[singular | ~np.isfinite(objectives)] = np.inf
-    return objectives, p, None
-
-
-def _condition_rows(dataset: Dataset, condition: Condition, rows: np.ndarray) -> np.ndarray:
-    """Restrict a row index array to the rows satisfying one condition."""
-    column = dataset.columns[condition.attribute_index]
-    values = column[rows]
-    if condition.operator == OP_LEQ:
-        with np.errstate(invalid="ignore"):
-            keep = values <= condition.threshold
-    elif condition.operator == OP_GT:
-        with np.errstate(invalid="ignore"):
-            keep = values > condition.threshold
-    else:
-        code = dataset.schema[condition.attribute_index].values.index(condition.threshold)
-        if condition.operator == OP_EQ:
-            keep = values == code
-        else:
-            keep = (values != code) & (values != MISSING_CODE)
-    return rows[keep]
+    return operators, thresholds, np.array(gradients), np.array(hessians)
 
 
 def _best_refinement(dataset, store, rows, attributes, l2_weight, head_mode,
@@ -268,13 +154,14 @@ def _best_refinement(dataset, store, rows, attributes, l2_weight, head_mode,
             table = _nominal_candidates(attr, column, rows, store)
         if table is None:
             continue
-        objectives, scores, labels = _evaluate_candidates(
-            table, store.diagonal, l2_weight, head_mode, fixed_label
+        operators, thresholds, gradients, hessians = table
+        objectives, scores, labels = solve_heads(
+            gradients, hessians, store.diagonal, l2_weight, head_mode, fixed_label
         )
         i = int(np.argmin(objectives))
         if objective_improvement(float(objectives[i]), threshold):
             threshold = float(objectives[i])
-            condition = Condition(int(attribute_index), table.operators[i], table.thresholds[i])
+            condition = Condition(int(attribute_index), operators[i], thresholds[i])
             label = None if labels is None else int(labels[i])
             best = (threshold, condition, scores[i].copy(), label)
     return best
@@ -316,7 +203,7 @@ def refine_rule_with_trace(
             break
         best_objective, condition, head_scores, label = best
         conditions.append(condition)
-        rows = _condition_rows(dataset, condition, rows)
+        rows = rows[condition_mask(dataset, condition, rows)]
         head = Head(head_scores, label if context.head_mode == HEAD_SINGLE else None)
         if context.head_mode == HEAD_SINGLE and fixed_label is None:
             fixed_label = label

@@ -167,13 +167,6 @@ class GradHessStore:
     def n_labels(self) -> int:
         return self.gradients.shape[1]
 
-    def hessian_diag(self) -> np.ndarray:
-        """Diagonal entries as an (n, l) view regardless of storage."""
-        if self.diagonal:
-            return self.hessians
-        idx = np.arange(self.n_labels)
-        return self.hessians[:, idx, idx]
-
     def recompute(self, loss, labels: np.ndarray, scores: np.ndarray, rows=None):
         """Refresh gradients/Hessians of the given rows at the given scores."""
         if rows is None:

@@ -104,11 +104,6 @@ def predict_known_vectors(score_matrix: np.ndarray, candidates: np.ndarray) -> n
     return candidates[best].astype(np.int8)
 
 
-def predict_known_vector(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Single-example convenience wrapper around predict_known_vectors."""
-    return predict_known_vectors(np.asarray(scores)[None, :], candidates)[0]
-
-
 def decode_scores(score_matrix: np.ndarray, method: str, candidates=None) -> np.ndarray:
     if method == DECODE_SIGN:
         return predict_sign(score_matrix)

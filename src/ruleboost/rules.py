@@ -187,13 +187,17 @@ def aggregate(ensemble: Ensemble, example: Example) -> np.ndarray:
     return total
 
 
-def condition_mask(dataset: Dataset, condition: Condition) -> np.ndarray:
+def condition_mask(dataset: Dataset, condition: Condition, rows=None) -> np.ndarray:
     """Boolean coverage of one condition over all examples (vectorized).
 
-    Missing values (NaN / missing code) never satisfy a condition.
+    With ``rows``, an index array that may repeat indices, the mask covers
+    those rows in that order instead.  Missing values (NaN / missing code)
+    never satisfy a condition.
     """
     attr = dataset.schema[condition.attribute_index]
     column = dataset.columns[condition.attribute_index]
+    if rows is not None:
+        column = column[rows]
     if condition.operator in NUMERIC_OPS:
         if not attr.is_numeric:
             raise SchemaError(

@@ -4,7 +4,8 @@ Each variant (loss, head mode) is trained once to the largest checkpoint;
 because rules are additive and every round draws its randomness from a
 stream keyed by the round index, the ensemble prefix of length t is
 bit-identical to a fresh run with t rules, so evaluating prefixes at the
-checkpoints is exact.
+checkpoints is exact.  ``staged_scores`` is that prefix walk; holdout
+tuning walks its rule-count axis with it too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .heads import HEAD_MULTI, HEAD_SINGLE
 from .losses import EXAMPLE_WISE_LOGISTIC, LABEL_WISE_LOGISTIC
 from .metrics import hamming_loss, subset_zero_one_loss
 from .prediction import decode_scores, default_decode_method
-from .rules import body_mask
+from .rules import Ensemble, body_mask
 from .training import TrainConfig, train
 
 DEFAULT_CHECKPOINTS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000)
@@ -52,6 +53,24 @@ class TrajectoryPoint:
     subset01: float
 
 
+def staged_scores(ensemble: Ensemble, dataset: Dataset, checkpoints):
+    """Yield (t, scores of the first t rules) once per distinct checkpoint, ascending.
+
+    One walk over the rules serves every checkpoint.  The yielded score
+    matrix is updated in place by the next stage; copy it to keep it.
+    """
+    stages = sorted(set(checkpoints))
+    if stages and not 1 <= stages[0] <= stages[-1] <= len(ensemble):
+        raise ValueError(f"checkpoints must lie in 1..{len(ensemble)}, got {stages}")
+    scores = np.zeros((dataset.n_examples, ensemble.n_labels))
+    done = 0
+    for t in stages:
+        for rule in ensemble.rules[done:t]:
+            scores[body_mask(dataset, rule.body)] += rule.head.scores
+        done = t
+        yield t, scores
+
+
 def run_trajectory(
     train_data: Dataset,
     test_data: Dataset,
@@ -74,7 +93,6 @@ def run_trajectory(
     if not checkpoints:
         return series
 
-    wanted = set(checkpoints)
     for variant in variants:
         config = TrainConfig(
             loss=variant.loss,
@@ -88,18 +106,15 @@ def run_trajectory(
         )
         ensemble = train(train_data, config)
         method = default_decode_method(variant.loss)
-        scores = np.zeros((test_data.n_examples, ensemble.n_labels))
         points: list[TrajectoryPoint] = []
-        for t, rule in enumerate(ensemble.rules, start=1):
-            scores[body_mask(test_data, rule.body)] += rule.head.scores
-            if t in wanted:
-                predicted = decode_scores(scores, method, ensemble.label_vectors)
-                points.append(
-                    TrajectoryPoint(
-                        n_rules=t,
-                        hamming=hamming_loss(test_data.labels, predicted),
-                        subset01=subset_zero_one_loss(test_data.labels, predicted),
-                    )
+        for t, scores in staged_scores(ensemble, test_data, checkpoints):
+            predicted = decode_scores(scores, method, ensemble.label_vectors)
+            points.append(
+                TrajectoryPoint(
+                    n_rules=t,
+                    hamming=hamming_loss(test_data.labels, predicted),
+                    subset01=subset_zero_one_loss(test_data.labels, predicted),
                 )
+            )
         series[variant.name] = points
     return series

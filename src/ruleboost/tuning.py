@@ -8,7 +8,7 @@ round index.  Failed grid points are recorded and do not abort the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from .heads import HEAD_MULTI
 from .losses import LOSSES
 from .metrics import hamming_loss, subset_zero_one_loss
 from .prediction import decode_scores, default_decode_method
-from .rules import body_mask
 from .training import TrainConfig, train
+from .trajectory import staged_scores
 
 _STREAM_SPLIT = 200
 
@@ -128,51 +128,38 @@ def grid_search(dataset: Dataset, config: GridSearchConfig) -> tuple[TrainConfig
         n_validation=val_split.n_examples,
     )
     metric_fn = METRICS[config.metric]
-    wanted = set(config.rule_counts)
-    max_rules = max(config.rule_counts)
     method = default_decode_method(config.loss)
+    base = TrainConfig(
+        loss=config.loss,
+        n_rules=max(config.rule_counts),
+        head_mode=config.head_mode,
+        bagging=config.bagging,
+        feature_sampling=config.feature_sampling,
+        seed=config.seed,
+    )
 
     for shrinkage in config.shrinkages:
         for l2_weight in config.l2_weights:
-            point = TrainConfig(
-                loss=config.loss,
-                n_rules=max_rules,
-                shrinkage=shrinkage,
-                l2_weight=l2_weight,
-                head_mode=config.head_mode,
-                bagging=config.bagging,
-                feature_sampling=config.feature_sampling,
-                seed=config.seed,
-            )
+            point = replace(base, shrinkage=shrinkage, l2_weight=l2_weight)
             try:
                 ensemble = train(train_split, point)
-                scores = np.zeros((val_split.n_examples, ensemble.n_labels))
-                for t, rule in enumerate(ensemble.rules, start=1):
-                    scores[body_mask(val_split, rule.body)] += rule.head.scores
-                    if t in wanted:
-                        predicted = decode_scores(scores, method, ensemble.label_vectors)
-                        report.cells.append(
-                            GridCell(
-                                shrinkage=shrinkage,
-                                l2_weight=l2_weight,
-                                n_rules=t,
-                                value=metric_fn(val_split.labels, predicted),
-                            )
+                for t, scores in staged_scores(ensemble, val_split, config.rule_counts):
+                    predicted = decode_scores(scores, method, ensemble.label_vectors)
+                    report.cells.append(
+                        GridCell(
+                            shrinkage=shrinkage,
+                            l2_weight=l2_weight,
+                            n_rules=t,
+                            value=metric_fn(val_split.labels, predicted),
                         )
-            except (RuleBoostError, np.linalg.LinAlgError) as exc:
+                    )
+            except RuleBoostError as exc:
                 report.failures.append(GridFailure(shrinkage, l2_weight, str(exc)))
 
     if not report.cells:
         raise RuleBoostError("every grid point failed; see the report failures")
     best = _select_best(report.cells)
-    best_config = TrainConfig(
-        loss=config.loss,
-        n_rules=best.n_rules,
-        shrinkage=best.shrinkage,
-        l2_weight=best.l2_weight,
-        head_mode=config.head_mode,
-        bagging=config.bagging,
-        feature_sampling=config.feature_sampling,
-        seed=config.seed,
+    best_config = replace(
+        base, n_rules=best.n_rules, shrinkage=best.shrinkage, l2_weight=best.l2_weight
     )
     return best_config, report

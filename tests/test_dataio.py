@@ -175,6 +175,28 @@ class TestArffRoundTrip:
         assert reloaded.columns[0].tobytes() == dataset.columns[0].tobytes()
 
 
+class TestArffQuestionMarkValue:
+    """Only an unquoted '?' is missing; a quoted one is a value where the domain declares it."""
+
+    def test_declared_question_mark_round_trips(self, tmp_path):
+        from ruleboost.dataset import NOMINAL, Attribute, AttributeSchema, Dataset
+
+        schema = AttributeSchema((Attribute("c", NOMINAL, ("?", "q")),))
+        codes = np.array([0, 1, -1])
+        dataset = Dataset(schema, [codes], np.ones((3, 1), dtype=np.int8), ["l0"])
+        path = tmp_path / "question.arff"
+        save_arff(dataset, path)
+        assert load_arff(path, 1).columns[0].tolist() == [0, 1, -1]
+
+    def test_quoted_question_mark_outside_the_domain_is_missing(self, tmp_path):
+        path = tmp_path / "quoted.arff"
+        path.write_text(
+            "@relation r\n@attribute c {a, b}\n@attribute l0 {0, 1}\n"
+            "@data\n'?', 1\n ? , 0\nb, 1\n"
+        )
+        assert load_arff(path, 1).columns[0].tolist() == [-1, -1, 1]
+
+
 MIXED_VALUES = ("plain", "with space", "comma,inside", "50%", "{brace}")
 
 

@@ -7,12 +7,12 @@ from scipy.optimize import minimize
 from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema, Dataset
 from ruleboost.errors import SolverError
 from ruleboost.heads import (
+    HEAD_SINGLE,
     AggregatedStats,
     aggregate_stats,
     find_head,
     objective_value,
     solve_full_head,
-    solve_single_label_head,
 )
 from ruleboost.losses import ExampleWiseLogisticLoss, init_store, make_loss
 from ruleboost.rules import Body, Condition, Head
@@ -95,29 +95,29 @@ class TestSolveFullHead:
 
 class TestSolveSingleLabelHead:
     def test_picks_label_with_best_objective(self):
-        head = solve_single_label_head(diag_stats([-0.5, -0.1], [0.25, 0.25]), 0.0)
+        head = find_head(diag_stats([-0.5, -0.1], [0.25, 0.25]), 0.0, HEAD_SINGLE)
         assert head.label_index == 0
         assert head.scores == pytest.approx([2.0, 0.0])
 
     def test_fixed_label_constrains_choice(self):
-        head = solve_single_label_head(
-            diag_stats([-0.5, -0.1], [0.25, 0.25]), 0.0, fixed_label=1
+        head = find_head(
+            diag_stats([-0.5, -0.1], [0.25, 0.25]), 0.0, HEAD_SINGLE, fixed_label=1
         )
         assert head.label_index == 1
         assert head.scores == pytest.approx([0.0, 0.4])
 
     def test_zero_gradients_tie_break_to_lowest_index(self):
-        head = solve_single_label_head(diag_stats([0.0, 0.0], [0.25, 0.25]), 0.0)
+        head = find_head(diag_stats([0.0, 0.0], [0.25, 0.25]), 0.0, HEAD_SINGLE)
         assert head.label_index == 0
         assert np.all(head.scores == 0.0)
 
     def test_all_degenerate_candidates_raise(self):
         with pytest.raises(SolverError):
-            solve_single_label_head(diag_stats([0.4, 0.2], [0.0, 0.0]), 0.0)
+            find_head(diag_stats([0.4, 0.2], [0.0, 0.0]), 0.0, HEAD_SINGLE)
 
     def test_uses_diagonal_for_dense_stats(self, rng):
         stats = random_spd_stats(rng, n_labels=4)
-        head = solve_single_label_head(stats, 0.5)
+        head = find_head(stats, 0.5, HEAD_SINGLE)
         k = head.label_index
         expected = -stats.gradient[k] / (stats.hessian[k, k] + 0.5)
         assert head.scores[k] == pytest.approx(expected, rel=1e-12)
@@ -129,7 +129,7 @@ class TestSolveSingleLabelHead:
             g = rng.uniform(-2.0, 2.0, size=n_labels)
             h = rng.uniform(0.05, 3.0, size=n_labels)
             l2 = float(rng.choice([0.0, 0.25, 1.0]))
-            head = solve_single_label_head(diag_stats(g, h), l2)
+            head = find_head(diag_stats(g, h), l2, HEAD_SINGLE)
             objectives = []
             for k in range(n_labels):
                 p = -g[k] / (h[k] + l2)

@@ -12,19 +12,18 @@ import pytest
 
 from ruleboost.dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
 from ruleboost.errors import InductionError
-from ruleboost.heads import HEAD_MULTI
+from ruleboost.heads import HEAD_MULTI, solve_heads
 from ruleboost.induction import (
     RefinementContext,
-    _CandidateTable,
-    _evaluate_candidates,
-    enumerate_conditions,
+    _nominal_candidates,
+    _numeric_candidates,
     feature_subset_size,
     objective_improvement,
     refine_rule,
     refine_rule_with_trace,
 )
 from ruleboost.losses import init_store, make_loss
-from ruleboost.rules import OP_GT, OP_LEQ, Condition
+from ruleboost.rules import Condition
 
 from conftest import random_dataset
 
@@ -156,8 +155,24 @@ def oracle_objective_of_condition(dataset, store, rows, condition, l2, head_mode
 
 
 # ---------------------------------------------------------------------------
-# enumerate_conditions
+# Candidate conditions of the refinement scan
 # ---------------------------------------------------------------------------
+
+def enumerate_conditions(dataset, attribute_index, rows=None):
+    """The conditions the scan scores for one attribute, in tie-break order."""
+    rows = np.arange(dataset.n_examples) if rows is None else np.asarray(rows)
+    store = init_store(make_loss("label-wise-logistic"), dataset)
+    attr = dataset.schema[attribute_index]
+    column = dataset.columns[attribute_index]
+    if attr.is_numeric:
+        table = _numeric_candidates(column, rows, store)
+    else:
+        table = _nominal_candidates(attr, column, rows, store)
+    if table is None:
+        return []
+    operators, thresholds, _, _ = table
+    return [Condition(attribute_index, op, t) for op, t in zip(operators, thresholds)]
+
 
 def _numeric_dataset(values, n_labels=1):
     schema = AttributeSchema((Attribute("x", NUMERIC),))
@@ -238,10 +253,9 @@ class TestNearlySingularCandidates:
         # term overflows into inf - inf.
         g = np.array([1e-3, -1e-3])
         nearly_singular = 1e-170 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
-        table = _CandidateTable(
-            [OP_LEQ, OP_GT], [0.5, 0.5], np.array([g, g]), np.array([nearly_singular, np.eye(2)])
+        objectives, scores, _ = solve_heads(
+            np.array([g, g]), np.array([nearly_singular, np.eye(2)]), False, 0.0, HEAD_MULTI
         )
-        objectives, scores, _ = _evaluate_candidates(table, False, 0.0, HEAD_MULTI, None)
         assert objectives[0] == np.inf
         np.testing.assert_allclose(scores[1], -g)
         assert objectives[1] == pytest.approx(-0.5 * (g @ g))

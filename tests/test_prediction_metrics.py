@@ -12,7 +12,6 @@ from ruleboost.metrics import example_based_f1, hamming_loss, subset_zero_one_lo
 from ruleboost.prediction import (
     decode_scores,
     default_decode_method,
-    predict_known_vector,
     predict_known_vectors,
     predict_sign,
 )
@@ -49,7 +48,7 @@ class TestPredictSign:
 class TestPredictKnownVector:
     def test_picks_loss_minimizing_candidate(self):
         candidates = np.array([[1, 1], [-1, -1]], dtype=np.int8)
-        chosen = predict_known_vector(np.array([2.0, 1.0]), candidates)
+        chosen = predict_known_vectors(np.array([[2.0, 1.0]]), candidates)[0]
         loss = ExampleWiseLogisticLoss()
         values = [loss.evaluate(c.astype(float), [2.0, 1.0]) for c in candidates]
         assert values[0] < values[1]
@@ -57,16 +56,16 @@ class TestPredictKnownVector:
 
     def test_single_candidate_returned(self):
         candidates = np.array([[-1, 1]], dtype=np.int8)
-        assert predict_known_vector(np.array([5.0, -5.0]), candidates).tolist() == [-1, 1]
+        assert predict_known_vectors(np.array([[5.0, -5.0]]), candidates)[0].tolist() == [-1, 1]
 
     def test_tie_breaks_by_first_occurrence(self):
         candidates = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-        chosen = predict_known_vector(np.array([0.0, 0.0]), candidates)
+        chosen = predict_known_vectors(np.array([[0.0, 0.0]]), candidates)[0]
         assert chosen.tolist() == [1, -1]
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            predict_known_vector(np.array([1.0]), np.empty((0, 1)))
+            predict_known_vectors(np.array([[1.0]]), np.empty((0, 1)))
 
     def test_returns_member_of_candidate_set(self, rng):
         for _ in range(50):

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from ruleboost.dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset, Example
+from ruleboost.dataset import (
+    MISSING_CODE,
+    NOMINAL,
+    NUMERIC,
+    Attribute,
+    AttributeSchema,
+    Dataset,
+    Example,
+)
 from ruleboost.errors import SchemaError
 from ruleboost.rules import (
     Body,
@@ -15,6 +23,7 @@ from ruleboost.rules import (
     aggregate,
     apply_rule,
     body_mask,
+    condition_mask,
     covers,
     ensemble_scores,
 )
@@ -174,6 +183,29 @@ class TestVectorizedCoverage:
             mask = body_mask(dataset, body)
             expected = [covers(body, dataset.example(i)) for i in range(dataset.n_examples)]
             assert mask.tolist() == expected
+
+
+class TestConditionMaskRows:
+    DATASET = Dataset(
+        SCHEMA,
+        [np.array([0.5, np.nan, 2.0, -1.0]), np.array([0, MISSING_CODE, 1, 0])],
+        np.ones((4, 1), dtype=np.int8),
+        ["l0"],
+    )
+
+    @pytest.mark.parametrize(
+        "condition",
+        [Condition(0, "<=", 0.5), Condition(0, ">", 0.5), Condition(1, "==", "a"),
+         Condition(1, "!=", "a")],
+        ids=str,
+    )
+    def test_gathered_rows_equal_indexed_full_mask(self, condition):
+        # Repeated rows, and rows whose value is missing (NaN / missing code).
+        rows = np.array([1, 3, 3, 0, 2, 1, 0])
+        full = condition_mask(self.DATASET, condition)
+        gathered = condition_mask(self.DATASET, condition, rows)
+        assert gathered.tolist() == full[rows].tolist()
+        assert not gathered[0] and not gathered[5]
 
 
 class TestDatasetValidation:

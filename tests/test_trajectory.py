@@ -1,5 +1,7 @@
 """Checkpointed trajectory evaluation with exact prefix semantics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from ruleboost.metrics import hamming_loss, subset_zero_one_loss
 from ruleboost.prediction import decode_scores, default_decode_method
 from ruleboost.rules import ensemble_scores
 from ruleboost.synthetic import SyntheticConfig, generate
-from ruleboost.trajectory import ALL_VARIANTS, TrajectoryVariant, run_trajectory
+from ruleboost.trajectory import ALL_VARIANTS, TrajectoryVariant, run_trajectory, staged_scores
 from ruleboost.training import TrainConfig, train
 
 
@@ -88,3 +90,25 @@ class TestRunTrajectory:
             )
             assert point.hamming == hamming_loss(test_data.labels, predicted)
             assert point.subset01 == subset_zero_one_loss(test_data.labels, predicted)
+
+
+class TestStagedScores:
+    def test_stage_equals_scores_of_the_prefix(self, small_data):
+        """Unsorted and repeated checkpoints give each distinct stage once, ascending."""
+        train_data, test_data = small_data
+        ensemble = train(train_data, TrainConfig(loss="example-wise-logistic", n_rules=6, seed=2))
+        stages = [
+            (t, scores.copy()) for t, scores in staged_scores(ensemble, test_data, [4, 1, 6, 4, 2])
+        ]
+        assert [t for t, _ in stages] == [1, 2, 4, 6]
+        for t, scores in stages:
+            prefix = replace(ensemble, rules=ensemble.rules[:t])
+            np.testing.assert_array_equal(scores, ensemble_scores(prefix, test_data))
+
+    def test_checkpoints_outside_the_ensemble_rejected(self, small_data):
+        train_data, test_data = small_data
+        ensemble = train(train_data, TrainConfig(n_rules=3))
+        assert list(staged_scores(ensemble, test_data, [])) == []
+        for checkpoints in ([4], [0, 2]):
+            with pytest.raises(ValueError):
+                list(staged_scores(ensemble, test_data, checkpoints))
