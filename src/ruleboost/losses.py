@@ -31,14 +31,15 @@ EXAMPLE_WISE_LOGISTIC = "example-wise-logistic"
 
 
 def expit(x):
-    """The logistic function 1 / (1 + exp(-x)), evaluated by scipy.
+    """The logistic function 1 / (1 + exp(-x)), the formula scipy.special.expit uses.
 
-    scipy is imported on first use, so that loading a model and predicting
-    never import it.
+    Below x = -709.78 the exponential overflows to inf and the result is an
+    exact 0, without a warning; above it the result keeps its subnormal
+    tail (expit(-709) is about 1.2e-308), so the label-wise Hessian
+    expit(z) * expit(-z) stays positive wherever scipy's does.
     """
-    from scipy.special import expit as logistic
-
-    return logistic(x)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _check_scores(q: np.ndarray):

@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError
 from .heads import HEAD_MULTI, HEAD_SINGLE, aggregate_stats, find_head, solve_full_head, stats_for_rows
-from .induction import RefinementContext, refine_rule_with_trace
+from .induction import RefinementContext, presort, refine_rule_with_trace
 from .losses import LOSSES, init_store, make_loss, update_store
 from .rules import Body, Ensemble, EnsembleMeta, Rule, body_mask
 
@@ -92,6 +92,7 @@ def train_with_diagnostics(dataset: Dataset, config: TrainConfig) -> tuple[Ensem
     rules = [Rule(Body(), default_head)]
     prescale_heads = [default_head.scores]
     refinement_traces: list[list[float]] = []
+    orders = presort(dataset)
 
     for round_index in range(2, config.n_rules + 1):
         update_store(store, loss, dataset, rules[-1], scores)
@@ -105,6 +106,7 @@ def train_with_diagnostics(dataset: Dataset, config: TrainConfig) -> tuple[Ensem
             l2_weight=config.l2_weight,
             rng=_round_rng(config.seed, _STREAM_FEATURES, round_index),
             feature_sampling=config.feature_sampling,
+            orders=orders,
         )
         draft, trace = refine_rule_with_trace(dataset, store, context)
         full_stats = aggregate_stats(store, draft.body, dataset)

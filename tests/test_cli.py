@@ -130,16 +130,43 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+TRAIN_WITHOUT_SCIPY = """
+import sys
+import ruleboost.cli
+data, model, out = sys.argv[1:]
+for argv in (
+    ["train", "--data", data, "--labels", "3", "--loss", "label-wise-logistic",
+     "--head", "single", "--rules", "5", "--model", model],
+    ["trajectory", "--scenario", "marginal_dependence", "--n", "120", "--labels", "3",
+     "--checkpoints", "1,2,4", "--out", out],
+):
+    assert ruleboost.cli.main(argv) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def _run_with_src(script, *args):
+    src = str(Path(ruleboost.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestServingImports:
     def test_predict_and_evaluate_do_not_import_scipy(self, synth_dir, model_path, tmp_path):
-        src = str(Path(ruleboost.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", SERVE_WITHOUT_SCIPY, str(synth_dir / "test.arff"),
-             str(model_path), str(tmp_path / "predictions.csv")],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        result = _run_with_src(SERVE_WITHOUT_SCIPY, synth_dir / "test.arff", model_path,
+                               tmp_path / "predictions.csv")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
+class TestTrainingImports:
+    def test_train_and_trajectory_do_not_import_scipy(self, synth_dir, tmp_path):
+        result = _run_with_src(TRAIN_WITHOUT_SCIPY, synth_dir / "train.arff",
+                               tmp_path / "model.json", tmp_path / "series")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().splitlines()[-1] == "[]"
 

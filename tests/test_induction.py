@@ -15,15 +15,17 @@ from ruleboost.errors import InductionError
 from ruleboost.heads import HEAD_MULTI, solve_heads
 from ruleboost.induction import (
     RefinementContext,
+    _midpoints,
     _nominal_candidates,
     _numeric_candidates,
     feature_subset_size,
     objective_improvement,
+    presort,
     refine_rule,
     refine_rule_with_trace,
 )
-from ruleboost.losses import init_store, make_loss
-from ruleboost.rules import Condition
+from ruleboost.losses import GradHessStore, init_store, make_loss
+from ruleboost.rules import OP_GT, OP_LEQ, Condition
 
 from conftest import random_dataset
 
@@ -158,20 +160,77 @@ def oracle_objective_of_condition(dataset, store, rows, condition, l2, head_mode
 # Candidate conditions of the refinement scan
 # ---------------------------------------------------------------------------
 
+def in_tie_break_order(blocks):
+    """A scan's blocks as one (operators, thresholds, gradients, hessians) table.
+
+    Candidate i of the tie-break order is candidate i // k of block i % k.
+    """
+    operators = [op for ops in zip(*(b[0] for b in blocks)) for op in ops]
+    thresholds = [t for ts in zip(*(b[1] for b in blocks)) for t in ts]
+    gradients = np.stack([b[2] for b in blocks], axis=1)
+    hessians = np.stack([b[3] for b in blocks], axis=1)
+    return (operators, thresholds, gradients.reshape((-1,) + gradients.shape[2:]),
+            hessians.reshape((-1,) + hessians.shape[2:]))
+
+
+def numeric_scan(dataset, attribute_index, rows, store):
+    """The refinement scan of a numeric attribute, in tie-break order, or None."""
+    blocks = _numeric_candidates(
+        dataset.columns[attribute_index], presort(dataset)[attribute_index],
+        np.bincount(rows, minlength=dataset.n_examples), store.gradients, store.hessians,
+    )
+    return None if blocks is None else in_tie_break_order(blocks)
+
+
 def enumerate_conditions(dataset, attribute_index, rows=None):
     """The conditions the scan scores for one attribute, in tie-break order."""
     rows = np.arange(dataset.n_examples) if rows is None else np.asarray(rows)
     store = init_store(make_loss("label-wise-logistic"), dataset)
     attr = dataset.schema[attribute_index]
-    column = dataset.columns[attribute_index]
     if attr.is_numeric:
-        table = _numeric_candidates(column, rows, store)
+        table = numeric_scan(dataset, attribute_index, rows, store)
     else:
-        table = _nominal_candidates(attr, column, rows, store)
+        blocks = _nominal_candidates(
+            attr, dataset.columns[attribute_index], rows, store.gradients, store.hessians
+        )
+        table = None if blocks is None else in_tie_break_order(blocks)
     if table is None:
         return []
     operators, thresholds, _, _ = table
     return [Condition(attribute_index, op, t) for op, t in zip(operators, thresholds)]
+
+
+def argsort_scan(column, rows, store):
+    """The numeric scan as it was before presorting: sort the covered sample at every step.
+
+    Ties keep their order in ``rows``, where the presorted scan groups them
+    by row index; the candidates are interleaved, <= before > per threshold.
+    """
+    values = column[rows]
+    present = ~np.isnan(values)
+    values = values[present]
+    if values.size < 2:
+        return None
+    rows_present = rows[present]
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order]
+    sorted_rows = rows_present[order]
+    boundary = np.nonzero(sorted_values[1:] != sorted_values[:-1])[0]
+    if boundary.size == 0:
+        return None
+    thresholds = _midpoints(sorted_values[boundary], sorted_values[boundary + 1])
+
+    grad_prefix = np.cumsum(store.gradients[sorted_rows], axis=0)
+    hess_prefix = np.cumsum(store.hessians[sorted_rows], axis=0)
+    g_le = grad_prefix[boundary]
+    h_le = hess_prefix[boundary]
+
+    def interleave(first, second):
+        return np.stack([first, second], axis=1).reshape((-1,) + first.shape[1:])
+
+    operators = [OP_LEQ, OP_GT] * boundary.size
+    return (operators, np.repeat(thresholds, 2).tolist(),
+            interleave(g_le, grad_prefix[-1] - g_le), interleave(h_le, hess_prefix[-1] - h_le))
 
 
 def _numeric_dataset(values, n_labels=1):
@@ -218,6 +277,89 @@ class TestEnumerateConditions:
         dataset = _numeric_dataset([5.0, 1.0, 3.0])
         thresholds = [c.threshold for c in enumerate_conditions(dataset, 0)]
         assert thresholds == [2.0, 2.0, 4.0, 4.0]
+
+
+def _scan_column(kind, rng, n):
+    """A numeric column of the given kind, with NaNs everywhere but in "distinct"."""
+    if kind == "distinct":
+        return rng.permutation(np.linspace(-1.0, 1.0, n)) + rng.normal(0.0, 1e-6, n)
+    if kind == "ties":
+        column = rng.integers(0, 4, n).astype(float)
+    elif kind == "signed_zeros":
+        column = rng.choice([-0.0, 0.0, 5e-324, -1.5, 2.0], n)
+    elif kind == "single_value":
+        column = np.full(n, 3.25)
+    else:
+        column = rng.normal(size=n)
+    column[rng.random(n) < 0.2] = np.nan
+    return column
+
+
+class TestPresortedScanAgainstArgsort:
+    """The presorted scan lists what the per-step argsort listed, with the same sums."""
+
+    def _store(self, rng, column, n_labels, loss_id):
+        n = column.shape[0]
+        schema = AttributeSchema((Attribute("x", NUMERIC),))
+        labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, n_labels))
+        dataset = Dataset(schema, [column], labels, [f"l{k}" for k in range(n_labels)])
+        loss = make_loss(loss_id)
+        store = init_store(loss, dataset)
+        store.recompute(loss, labels.astype(float), rng.normal(0.0, 2.0, size=(n, n_labels)))
+        return dataset, store
+
+    @pytest.mark.parametrize("loss_id", ["label-wise-logistic", "example-wise-logistic"])
+    @pytest.mark.parametrize("kind", ["distinct", "nan", "ties", "signed_zeros", "single_value"])
+    def test_same_conditions_and_sums(self, kind, loss_id):
+        rng = np.random.default_rng(17)
+        for trial in range(20):
+            n = int(rng.integers(1, 60))
+            column = _scan_column(kind, rng, n)
+            dataset, store = self._store(rng, column, int(rng.integers(1, 4)), loss_id)
+            samples = [np.arange(n), rng.integers(0, n, size=n),
+                       rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))]
+            for rows in samples:
+                expected = argsort_scan(column, rows, store)
+                actual = numeric_scan(dataset, 0, rows, store)
+                if expected is None:
+                    assert actual is None
+                    continue
+                assert actual[0] == expected[0]
+                assert actual[1] == expected[1]
+                present = column[np.unique(rows)]
+                present = present[~np.isnan(present)]
+                if np.unique(present).size == present.size:
+                    # No two distinct rows tie: the same additions in the same order.
+                    np.testing.assert_array_equal(actual[2], expected[2])
+                    np.testing.assert_array_equal(actual[3], expected[3])
+                else:
+                    np.testing.assert_allclose(actual[2], expected[2], rtol=1e-12, atol=1e-12)
+                    np.testing.assert_allclose(actual[3], expected[3], rtol=1e-12, atol=1e-12)
+
+    def test_presort_cuts_missing_rows_and_keeps_ties_in_row_order(self):
+        schema = AttributeSchema(
+            (Attribute("x", NUMERIC), Attribute("c", NOMINAL, ("a", "b")))
+        )
+        dataset = Dataset.from_rows(
+            schema, [[2.0, "a"], [None, "b"], [1.0, "a"], [2.0, None], [-0.0, "b"], [0.0, "a"]],
+            np.ones((6, 1), dtype=np.int8), ["l0"],
+        )
+        orders = presort(dataset)
+        assert orders[0].tolist() == [4, 5, 2, 0, 3]
+        assert orders[1] is None
+
+    def test_given_orders_match_derived_ones(self, rng):
+        for trial in range(5):
+            dataset = random_dataset(rng, 40, n_numeric=3, n_nominal=1, n_labels=3,
+                                     missing_rate=0.1)
+            store = init_store(make_loss("example-wise-logistic"), dataset)
+            rows = rng.integers(0, 40, size=40)
+            derived = refine_rule_with_trace(
+                dataset, store, _context(rows, "single", seed=trial, feature_sampling=True)
+            )
+            context = _context(rows, "single", seed=trial, feature_sampling=True)
+            context.orders = presort(dataset)
+            assert refine_rule_with_trace(dataset, store, context) == derived
 
 
 class TestFeatureSubsetSize:
@@ -418,3 +560,37 @@ class TestFirstConditionOracle:
                 dataset, store, rows, first, l2, head_mode
             )
             assert chosen_objective == pytest.approx(best_objective, rel=1e-9, abs=1e-12)
+
+
+class TestTieBreakOnExactTies:
+    """Objectives built from small integers tie exactly; the first in tie-break order wins."""
+
+    def test_first_minimum_in_tie_break_order(self):
+        rng = np.random.default_rng(99)
+        tied = 0
+        for trial in range(200):
+            n = int(rng.integers(2, 12))
+            schema = AttributeSchema((Attribute("x", NUMERIC), Attribute("z", NUMERIC)))
+            columns = [rng.integers(0, 4, n).astype(float) for _ in range(2)]
+            dataset = Dataset(schema, columns, np.ones((n, 1), dtype=np.int8), ["l0"])
+            store = GradHessStore(
+                gradients=rng.integers(-1, 2, (n, 1)).astype(float),
+                hessians=np.ones((n, 1)), diagonal=True,
+            )
+            rows = np.arange(n)
+            rule = refine_rule(dataset, store, _context(rows, "multi"))
+            expected, best_objective = oracle_first_condition(dataset, store, rows, 0.0, "multi")
+            if expected is None:
+                assert len(rule.body) == 0
+                continue
+            assert rule.body.conditions[0] == expected
+            reaching = [
+                (a, op, t) for a in range(2) for op, t in oracle_conditions(dataset, a, rows)
+                if 0 < oracle_coverage(dataset, a, op, t, rows).sum() < n
+                and oracle_objective_of_condition(
+                    dataset, store, rows, Condition(a, op, t), 0.0, "multi"
+                ) == best_objective
+            ]
+            tied += len(reaching) > 1
+        # The check above only pins the tie-break if many trials had ties.
+        assert tied >= 30
