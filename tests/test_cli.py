@@ -115,10 +115,12 @@ class TestTrainPredictEvaluate:
         assert code == 0
 
 
-SERVE_WITHOUT_SCIPY = """
+# Serves with both decoders and evaluates, then prints the loaded modules
+# of the packages named after the file arguments.
+SERVE_LOADED_MODULES = """
 import sys
 import ruleboost.cli
-data, model, out = sys.argv[1:]
+data, model, out, *packages = sys.argv[1:]
 for argv in (
     ["predict", "--data", data, "--labels", "3", "--model", model, "--output", out],
     ["predict", "--data", data, "--labels", "3", "--model", model, "--output", out,
@@ -126,7 +128,7 @@ for argv in (
     ["evaluate", "--data", data, "--labels", "3", "--model", model],
 ):
     assert ruleboost.cli.main(argv) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] in packages))
 """
 
 
@@ -157,8 +159,15 @@ def _run_with_src(script, *args):
 
 class TestServingImports:
     def test_predict_and_evaluate_do_not_import_scipy(self, synth_dir, model_path, tmp_path):
-        result = _run_with_src(SERVE_WITHOUT_SCIPY, synth_dir / "test.arff", model_path,
-                               tmp_path / "predictions.csv")
+        result = _run_with_src(SERVE_LOADED_MODULES, synth_dir / "test.arff", model_path,
+                               tmp_path / "predictions.csv", "scipy")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_predict_and_evaluate_do_not_import_process_pools(self, synth_dir, model_path,
+                                                              tmp_path):
+        result = _run_with_src(SERVE_LOADED_MODULES, synth_dir / "test.arff", model_path,
+                               tmp_path / "predictions.csv", "multiprocessing", "concurrent")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().splitlines()[-1] == "[]"
 

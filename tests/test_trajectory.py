@@ -1,11 +1,15 @@
 """Checkpointed trajectory evaluation with exact prefix semantics."""
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ruleboost.errors import ConfigError
+from ruleboost import trajectory
+from ruleboost.cli import main
+from ruleboost.errors import ConfigError, RuleBoostError, SolverError
 from ruleboost.metrics import hamming_loss, subset_zero_one_loss
 from ruleboost.prediction import decode_scores, default_decode_method
 from ruleboost.rules import ensemble_scores
@@ -90,6 +94,101 @@ class TestRunTrajectory:
             )
             assert point.hamming == hamming_loss(test_data.labels, predicted)
             assert point.subset01 == subset_zero_one_loss(test_data.labels, predicted)
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make ``cpus`` the usable CPU set, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def check_before_training(monkeypatch, check):
+    """Patch ``trajectory.train`` to call ``check(config)`` first; forked workers inherit it."""
+    original = trajectory.train
+
+    def patched(data, config):
+        check(config)
+        return original(data, config)
+
+    monkeypatch.setattr(trajectory, "train", patched)
+
+
+def for_exwlog_multi(action):
+    def check(config):
+        if (config.loss, config.head_mode) == ("example-wise-logistic", "multi"):
+            action()
+
+    return check
+
+
+def raise_solver_error():
+    raise SolverError("head system of exwlog-multi is singular")
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+
+
+@needs_fork
+class TestParallelTraining:
+    @pytest.mark.parametrize("l2_weight", [0.0, 1.0])
+    def test_parallel_series_equal_serial_in_callers_order(self, small_data, monkeypatch,
+                                                           l2_weight):
+        train_data, test_data = small_data
+        orders = (ALL_VARIANTS, ALL_VARIANTS[::-1])
+
+        def run_all():
+            return [run_trajectory(train_data, test_data, variants, [1, 2, 4, 8],
+                                   l2_weight=l2_weight, seed=5) for variants in orders]
+
+        use_cpus(monkeypatch, {0})
+        serial = run_all()
+        use_cpus(monkeypatch, {0, 1})
+        caller = os.getpid()
+
+        def in_a_worker(config):
+            if os.getpid() == caller:
+                raise AssertionError("a variant was trained in the calling process")
+
+        check_before_training(monkeypatch, in_a_worker)
+        parallel = run_all()
+        for variants, expected, series in zip(orders, serial, parallel):
+            assert list(series) == [v.name for v in variants]
+            assert list(series.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_worker_error_keeps_its_type_and_message(self, small_data, monkeypatch, capsys,
+                                                     tmp_path, cpus):
+        train_data, test_data = small_data
+        use_cpus(monkeypatch, cpus)
+        check_before_training(monkeypatch, for_exwlog_multi(raise_solver_error))
+        with pytest.raises(SolverError) as caught:
+            run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2])
+        assert str(caught.value) == "head system of exwlog-multi is singular"
+        code = main(["trajectory", "--scenario", "marginal_dependence", "--n", "120",
+                     "--labels", "3", "--checkpoints", "1,2",
+                     "--out", str(tmp_path / "series")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: head system of exwlog-multi is singular\n"
+        assert not (tmp_path / "series").exists()
+
+    def test_worker_that_dies_raises_rule_boost_error(self, small_data, monkeypatch):
+        train_data, test_data = small_data
+        use_cpus(monkeypatch, {0, 1})
+        check_before_training(monkeypatch, for_exwlog_multi(lambda: os._exit(3)))
+        with pytest.raises(RuleBoostError, match="a trajectory worker exited"):
+            run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2])
+
+    def test_one_usable_cpu_forks_nothing(self, small_data, monkeypatch):
+        train_data, test_data = small_data
+        use_cpus(monkeypatch, {0})
+
+        def no_pools(*args, **kwargs):
+            raise AssertionError("a process pool was requested")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pools)
+        series = run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2])
+        assert list(series) == [v.name for v in ALL_VARIANTS]
 
 
 class TestStagedScores:
