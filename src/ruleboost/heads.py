@@ -8,15 +8,22 @@ use the diagonal closed form per candidate label and keep the label whose
 quadratic objective is smallest, which is valid for non-decomposable
 losses too because all other head entries are zero.
 
-One batched solver, ``solve_heads``, scores every candidate of a
-refinement step; a single head (``find_head``) is a batch of one.  Dense
-systems are solved by LU factorization, and a candidate whose system is
-singular or whose objective is not finite scores +inf.
+Refinement needs every candidate's objective but only the winner's head,
+so scoring and solving are separate.  ``score_heads`` returns the optimal
+objective -g'(H + lambda I)^-1 g / 2 of each candidate (and the label of
+single-label heads) without forming any head: diagonal statistics in
+closed form, dense ones with up to ``CHOLESKY_MAX_LABELS`` labels by a
+vectorized Cholesky factorization over packed upper triangles, wider ones
+by LU.  ``solve_heads`` computes the heads themselves, by the closed form
+or LU, for the winning candidate and the full-data head; a single head
+(``find_head``) is a batch of one.  A candidate whose system is singular
+or whose objective is not finite scores +inf on both paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +34,17 @@ from .rules import Body, Head, body_mask
 
 HEAD_SINGLE = "single"
 HEAD_MULTI = "multi"
+
+# Dense candidates with at most this many labels are scored by Cholesky,
+# wider ones by LU.  Measured as ms per rule of example-wise all-label
+# training on marginal_dependence (l2 = 1) on a 2-core Xeon with numpy 2.4
+# and OpenBLAS 0.3.31: Cholesky against LU was 6.0 / 10.1 at 8 labels,
+# 95 / 160 at 30 (n = 2000), 416 / 540 at 80 and 723 / 676 at 90 (n = 1000).
+CHOLESKY_MAX_LABELS = 80
+# A Cholesky pivot below this fraction of its diagonal entry marks a
+# nearly singular system; such a candidate is scored by LU instead, whose
+# overflow rule then decides whether it is usable.
+_PIVOT_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -76,6 +94,123 @@ def aggregate_stats(
         indices = np.asarray(indices)
         rows = indices[mask[indices]]
     return stats_for_rows(store, rows)
+
+
+@lru_cache(maxsize=None)
+def packed_indices(n_labels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of the upper triangle of an l x l matrix, row by row.
+
+    A dense Hessian is packed as ``h[..., rows, columns]``: l(l+1)/2
+    entries instead of l^2, which loses nothing because it is symmetric.
+    The arrays are cached, so they are read-only.
+    """
+    return _read_only(*np.triu_indices(n_labels))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def unpack_hessians(packed: np.ndarray, n_labels: int) -> np.ndarray:
+    """The (c, l, l) symmetric matrices of (c, l(l+1)/2) packed upper triangles."""
+    rows, columns = packed_indices(n_labels)
+    full = np.empty((packed.shape[0], n_labels, n_labels))
+    full[:, rows, columns] = packed
+    full[:, columns, rows] = packed
+    return full
+
+
+@lru_cache(maxsize=None)
+def _bordered_layout(n_labels: int):
+    """Packed upper-triangle layout of the bordered (l+1) x (l+1) matrix [[H, g], [g', 0]].
+
+    Returns the start of every row (plus the total size), the positions of
+    H's packed entries, of g and of H's diagonal.
+    """
+    sizes = np.arange(n_labels + 1, 0, -1)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    rows, columns = packed_indices(n_labels)
+    hessian_positions = starts[rows] + columns - rows
+    gradient_positions = starts[:n_labels] + n_labels - np.arange(n_labels)
+    return (starts.tolist(),) + _read_only(hessian_positions, gradient_positions,
+                                           starts[:n_labels])
+
+
+def _cholesky_objectives(gradients: np.ndarray, packed: np.ndarray, l2_weight: float):
+    """-g'(H + l2 I)^-1 g / 2 per candidate, and where a pivot was too small to trust.
+
+    Factors the bordered matrix [[H + l2 I, g], [g', 0]] right-looking,
+    one pivot at a time over all candidates at once, with the candidate
+    axis last.  After the l pivots of H its corner holds -|L^-1 g|^2, the
+    Schur complement -g'(H + l2 I)^-1 g, so no head is ever formed.
+    """
+    n_candidates, n_labels = gradients.shape
+    starts, hessian_positions, gradient_positions, diagonal_positions = _bordered_layout(n_labels)
+    a = np.empty((starts[-1], n_candidates))
+    a[hessian_positions] = packed.T
+    a[gradient_positions] = gradients.T
+    a[-1] = 0.0
+    a[diagonal_positions] += l2_weight
+    limits = _PIVOT_TOLERANCE * a[diagonal_positions]
+    weak = np.zeros(n_candidates, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n_labels):
+            pivot = a[starts[k]]
+            weak |= ~(pivot > limits[k])
+            # Row k of the factor beyond its diagonal, border entry included.
+            factor = a[starts[k] + 1 : starts[k + 1]] / np.sqrt(pivot)
+            for i in range(n_labels - k):
+                a[starts[k + 1 + i] : starts[k + 2 + i]] -= factor[i] * factor[i:]
+    return 0.5 * a[-1], weak
+
+
+def score_heads(gradients, hessians, diagonal: bool, l2_weight: float,
+                head_mode: str, fixed_label: int | None = None):
+    """Optimal objective of every candidate, without forming its head.
+
+    ``gradients`` is (c, l); ``hessians`` is (c, l) when ``diagonal`` and
+    the (c, l(l+1)/2) packed upper triangles (``packed_indices``)
+    otherwise.  Returns the (c,) objectives and, for single-label heads,
+    the (c,) chosen labels (None for full heads), with ``fixed_label`` and
+    ties as in ``solve_heads``.  The objective is -g'(H + lambda I)^-1 g / 2
+    (per label -g_k^2 / (2 (h_kk + lambda)) for diagonal statistics); a
+    candidate without a usable head scores +inf, as in ``solve_heads``.
+    """
+    g = gradients
+    n_candidates, n_labels = g.shape[0], g.shape[1]
+    if head_mode not in (HEAD_SINGLE, HEAD_MULTI):
+        raise ValueError(f"unknown head mode {head_mode!r}")
+    if head_mode == HEAD_SINGLE or diagonal:
+        if diagonal:
+            h_diag = hessians
+        else:
+            rows, columns = packed_indices(n_labels)
+            h_diag = hessians[:, rows == columns]
+        denom = h_diag + l2_weight
+        usable = denom > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per_label = np.where(usable, -0.5 * g * g / denom, np.inf)
+        if head_mode == HEAD_MULTI:
+            return per_label.sum(axis=1), None
+        if fixed_label is None:
+            labels = np.argmin(per_label, axis=1)
+        else:
+            labels = np.full(n_candidates, fixed_label)
+        return per_label[np.arange(n_candidates), labels], labels
+    if n_labels > CHOLESKY_MAX_LABELS:
+        objectives, _, _ = solve_heads(
+            g, unpack_hessians(hessians, n_labels), False, l2_weight, HEAD_MULTI
+        )
+        return objectives, None
+    objectives, weak = _cholesky_objectives(g, hessians, l2_weight)
+    if weak.any():
+        fallback, _, _ = solve_heads(
+            g[weak], unpack_hessians(hessians[weak], n_labels), False, l2_weight, HEAD_MULTI
+        )
+        objectives[weak] = fallback
+    return objectives, None
 
 
 def solve_heads(gradients, hessians, diagonal: bool, l2_weight: float,

@@ -2,11 +2,13 @@
 
 Starting from the empty body, each step draws a random attribute subset,
 enumerates every condition those attributes admit on the currently
-covered sample, evaluates the optimal head for each candidate on the
-sampled statistics, and keeps the candidate whose quadratic objective is
-strictly smaller than the incumbent rule's.  The search recurses on the
-newly covered subset and stops as soon as no candidate strictly improves
-the objective; there is no other stopping criterion.
+covered sample, scores each candidate by the objective its optimal head
+would reach on the sampled statistics (``heads.score_heads``, which forms
+no head), and keeps the candidate whose objective is strictly smaller
+than the incumbent rule's; the empty body is scored the same way.  The
+search recurses on the newly covered subset and stops as soon as no
+candidate strictly improves the objective; there is no other stopping
+criterion.  Only the final body's head is solved.
 
 Numeric attributes are scanned with prefix sums over the covered sample
 in value order.  Each numeric column is sorted once per training run
@@ -15,7 +17,9 @@ each row occurs in its sample and repeats every row of the presorted
 order that many times, so it gets the sample in value order in O(n)
 instead of sorting it again.  The <= and > candidates of a column are
 scored as two blocks, and the winner is mapped back to the tie-break
-order in which <= of a threshold comes before > of the same threshold.
+order in which <= of a threshold comes before > of the same threshold;
+only the winner's threshold is computed.  Dense example-wise Hessians are
+scanned as packed upper triangles.
 
 Single-label rules pick their label freely while the first condition is
 chosen and keep it for every later refinement step; their candidates need
@@ -26,14 +30,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dataset import MISSING_CODE, Dataset
 from .errors import InductionError
-from .heads import HEAD_SINGLE, find_head, objective_value, solve_heads, stats_for_rows
+# ``objective_value`` is not used here; it is bound as
+# ``induction.objective_value`` because the benchmark's traced run
+# (perfbench/spans.py) wraps that name.
+from .heads import (
+    HEAD_SINGLE,
+    AggregatedStats,
+    find_head,
+    objective_value,
+    packed_indices,
+    score_heads,
+    stats_for_rows,
+    unpack_hessians,
+)
 from .losses import GradHessStore
-from .rules import OP_EQ, OP_GT, OP_LEQ, OP_NEQ, Body, Condition, Head, Rule, condition_mask
+from .rules import OP_EQ, OP_GT, OP_LEQ, OP_NEQ, Body, Condition, Rule, condition_mask
 
 
 def feature_subset_size(n_attributes: int) -> int:
@@ -86,10 +103,32 @@ def _midpoints(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.where(mid < upper, mid, lower)
 
 
-# A scan returns the conditions of one attribute as blocks of equal length,
-# each (operators, thresholds, gradients, hessians) with the sums stacked
-# one row per condition, or None when the attribute admits no condition.
-# Candidate i of the tie-break order is candidate i // k of block i % k.
+class _Scan(NamedTuple):
+    """The candidate conditions of one attribute, in ``n_blocks`` blocks of equal length.
+
+    ``gradients`` and ``hessians`` stack the blocks' summed statistics
+    block after block, one row per condition.  Candidate i of the
+    tie-break order is candidate i // n_blocks of block i % n_blocks, and
+    ``condition(i)`` gives its (operator, threshold); only the winner's is
+    ever built.
+    """
+
+    gradients: np.ndarray
+    hessians: np.ndarray
+    n_blocks: int
+    condition: Callable[[int], tuple]
+
+
+def _le_and_gt(values, boundary):
+    """Prefix sums of the sorted rows up to each boundary, then the rest: two blocks."""
+    prefix = np.cumsum(values, axis=0)
+    n_thresholds = boundary.size
+    blocks = np.empty((2 * n_thresholds,) + prefix.shape[1:])
+    np.take(prefix, boundary, axis=0, out=blocks[:n_thresholds])
+    np.subtract(prefix[-1], blocks[:n_thresholds], out=blocks[n_thresholds:])
+    return blocks
+
+
 def _numeric_candidates(column, order, counts, gradients, hessians):
     """Thresholds between adjacent distinct values of the sample, <= and > blocks.
 
@@ -100,20 +139,17 @@ def _numeric_candidates(column, order, counts, gradients, hessians):
     if sorted_rows.size < 2:
         return None
     sorted_values = column[sorted_rows]
-    boundary = np.nonzero(sorted_values[1:] != sorted_values[:-1])[0]
+    boundary = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
     if boundary.size == 0:
         return None
-    thresholds = _midpoints(sorted_values[boundary], sorted_values[boundary + 1]).tolist()
 
-    grad_prefix = np.cumsum(gradients[sorted_rows], axis=0)
-    hess_prefix = np.cumsum(hessians[sorted_rows], axis=0)
-    g_le = grad_prefix[boundary]
-    h_le = hess_prefix[boundary]
-    n_thresholds = len(thresholds)
-    return [
-        ([OP_LEQ] * n_thresholds, thresholds, g_le, h_le),
-        ([OP_GT] * n_thresholds, thresholds, grad_prefix[-1] - g_le, hess_prefix[-1] - h_le),
-    ]
+    def condition(i):
+        below = boundary[i // 2]
+        threshold = _midpoints(sorted_values[below], sorted_values[below + 1])
+        return (OP_LEQ, OP_GT)[i % 2], float(threshold)
+
+    return _Scan(_le_and_gt(gradients[sorted_rows], boundary),
+                 _le_and_gt(hessians[sorted_rows], boundary), 2, condition)
 
 
 def _nominal_candidates(attr, column, rows, gradients, hessians):
@@ -128,8 +164,7 @@ def _nominal_candidates(attr, column, rows, gradients, hessians):
     g_total = gradients[rows_present].sum(axis=0)
     h_total = hessians[rows_present].sum(axis=0)
 
-    operators: list[str] = []
-    thresholds: list = []
+    conditions: list[tuple] = []
     block_gradients: list[np.ndarray] = []
     block_hessians: list[np.ndarray] = []
     for code in np.unique(codes_present):
@@ -141,18 +176,16 @@ def _nominal_candidates(attr, column, rows, gradients, hessians):
         # A condition covering none or all of the current rows cannot be a
         # strict improvement, so it is not worth scoring.
         if count_eq < total_rows:
-            operators.append(OP_EQ)
-            thresholds.append(value)
+            conditions.append((OP_EQ, value))
             block_gradients.append(g_eq)
             block_hessians.append(h_eq)
         if rows_present.shape[0] - count_eq > 0:
-            operators.append(OP_NEQ)
-            thresholds.append(value)
+            conditions.append((OP_NEQ, value))
             block_gradients.append(g_total - g_eq)
             block_hessians.append(h_total - h_eq)
-    if not operators:
+    if not conditions:
         return None
-    return [(operators, thresholds, np.array(block_gradients), np.array(block_hessians))]
+    return _Scan(np.array(block_gradients), np.array(block_hessians), 1, conditions.__getitem__)
 
 
 def _best_refinement(dataset, orders, rows, gradients, hessians, diagonal, attributes,
@@ -162,6 +195,8 @@ def _best_refinement(dataset, orders, rows, gradients, hessians, diagonal, attri
     Candidates are visited in tie-break order: attributes as given,
     thresholds ascending with <= before >, nominal values in schema order
     with == before !=.  The first candidate reaching the minimum wins.
+    Returns its objective, condition, summed statistics (as scored) and
+    single-label label.
     """
     counts = np.bincount(rows, minlength=dataset.n_examples)
     best = None
@@ -170,24 +205,25 @@ def _best_refinement(dataset, orders, rows, gradients, hessians, diagonal, attri
         attr = dataset.schema[attribute_index]
         column = dataset.columns[attribute_index]
         if attr.is_numeric:
-            blocks = _numeric_candidates(column, orders[attribute_index], counts, gradients, hessians)
+            scan = _numeric_candidates(column, orders[attribute_index], counts, gradients, hessians)
         else:
-            blocks = _nominal_candidates(attr, column, rows, gradients, hessians)
-        if blocks is None:
+            scan = _nominal_candidates(attr, column, rows, gradients, hessians)
+        if scan is None:
             continue
-        solved = [solve_heads(g, h, diagonal, l2_weight, head_mode, fixed_label)
-                  for _, _, g, h in blocks]
-        # Row j of the stacked objectives holds candidate j of every block,
+        objectives, labels = score_heads(scan.gradients, scan.hessians, diagonal, l2_weight,
+                                         head_mode, fixed_label)
+        # Row j of the transposed blocks holds candidate j of every block,
         # so the flat argmin is the first minimum in tie-break order.
-        stacked = np.stack([objectives for objectives, _, _ in solved], axis=1)
-        i, b = divmod(int(np.argmin(stacked)), len(blocks))
-        operators, thresholds, _, _ = blocks[b]
-        objectives, scores, labels = solved[b]
-        if objective_improvement(float(objectives[i]), threshold):
-            threshold = float(objectives[i])
-            condition = Condition(int(attribute_index), operators[i], thresholds[i])
-            label = None if labels is None else int(labels[i])
-            best = (threshold, condition, scores[i].copy(), label)
+        blocks = objectives.reshape(scan.n_blocks, -1)
+        i = int(np.argmin(blocks.T))
+        position, block = divmod(i, scan.n_blocks)
+        j = block * blocks.shape[1] + position
+        if objective_improvement(float(objectives[j]), threshold):
+            threshold = float(objectives[j])
+            operator, value = scan.condition(i)
+            label = None if labels is None else int(labels[j])
+            best = (threshold, Condition(int(attribute_index), operator, value),
+                    scan.gradients[j], scan.hessians[j], label)
     return best
 
 
@@ -197,7 +233,8 @@ def refine_rule_with_trace(
     """Greedy refinement returning the rule and its objective trace.
 
     The trace starts at the empty-body objective and records one strictly
-    smaller value per added condition.
+    smaller value per added condition.  Candidates, the empty body
+    included, are only scored; the head is solved once, for the final body.
     """
     rows = np.asarray(context.sample)
     if rows.size == 0:
@@ -206,17 +243,27 @@ def refine_rule_with_trace(
         raise InductionError("sample indices outside the dataset")
 
     stats = stats_for_rows(store, rows)
-    head = find_head(stats, context.l2_weight, context.head_mode)
-    best_objective = objective_value(stats, head, context.l2_weight)
+    hessians, diagonal = store.hessians, store.diagonal
+    empty_hessian = stats.hessian
+    if not diagonal:
+        if context.head_mode == HEAD_SINGLE:
+            # Single-label candidates read only the Hessian diagonal.
+            hessians = hessians.diagonal(axis1=1, axis2=2)
+            empty_hessian = empty_hessian.diagonal()
+            diagonal = True
+        else:
+            packed = packed_indices(store.n_labels)
+            hessians = hessians[:, packed[0], packed[1]]
+            empty_hessian = empty_hessian[packed]
+    objectives, _ = score_heads(stats.gradient[None], empty_hessian[None], diagonal,
+                                context.l2_weight, context.head_mode)
+    best_objective = float(objectives[0])
     trace = [best_objective]
     conditions: list[Condition] = []
     fixed_label = None
     n_attributes = dataset.n_attributes
     subset_size = feature_subset_size(n_attributes)
     orders = presort(dataset) if context.orders is None else context.orders
-    hessians, diagonal = store.hessians, store.diagonal
-    if context.head_mode == HEAD_SINGLE and not diagonal:
-        hessians, diagonal = hessians.diagonal(axis1=1, axis2=2), True
 
     while n_attributes > 0:
         if context.feature_sampling:
@@ -229,14 +276,20 @@ def refine_rule_with_trace(
         )
         if best is None:
             break
-        best_objective, condition, head_scores, label = best
+        best_objective, condition, gradient, hessian, label = best
         conditions.append(condition)
         rows = rows[condition_mask(dataset, condition, rows)]
-        head = Head(head_scores, label if context.head_mode == HEAD_SINGLE else None)
-        if context.head_mode == HEAD_SINGLE and fixed_label is None:
+        if fixed_label is None:
             fixed_label = label
         trace.append(best_objective)
 
+    if conditions:
+        if not diagonal:
+            hessian = unpack_hessians(hessian[None], store.n_labels)[0]
+        stats = AggregatedStats(gradient, hessian, diagonal, int(rows.size))
+    # Raises SolverError when the final body, the empty one included, has
+    # no usable head.
+    head = find_head(stats, context.l2_weight, context.head_mode, fixed_label)
     return Rule(Body(tuple(conditions)), head), trace
 
 

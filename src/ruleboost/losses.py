@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError
-from .rules import Rule, body_mask
+from .rules import Rule, add_head, body_mask
 
 LABEL_WISE_LOGISTIC = "label-wise-logistic"
 EXAMPLE_WISE_LOGISTIC = "example-wise-logistic"
@@ -172,8 +172,10 @@ class GradHessStore:
         """Refresh gradients/Hessians of the given rows at the given scores."""
         if rows is None:
             rows = slice(None)
-        self.gradients[rows] = loss.gradient_batch(labels[rows], scores[rows])
-        self.hessians[rows] = loss.hessian_batch(labels[rows], scores[rows])
+        labels = np.asarray(labels[rows], dtype=np.float64)
+        scores = scores[rows]
+        self.gradients[rows] = loss.gradient_batch(labels, scores)
+        self.hessians[rows] = loss.hessian_batch(labels, scores)
 
 
 def init_store(loss, dataset: Dataset) -> GradHessStore:
@@ -199,8 +201,7 @@ def update_store(
     Only rows covered by the rule change; both arrays are updated in place
     and returned for convenience.
     """
-    mask = body_mask(dataset, rule.body)
-    if mask.any():
-        scores[mask] += rule.head.scores
-        store.recompute(loss, dataset.labels.astype(np.float64), scores, rows=mask)
+    rows = add_head(scores, body_mask(dataset, rule.body), rule.head.scores)
+    if rows.size:
+        store.recompute(loss, dataset.labels, scores, rows=rows)
     return store, scores

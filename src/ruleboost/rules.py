@@ -228,9 +228,55 @@ def body_mask(dataset: Dataset, body: Body) -> np.ndarray:
     return mask
 
 
+def add_head(scores: np.ndarray, mask: np.ndarray, head_scores: np.ndarray) -> np.ndarray:
+    """Add a head to the score rows a coverage mask selects; return those rows' indices.
+
+    The covered rows are found once and then indexed by position, which
+    gives the same sums as ``scores[mask] += head_scores``.
+    """
+    rows = np.flatnonzero(mask)
+    scores[rows] += head_scores
+    return rows
+
+
+# A schema mismatch lists at most this many differing attributes.
+_SHOWN_DIFFERENCES = 3
+
+
+def check_schema(ensemble: Ensemble, dataset: Dataset) -> None:
+    """Raise SchemaError unless the data has the model's attributes: names, kinds and order.
+
+    Conditions refer to attributes by position, so data with the same
+    columns in another order would be scored silently wrong.
+    """
+    expected = tuple((a.name, a.kind) for a in ensemble.schema.attributes)
+    actual = tuple((a.name, a.kind) for a in dataset.schema.attributes)
+    if expected == actual:
+        return
+    differences = [
+        f"attribute {i + 1} is {m[0]!r} ({m[1]}) in the model but {d[0]!r} ({d[1]}) in the data"
+        for i, (m, d) in enumerate(zip(expected, actual))
+        if m != d
+    ]
+    if len(expected) != len(actual):
+        differences.append(
+            f"the model has {len(expected)} attributes, the data {len(actual)}"
+        )
+    more = len(differences) - _SHOWN_DIFFERENCES
+    raise SchemaError(
+        "the data does not match the model's attributes: "
+        + "; ".join(differences[:_SHOWN_DIFFERENCES])
+        + (f"; and {more} more" if more > 0 else "")
+    )
+
+
 def ensemble_scores(ensemble: Ensemble, dataset: Dataset) -> np.ndarray:
-    """Aggregated confidence scores for every example, shape (n, n_labels)."""
+    """Aggregated confidence scores for every example, shape (n, n_labels).
+
+    Raises SchemaError when the data's attributes are not the model's.
+    """
+    check_schema(ensemble, dataset)
     scores = np.zeros((dataset.n_examples, ensemble.n_labels))
     for rule in ensemble.rules:
-        scores[body_mask(dataset, rule.body)] += rule.head.scores
+        add_head(scores, body_mask(dataset, rule.body), rule.head.scores)
     return scores

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .heads import HEAD_MULTI, HEAD_SINGLE, aggregate_stats, find_head, solve_full_head, stats_for_rows
 from .induction import RefinementContext, presort, refine_rule_with_trace
 from .losses import LOSSES, init_store, make_loss, update_store
-from .rules import Body, Ensemble, EnsembleMeta, Rule, body_mask
+from .rules import Body, Ensemble, EnsembleMeta, Rule, add_head, body_mask
 
 _STREAM_BAGGING = 0
 _STREAM_FEATURES = 1
@@ -117,7 +117,7 @@ def train_with_diagnostics(dataset: Dataset, config: TrainConfig) -> tuple[Ensem
 
     # Bring the score matrix up to date with the last rule (the store is
     # only refreshed when the next round needs it).
-    scores[body_mask(dataset, rules[-1].body)] += rules[-1].head.scores
+    add_head(scores, body_mask(dataset, rules[-1].body), rules[-1].head.scores)
 
     ensemble = Ensemble(
         rules=rules,

@@ -29,7 +29,7 @@ from .heads import HEAD_MULTI, HEAD_SINGLE
 from .losses import EXAMPLE_WISE_LOGISTIC, LABEL_WISE_LOGISTIC
 from .metrics import hamming_loss, subset_zero_one_loss
 from .prediction import decode_scores, default_decode_method
-from .rules import Ensemble, body_mask
+from .rules import Ensemble, add_head, body_mask
 from .training import TrainConfig, train
 
 DEFAULT_CHECKPOINTS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000)
@@ -75,7 +75,7 @@ def staged_scores(ensemble: Ensemble, dataset: Dataset, checkpoints):
     done = 0
     for t in stages:
         for rule in ensemble.rules[done:t]:
-            scores[body_mask(dataset, rule.body)] += rule.head.scores
+            add_head(scores, body_mask(dataset, rule.body), rule.head.scores)
         done = t
         yield t, scores
 

@@ -261,3 +261,31 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "version" in capsys.readouterr().err
+
+    def test_model_with_a_missing_rule_field(self, synth_dir, model_path, tmp_path, capsys):
+        document = json.loads(model_path.read_text())
+        del document["rules"][3]["scores"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(document))
+        code = main(["predict", "--data", str(synth_dir / "test.arff"), "--labels", "3",
+                     "--model", str(broken), "--output", str(tmp_path / "p.csv")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "rules[3].scores" in lines[0]
+
+    def test_data_with_swapped_attributes(self, synth_dir, model_path, tmp_path, capsys):
+        text = (synth_dir / "test.arff").read_text()
+        assert "@attribute x1 numeric\n@attribute x2 numeric\n" in text
+        swapped = tmp_path / "swapped.arff"
+        swapped.write_text(text.replace("@attribute x1 numeric\n@attribute x2 numeric\n",
+                                        "@attribute x2 numeric\n@attribute x1 numeric\n"))
+        data = ["--data", str(swapped), "--labels", "3", "--model", str(model_path)]
+        for argv in (["evaluate", *data], ["predict", *data, "--output", str(tmp_path / "p.csv")]):
+            assert main(argv) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("error:")
+            assert "attribute 1 is 'x1' (numeric) in the model but 'x2' (numeric)" in lines[0]
+        assert not (tmp_path / "p.csv").exists()

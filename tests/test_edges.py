@@ -6,7 +6,7 @@ import pytest
 import ruleboost.tuning as tuning_module
 from ruleboost.cli import main
 from ruleboost.dataio import load_arff, save_arff
-from ruleboost.errors import ConfigError, RuleBoostError
+from ruleboost.errors import ConfigError, ParseError, RuleBoostError
 from ruleboost.rules import Head
 from ruleboost.serialization import dumps, load, loads, save
 from ruleboost.synthetic import SyntheticConfig, generate
@@ -170,5 +170,5 @@ class TestSerializedLabelIndexValidation:
         if corrupt == text:
             corrupt = text.replace('"label": 1', '"label": 9', 1)
         assert corrupt != text
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match=r"rules\[\d+\]: label index 9"):
             loads(corrupt)

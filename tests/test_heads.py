@@ -6,13 +6,19 @@ from scipy.optimize import minimize
 
 from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema, Dataset
 from ruleboost.errors import SolverError
+from ruleboost import heads
 from ruleboost.heads import (
+    CHOLESKY_MAX_LABELS,
+    HEAD_MULTI,
     HEAD_SINGLE,
     AggregatedStats,
     aggregate_stats,
     find_head,
     objective_value,
+    packed_indices,
+    score_heads,
     solve_full_head,
+    solve_heads,
 )
 from ruleboost.losses import ExampleWiseLogisticLoss, init_store, make_loss
 from ruleboost.rules import Body, Condition, Head
@@ -214,3 +220,104 @@ class TestFindHeadDispatch:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             find_head(diag_stats([0.0], [1.0]), 0.0, "both")
+
+
+def random_spd_batch(rng, n_candidates, n_labels):
+    """Gradients and packed Hessians of well-conditioned SPD systems, plus the full Hessians."""
+    factors = rng.normal(size=(n_candidates, n_labels, n_labels))
+    full = factors @ factors.transpose(0, 2, 1) / n_labels + 0.1 * np.eye(n_labels)
+    # Symmetric to the last bit, as summed Hessians are.
+    full = 0.5 * (full + full.transpose(0, 2, 1))
+    rows, columns = packed_indices(n_labels)
+    return rng.normal(size=(n_candidates, n_labels)), full[:, rows, columns], full
+
+
+class TestScoreHeads:
+    """The scorer returns the objectives solve_heads reaches, without solving heads."""
+
+    @pytest.mark.parametrize("l2", [0.0, 0.25, 1.0])
+    def test_cholesky_matches_lu_up_to_the_crossover(self, rng, l2):
+        for n_labels in range(1, CHOLESKY_MAX_LABELS + 1):
+            g, packed, full = random_spd_batch(rng, 5, n_labels)
+            scored, labels = score_heads(g, packed, False, l2, HEAD_MULTI)
+            solved, _, _ = solve_heads(g, full, False, l2, HEAD_MULTI)
+            assert labels is None
+            np.testing.assert_allclose(scored, solved, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("head_mode", [HEAD_SINGLE, HEAD_MULTI])
+    def test_diagonal_closed_form_matches_solve_heads(self, rng, head_mode):
+        g = rng.uniform(-2.0, 2.0, size=(200, 4))
+        h = rng.uniform(0.05, 3.0, size=(200, 4))
+        for l2 in (0.0, 0.25, 1.0):
+            scored, labels = score_heads(g, h, True, l2, head_mode)
+            solved, _, solved_labels = solve_heads(g, h, True, l2, head_mode)
+            np.testing.assert_allclose(scored, solved, rtol=1e-12, atol=1e-15)
+            if head_mode == HEAD_SINGLE:
+                np.testing.assert_array_equal(labels, solved_labels)
+
+    def test_single_label_reads_the_packed_diagonal(self, rng):
+        g, packed, full = random_spd_batch(rng, 20, 3)
+        scored, labels = score_heads(g, packed, False, 0.5, HEAD_SINGLE, fixed_label=2)
+        solved, _, _ = solve_heads(g, full, False, 0.5, HEAD_SINGLE, fixed_label=2)
+        assert np.all(labels == 2)
+        np.testing.assert_allclose(scored, solved, rtol=1e-12)
+
+    def test_zero_pivot_scores_inf(self):
+        # A zero pivot means a singular system, which has no head.
+        g = np.array([[1.0, -1.0], [1.0, -1.0], [0.5, 0.5]])
+        full = np.array([np.ones((2, 2)), np.zeros((2, 2)), np.eye(2)])
+        rows, columns = packed_indices(2)
+        scored, _ = score_heads(g, full[:, rows, columns], False, 0.0, HEAD_MULTI)
+        assert scored[0] == np.inf
+        assert scored[1] == np.inf
+        assert scored[2] == pytest.approx(-0.25)
+        diagonal, _ = score_heads(g[:, :1], np.array([[1.0], [0.0], [-1e-300]]), True, 0.0,
+                                  HEAD_MULTI)
+        assert diagonal[0] == pytest.approx(-0.5)
+        assert diagonal[1] == diagonal[2] == np.inf
+
+    def test_nearly_singular_candidate_scores_inf_on_both_paths(self):
+        # The system of TestNearlySingularCandidates in test_induction.py: a
+        # plain Cholesky scores it about -2e173, so it would win every step.
+        g = np.array([1e-3, -1e-3])
+        nearly_singular = 1e-170 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
+        full = np.array([nearly_singular, np.eye(2)])
+        rows, columns = packed_indices(2)
+        scored, _ = score_heads(np.array([g, g]), full[:, rows, columns], False, 0.0, HEAD_MULTI)
+        solved, _, _ = solve_heads(np.array([g, g]), full, False, 0.0, HEAD_MULTI)
+        assert scored[0] == solved[0] == np.inf
+        assert scored[1] == pytest.approx(-0.5 * (g @ g))
+
+    def test_a_candidate_scores_the_same_alone_and_in_a_batch(self, rng):
+        g, packed, _ = random_spd_batch(rng, 30, 5)
+        # Candidate 7 takes the LU fallback at l2 = 0: its second pivot is
+        # 1e-10 of its diagonal entry, yet LU solves it.
+        nearly_singular = np.eye(5)
+        nearly_singular[:2, :2] = [[1.0, 1.0], [1.0, 1.0 + 1e-10]]
+        packed[7] = nearly_singular[packed_indices(5)]
+        for l2 in (0.0, 1.0):
+            batch, _ = score_heads(g, packed, False, l2, HEAD_MULTI)
+            assert np.isfinite(batch).all()
+            for i in range(len(g)):
+                alone, _ = score_heads(g[i:i + 1], packed[i:i + 1], False, l2, HEAD_MULTI)
+                assert alone[0] == batch[i]
+        diagonal = np.abs(packed[:, :5])
+        for head_mode in (HEAD_SINGLE, HEAD_MULTI):
+            batch, _ = score_heads(g, diagonal, True, 0.5, head_mode)
+            for i in range(len(g)):
+                alone, _ = score_heads(g[i:i + 1], diagonal[i:i + 1], True, 0.5, head_mode)
+                assert alone[0] == batch[i]
+
+    def test_wider_systems_take_the_lu_path(self, rng, monkeypatch):
+        calls = []
+        original = heads._cholesky_objectives
+        monkeypatch.setattr(heads, "_cholesky_objectives",
+                            lambda *args: calls.append(args) or original(*args))
+        g, packed, full = random_spd_batch(rng, 4, CHOLESKY_MAX_LABELS + 1)
+        scored, _ = score_heads(g, packed, False, 0.25, HEAD_MULTI)
+        solved, _, _ = solve_heads(g, full, False, 0.25, HEAD_MULTI)
+        assert calls == []
+        np.testing.assert_array_equal(scored, solved)
+        g, packed, _ = random_spd_batch(rng, 4, CHOLESKY_MAX_LABELS)
+        score_heads(g, packed, False, 0.25, HEAD_MULTI)
+        assert len(calls) == 1

@@ -10,9 +10,9 @@ no code with the refinement scan it checks.
 import numpy as np
 import pytest
 
-from ruleboost.dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
+from ruleboost.dataset import MISSING_CODE, NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
 from ruleboost.errors import InductionError
-from ruleboost.heads import HEAD_MULTI, solve_heads
+from ruleboost.heads import HEAD_MULTI, find_head, objective_value, solve_heads, stats_for_rows
 from ruleboost.induction import (
     RefinementContext,
     _midpoints,
@@ -25,7 +25,7 @@ from ruleboost.induction import (
     refine_rule_with_trace,
 )
 from ruleboost.losses import GradHessStore, init_store, make_loss
-from ruleboost.rules import OP_GT, OP_LEQ, Condition
+from ruleboost.rules import OP_GT, OP_LEQ, Body, Condition, Head, Rule, condition_mask
 
 from conftest import random_dataset
 
@@ -160,17 +160,21 @@ def oracle_objective_of_condition(dataset, store, rows, condition, l2, head_mode
 # Candidate conditions of the refinement scan
 # ---------------------------------------------------------------------------
 
-def in_tie_break_order(blocks):
+def in_tie_break_order(scan):
     """A scan's blocks as one (operators, thresholds, gradients, hessians) table.
 
-    Candidate i of the tie-break order is candidate i // k of block i % k.
+    Candidate i of the tie-break order is candidate i // k of block i % k;
+    the scan stacks its k blocks one after another.
     """
-    operators = [op for ops in zip(*(b[0] for b in blocks)) for op in ops]
-    thresholds = [t for ts in zip(*(b[1] for b in blocks)) for t in ts]
-    gradients = np.stack([b[2] for b in blocks], axis=1)
-    hessians = np.stack([b[3] for b in blocks], axis=1)
-    return (operators, thresholds, gradients.reshape((-1,) + gradients.shape[2:]),
-            hessians.reshape((-1,) + hessians.shape[2:]))
+    k = scan.n_blocks
+    conditions = [scan.condition(i) for i in range(scan.gradients.shape[0])]
+
+    def interleave(stacked):
+        blocks = stacked.reshape((k, -1) + stacked.shape[1:])
+        return np.stack(list(blocks), axis=1).reshape(stacked.shape)
+
+    return ([op for op, _ in conditions], [t for _, t in conditions],
+            interleave(scan.gradients), interleave(scan.hessians))
 
 
 def numeric_scan(dataset, attribute_index, rows, store):
@@ -231,6 +235,112 @@ def argsort_scan(column, rows, store):
     operators = [OP_LEQ, OP_GT] * boundary.size
     return (operators, np.repeat(thresholds, 2).tolist(),
             interleave(g_le, grad_prefix[-1] - g_le), interleave(h_le, hess_prefix[-1] - h_le))
+
+
+def lu_best_refinement(dataset, orders, rows, gradients, hessians, diagonal, attributes,
+                       l2_weight, head_mode, fixed_label, incumbent_objective):
+    """The refinement step as it was before candidates were only scored.
+
+    Every candidate's head is solved by ``solve_heads`` (LU or closed form)
+    on full Hessians, and its objective comes from that solve; the first
+    minimum in tie-break order wins if it is a strict improvement.
+    """
+    counts = np.bincount(rows, minlength=dataset.n_examples)
+    best = None
+    threshold = incumbent_objective
+    for attribute_index in attributes:
+        attr = dataset.schema[attribute_index]
+        column = dataset.columns[attribute_index]
+        if attr.is_numeric:
+            scan = _numeric_candidates(column, orders[attribute_index], counts, gradients, hessians)
+        else:
+            scan = _nominal_candidates(attr, column, rows, gradients, hessians)
+        if scan is None:
+            continue
+        operators, thresholds, g, h = in_tie_break_order(scan)
+        objectives, scores, labels = solve_heads(g, h, diagonal, l2_weight, head_mode, fixed_label)
+        i = int(np.argmin(objectives))
+        if objective_improvement(float(objectives[i]), threshold):
+            threshold = float(objectives[i])
+            condition = Condition(int(attribute_index), operators[i], thresholds[i])
+            best = (threshold, condition, scores[i].copy(), None if labels is None else int(labels[i]))
+    return best
+
+
+def lu_refine_rule(dataset, store, context):
+    """``refine_rule`` with every candidate's head solved: the oracle of the scored search."""
+    rows = np.asarray(context.sample)
+    stats = stats_for_rows(store, rows)
+    head = find_head(stats, context.l2_weight, context.head_mode)
+    best_objective = objective_value(stats, head, context.l2_weight)
+    conditions = []
+    fixed_label = None
+    orders = presort(dataset)
+    hessians, diagonal = store.hessians, store.diagonal
+    if context.head_mode == "single" and not diagonal:
+        hessians, diagonal = hessians.diagonal(axis1=1, axis2=2), True
+    while True:
+        if context.feature_sampling:
+            attributes = context.rng.choice(
+                dataset.n_attributes, size=feature_subset_size(dataset.n_attributes),
+                replace=False,
+            )
+        else:
+            attributes = np.arange(dataset.n_attributes)
+        best = lu_best_refinement(
+            dataset, orders, rows, store.gradients, hessians, diagonal, attributes,
+            context.l2_weight, context.head_mode, fixed_label, best_objective,
+        )
+        if best is None:
+            return Rule(Body(tuple(conditions)), head)
+        best_objective, condition, scores, label = best
+        conditions.append(condition)
+        rows = rows[condition_mask(dataset, condition, rows)]
+        head = Head(scores, label)
+        if fixed_label is None:
+            fixed_label = label
+
+
+def tie_heavy_dataset(rng, n, n_numeric, n_labels):
+    """Numeric columns rounded to one decimal with 5% missing, plus one nominal column."""
+    attributes = [Attribute(f"x{j}", NUMERIC) for j in range(n_numeric)]
+    attributes.append(Attribute("c", NOMINAL, ("a", "b", "c")))
+    columns = []
+    for _ in range(n_numeric):
+        column = np.round(rng.normal(size=n), 1)
+        column[rng.random(n) < 0.05] = np.nan
+        columns.append(column)
+    codes = rng.integers(0, 3, size=n)
+    codes[rng.random(n) < 0.05] = MISSING_CODE
+    columns.append(codes)
+    labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, n_labels))
+    return Dataset(AttributeSchema(tuple(attributes)), columns, labels,
+                   [f"l{k}" for k in range(n_labels)])
+
+
+class TestScoredRefinementAgainstLUOracle:
+    """Scoring candidates without solving their heads picks the rule the LU search picks."""
+
+    @pytest.mark.parametrize("loss_id", ["label-wise-logistic", "example-wise-logistic"])
+    @pytest.mark.parametrize("head_mode", ["single", "multi"])
+    @pytest.mark.parametrize("l2", [0.0, 1.0])
+    def test_same_body_and_head(self, loss_id, head_mode, l2):
+        rng = np.random.default_rng(4242)
+        loss = make_loss(loss_id)
+        for trial in range(8):
+            n = int(rng.integers(50, 300))
+            dataset = tie_heavy_dataset(rng, n, int(rng.integers(1, 4)), int(rng.integers(1, 6)))
+            store = init_store(loss, dataset)
+            store.recompute(loss, dataset.labels, rng.normal(0.0, 1.5, size=store.gradients.shape))
+            rows = rng.integers(0, n, size=n)
+            for feature_sampling in (False, True):
+                expected = lu_refine_rule(dataset, store, _context(
+                    rows, head_mode, l2=l2, feature_sampling=feature_sampling, seed=trial))
+                actual = refine_rule(dataset, store, _context(
+                    rows, head_mode, l2=l2, feature_sampling=feature_sampling, seed=trial))
+                assert actual.body == expected.body
+                assert actual.head.label_index == expected.head.label_index
+                np.testing.assert_array_equal(actual.head.scores, expected.head.scores)
 
 
 def _numeric_dataset(values, n_labels=1):

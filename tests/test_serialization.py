@@ -1,6 +1,7 @@
 """Model document round trips and version handling."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -133,4 +134,73 @@ class TestMalformedDocuments:
         document = ensemble_to_dict(random_ensemble(rng))
         del document["rules"]
         with pytest.raises(ParseError):
+            loads(json.dumps(document))
+
+
+def _two_rule_document():
+    schema = AttributeSchema((Attribute("x", NUMERIC), Attribute("c", NOMINAL, ("a", "b"))))
+    rules = [
+        Rule(Body(), Head(np.array([0.5, -0.5]))),
+        Rule(Body((Condition(0, "<=", 0.25), Condition(1, "==", "b"))),
+             Head(np.array([0.0, 1.5]), 1)),
+    ]
+    ensemble = Ensemble(rules, ["l0", "l1"], schema,
+                        EnsembleMeta("label-wise-logistic", 0.3, 0.0, 0),
+                        label_vectors=np.array([[1, -1]], dtype=np.int8))
+    return ensemble_to_dict(ensemble)
+
+
+def _delete(key):
+    def mutate(parent):
+        del parent[key]
+    return mutate
+
+
+def _set(key, value):
+    def mutate(parent):
+        parent[key] = value
+    return mutate
+
+
+class TestInvalidFieldsNameTheirPath:
+    """Each broken field raises ParseError naming its JSON path, never another exception."""
+
+    @pytest.mark.parametrize("locate,mutate,path", [
+        (lambda d: d["rules"][1], _delete("scores"), "rules[1].scores"),
+        (lambda d: d["rules"][1], _set("scores", "1.5"), "rules[1].scores"),
+        (lambda d: d["rules"][1]["scores"], _set(0, None), "rules[1].scores[0]"),
+        (lambda d: d["rules"][1]["scores"], _set(1, 10**400), "rules[1].scores[1]"),
+        (lambda d: d["rules"][1], _set("scores", [1.5]), "rules[1].scores"),
+        (lambda d: d["rules"][1], _set("label", 7), "rules[1]"),
+        (lambda d: d["rules"][1], _set("label", "1"), "rules[1].label"),
+        (lambda d: d["rules"][1], _delete("conditions"), "rules[1].conditions"),
+        (lambda d: d["rules"], _set(1, []), "rules[1]"),
+        (lambda d: d["rules"][1]["conditions"][0], _delete("attribute"),
+         "rules[1].conditions[0].attribute"),
+        (lambda d: d["rules"][1]["conditions"][0], _set("attribute", "0"),
+         "rules[1].conditions[0].attribute"),
+        (lambda d: d["rules"][1]["conditions"][0], _set("attribute", 7),
+         "rules[1].conditions[0].attribute"),
+        (lambda d: d["rules"][1]["conditions"][0], _set("operator", "=="),
+         "rules[1].conditions[0].operator"),
+        (lambda d: d["rules"][1]["conditions"][0], _set("value", float("nan")),
+         "rules[1].conditions[0].value"),
+        (lambda d: d["rules"][1]["conditions"][0], _set("value", "0.25"),
+         "rules[1].conditions[0].value"),
+        (lambda d: d["rules"][1]["conditions"][1], _set("value", "z"),
+         "rules[1].conditions[1].value"),
+        (lambda d: d["rules"][1]["conditions"][1], _set("operator", "<="),
+         "rules[1].conditions[1].operator"),
+        (lambda d: d["schema"][1], _delete("values"), "schema[1].values"),
+        (lambda d: d["schema"][0], _set("name", 3), "schema[0].name"),
+        (lambda d: d["label_names"], _set(0, None), "label_names[0]"),
+        (lambda d: d["label_vectors"], _set(0, [1, 0]), "label_vectors[0]"),
+        (lambda d: d["label_vectors"], _set(0, [1, -1, 1]), "label_vectors[0]"),
+        (lambda d: d, _set("seed", "0"), "seed"),
+    ])
+    def test_parse_error_names_path(self, locate, mutate, path):
+        document = _two_rule_document()
+        loads(json.dumps(document))
+        mutate(locate(document))
+        with pytest.raises(ParseError, match=re.escape(path)):
             loads(json.dumps(document))
