@@ -9,15 +9,16 @@ quadratic objective is smallest, which is valid for non-decomposable
 losses too because all other head entries are zero.
 
 Refinement needs every candidate's objective but only the winner's head,
-so scoring and solving are separate.  ``score_heads`` returns the optimal
-objective -g'(H + lambda I)^-1 g / 2 of each candidate (and the label of
-single-label heads) without forming any head: diagonal statistics in
-closed form, dense ones with up to ``CHOLESKY_MAX_LABELS`` labels by a
-vectorized Cholesky factorization over packed upper triangles, wider ones
-by LU.  ``solve_heads`` computes the heads themselves, by the closed form
-or LU, for the winning candidate and the full-data head; a single head
-(``find_head``) is a batch of one.  A candidate whose system is singular
-or whose objective is not finite scores +inf on both paths.
+so scoring and solving are separate.  ``solve_heads`` computes heads, by
+the closed form or LU, for the winning candidate and the full-data head;
+a single head (``find_head``) is a batch of one.  ``score_heads`` returns
+only each candidate's optimal objective (and the label of single-label
+heads).  Diagonal statistics and single-label heads are scored by the
+closed form that ``solve_heads`` uses, so both give the same objectives;
+dense all-label candidates are scored as -g'(H + lambda I)^-1 g / 2 by a
+vectorized Cholesky factorization over packed upper triangles, which
+forms no head.  A candidate whose system is singular or whose objective
+is not finite scores +inf on both paths.
 """
 
 from __future__ import annotations
@@ -35,12 +36,6 @@ from .rules import Body, Head, body_mask
 HEAD_SINGLE = "single"
 HEAD_MULTI = "multi"
 
-# Dense candidates with at most this many labels are scored by Cholesky,
-# wider ones by LU.  Measured as ms per rule of example-wise all-label
-# training on marginal_dependence (l2 = 1) on a 2-core Xeon with numpy 2.4
-# and OpenBLAS 0.3.31: Cholesky against LU was 6.0 / 10.1 at 8 labels,
-# 95 / 160 at 30 (n = 2000), 416 / 540 at 80 and 723 / 676 at 90 (n = 1000).
-CHOLESKY_MAX_LABELS = 80
 # A Cholesky pivot below this fraction of its diagonal entry marks a
 # nearly singular system; such a candidate is scored by LU instead, whose
 # overflow rule then decides whether it is usable.
@@ -166,6 +161,29 @@ def _cholesky_objectives(gradients: np.ndarray, packed: np.ndarray, l2_weight: f
     return 0.5 * a[-1], weak
 
 
+def _closed_form_heads(g, h_diag, l2_weight, head_mode, fixed_label):
+    """Objectives, per-label head entries and labels of diagonal statistics.
+
+    Each label's entry is p_k = -g_k / (h_kk + lambda), whose objective
+    g_k p_k + (h_kk + lambda) p_k^2 / 2 equals g_k p_k / 2; a label with
+    h_kk + lambda <= 0 has no head and objective +inf.  Full heads sum the
+    labels; single-label heads take the smallest objective, the lowest
+    label on ties, unless ``fixed_label`` is given.
+    """
+    denom = h_diag + l2_weight
+    usable = denom > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(usable, -g / denom, 0.0)
+    per_label = np.where(usable, 0.5 * g * p, np.inf)
+    if head_mode == HEAD_MULTI:
+        return per_label.sum(axis=1), p, None
+    if fixed_label is None:
+        labels = np.argmin(per_label, axis=1)
+    else:
+        labels = np.full(g.shape[0], fixed_label)
+    return per_label[np.arange(g.shape[0]), labels], p, labels
+
+
 def score_heads(gradients, hessians, diagonal: bool, l2_weight: float,
                 head_mode: str, fixed_label: int | None = None):
     """Optimal objective of every candidate, without forming its head.
@@ -173,41 +191,25 @@ def score_heads(gradients, hessians, diagonal: bool, l2_weight: float,
     ``gradients`` is (c, l); ``hessians`` is (c, l) when ``diagonal`` and
     the (c, l(l+1)/2) packed upper triangles (``packed_indices``)
     otherwise.  Returns the (c,) objectives and, for single-label heads,
-    the (c,) chosen labels (None for full heads), with ``fixed_label`` and
-    ties as in ``solve_heads``.  The objective is -g'(H + lambda I)^-1 g / 2
-    (per label -g_k^2 / (2 (h_kk + lambda)) for diagonal statistics); a
-    candidate without a usable head scores +inf, as in ``solve_heads``.
+    the (c,) chosen labels (None for full heads), as ``solve_heads`` does.
+    Dense all-label objectives are -g'(H + lambda I)^-1 g / 2, by Cholesky;
+    a candidate with a pivot too small to trust is scored by ``solve_heads``.
+    A candidate without a usable head scores +inf.
     """
     g = gradients
-    n_candidates, n_labels = g.shape[0], g.shape[1]
     if head_mode not in (HEAD_SINGLE, HEAD_MULTI):
         raise ValueError(f"unknown head mode {head_mode!r}")
-    if head_mode == HEAD_SINGLE or diagonal:
-        if diagonal:
-            h_diag = hessians
-        else:
-            rows, columns = packed_indices(n_labels)
-            h_diag = hessians[:, rows == columns]
-        denom = h_diag + l2_weight
-        usable = denom > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_label = np.where(usable, -0.5 * g * g / denom, np.inf)
-        if head_mode == HEAD_MULTI:
-            return per_label.sum(axis=1), None
-        if fixed_label is None:
-            labels = np.argmin(per_label, axis=1)
-        else:
-            labels = np.full(n_candidates, fixed_label)
-        return per_label[np.arange(n_candidates), labels], labels
-    if n_labels > CHOLESKY_MAX_LABELS:
-        objectives, _, _ = solve_heads(
-            g, unpack_hessians(hessians, n_labels), False, l2_weight, HEAD_MULTI
-        )
-        return objectives, None
+    if head_mode == HEAD_SINGLE and not diagonal:
+        # Single-label heads read only the Hessian diagonal.
+        rows, columns = packed_indices(g.shape[1])
+        hessians, diagonal = hessians[:, rows == columns], True
+    if diagonal:
+        objectives, _, labels = _closed_form_heads(g, hessians, l2_weight, head_mode, fixed_label)
+        return objectives, labels
     objectives, weak = _cholesky_objectives(g, hessians, l2_weight)
     if weak.any():
         fallback, _, _ = solve_heads(
-            g[weak], unpack_hessians(hessians[weak], n_labels), False, l2_weight, HEAD_MULTI
+            g[weak], unpack_hessians(hessians[weak], g.shape[1]), False, l2_weight, HEAD_MULTI
         )
         objectives[weak] = fallback
     return objectives, None
@@ -226,36 +228,17 @@ def solve_heads(gradients, hessians, diagonal: bool, l2_weight: float,
     """
     g = gradients
     n_candidates, n_labels = g.shape[0], g.shape[1]
-    if head_mode == HEAD_SINGLE:
-        if diagonal:
-            h_diag = hessians
-        else:
-            idx = np.arange(n_labels)
-            h_diag = hessians[:, idx, idx]
-        denom = h_diag + l2_weight
-        usable = denom > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(usable, -g / denom, 0.0)
-        per_label = np.where(usable, g * p + 0.5 * denom * p * p, np.inf)
-        if fixed_label is None:
-            labels = np.argmin(per_label, axis=1)
-        else:
-            labels = np.full(n_candidates, fixed_label)
+    if head_mode not in (HEAD_SINGLE, HEAD_MULTI):
+        raise ValueError(f"unknown head mode {head_mode!r}")
+    if diagonal or head_mode == HEAD_SINGLE:
+        h_diag = hessians if diagonal else hessians.diagonal(axis1=1, axis2=2)
+        objectives, p, labels = _closed_form_heads(g, h_diag, l2_weight, head_mode, fixed_label)
+        if labels is None:
+            return objectives, p, None
         rows = np.arange(n_candidates)
-        objectives = per_label[rows, labels]
         scores = np.zeros_like(g)
         scores[rows, labels] = p[rows, labels]
         return objectives, scores, labels
-    if head_mode != HEAD_MULTI:
-        raise ValueError(f"unknown head mode {head_mode!r}")
-    if diagonal:
-        denom = hessians + l2_weight
-        usable = (denom > 0.0).all(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(denom > 0.0, -g / denom, 0.0)
-        objectives = (g * p + 0.5 * denom * p * p).sum(axis=1)
-        objectives = np.where(usable, objectives, np.inf)
-        return objectives, p, None
     system = hessians + l2_weight * np.eye(n_labels)
     singular = np.zeros(n_candidates, dtype=bool)
     try:

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dataset import MISSING_CODE, Dataset
-from .errors import InductionError
+from .errors import InductionError, SolverError
 # ``objective_value`` is not used here; it is bound as
 # ``induction.objective_value`` because the benchmark's traced run
 # (perfbench/spans.py) wraps that name.
@@ -258,6 +258,13 @@ def refine_rule_with_trace(
     objectives, _ = score_heads(stats.gradient[None], empty_hessian[None], diagonal,
                                 context.l2_weight, context.head_mode)
     best_objective = float(objectives[0])
+    if not math.isfinite(best_objective):
+        # As in find_head, a bag without a usable head is an error: an
+        # incumbent at +inf would let any finite candidate win.
+        raise SolverError(
+            f"no usable {context.head_mode} head for the empty body: the system is "
+            "singular or its objective is not finite; increase the L2 weight"
+        )
     trace = [best_objective]
     conditions: list[Condition] = []
     fixed_label = None
@@ -287,8 +294,7 @@ def refine_rule_with_trace(
         if not diagonal:
             hessian = unpack_hessians(hessian[None], store.n_labels)[0]
         stats = AggregatedStats(gradient, hessian, diagonal, int(rows.size))
-    # Raises SolverError when the final body, the empty one included, has
-    # no usable head.
+    # Raises SolverError when the final body has no usable head.
     head = find_head(stats, context.l2_weight, context.head_mode, fixed_label)
     return Rule(Body(tuple(conditions)), head), trace
 

@@ -6,9 +6,7 @@ from scipy.optimize import minimize
 
 from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema, Dataset
 from ruleboost.errors import SolverError
-from ruleboost import heads
 from ruleboost.heads import (
-    CHOLESKY_MAX_LABELS,
     HEAD_MULTI,
     HEAD_SINGLE,
     AggregatedStats,
@@ -236,8 +234,8 @@ class TestScoreHeads:
     """The scorer returns the objectives solve_heads reaches, without solving heads."""
 
     @pytest.mark.parametrize("l2", [0.0, 0.25, 1.0])
-    def test_cholesky_matches_lu_up_to_the_crossover(self, rng, l2):
-        for n_labels in range(1, CHOLESKY_MAX_LABELS + 1):
+    def test_cholesky_matches_lu(self, rng, l2):
+        for n_labels in range(1, 81):
             g, packed, full = random_spd_batch(rng, 5, n_labels)
             scored, labels = score_heads(g, packed, False, l2, HEAD_MULTI)
             solved, _, _ = solve_heads(g, full, False, l2, HEAD_MULTI)
@@ -245,22 +243,21 @@ class TestScoreHeads:
             np.testing.assert_allclose(scored, solved, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("head_mode", [HEAD_SINGLE, HEAD_MULTI])
-    def test_diagonal_closed_form_matches_solve_heads(self, rng, head_mode):
+    def test_diagonal_scores_are_the_solve_heads_objectives(self, rng, head_mode):
         g = rng.uniform(-2.0, 2.0, size=(200, 4))
         h = rng.uniform(0.05, 3.0, size=(200, 4))
         for l2 in (0.0, 0.25, 1.0):
             scored, labels = score_heads(g, h, True, l2, head_mode)
             solved, _, solved_labels = solve_heads(g, h, True, l2, head_mode)
-            np.testing.assert_allclose(scored, solved, rtol=1e-12, atol=1e-15)
-            if head_mode == HEAD_SINGLE:
-                np.testing.assert_array_equal(labels, solved_labels)
+            np.testing.assert_array_equal(scored, solved)
+            np.testing.assert_array_equal(labels, solved_labels)
 
     def test_single_label_reads_the_packed_diagonal(self, rng):
         g, packed, full = random_spd_batch(rng, 20, 3)
         scored, labels = score_heads(g, packed, False, 0.5, HEAD_SINGLE, fixed_label=2)
         solved, _, _ = solve_heads(g, full, False, 0.5, HEAD_SINGLE, fixed_label=2)
         assert np.all(labels == 2)
-        np.testing.assert_allclose(scored, solved, rtol=1e-12)
+        np.testing.assert_array_equal(scored, solved)
 
     def test_zero_pivot_scores_inf(self):
         # A zero pivot means a singular system, which has no head.
@@ -307,17 +304,3 @@ class TestScoreHeads:
             for i in range(len(g)):
                 alone, _ = score_heads(g[i:i + 1], diagonal[i:i + 1], True, 0.5, head_mode)
                 assert alone[0] == batch[i]
-
-    def test_wider_systems_take_the_lu_path(self, rng, monkeypatch):
-        calls = []
-        original = heads._cholesky_objectives
-        monkeypatch.setattr(heads, "_cholesky_objectives",
-                            lambda *args: calls.append(args) or original(*args))
-        g, packed, full = random_spd_batch(rng, 4, CHOLESKY_MAX_LABELS + 1)
-        scored, _ = score_heads(g, packed, False, 0.25, HEAD_MULTI)
-        solved, _, _ = solve_heads(g, full, False, 0.25, HEAD_MULTI)
-        assert calls == []
-        np.testing.assert_array_equal(scored, solved)
-        g, packed, _ = random_spd_batch(rng, 4, CHOLESKY_MAX_LABELS)
-        score_heads(g, packed, False, 0.25, HEAD_MULTI)
-        assert len(calls) == 1

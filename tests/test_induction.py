@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ruleboost.dataset import MISSING_CODE, NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
-from ruleboost.errors import InductionError
+from ruleboost.errors import InductionError, SolverError
 from ruleboost.heads import HEAD_MULTI, find_head, objective_value, solve_heads, stats_for_rows
 from ruleboost.induction import (
     RefinementContext,
@@ -533,6 +533,22 @@ class TestRefineRule:
         store = init_store(make_loss("label-wise-logistic"), dataset)
         with pytest.raises(InductionError):
             refine_rule(dataset, store, _context([], "multi"))
+
+    @pytest.mark.parametrize("diagonal,head_mode", [
+        (False, "multi"), (False, "single"), (True, "multi"), (True, "single"),
+    ])
+    def test_empty_body_without_usable_head_raises(self, diagonal, head_mode):
+        # The Hessians of the six rows sum to zero, so at l2 = 0 the empty
+        # body has no head, while x <= 0.5 alone would have a finite one.
+        dataset = _numeric_dataset([0.1, 0.2, 0.3, 0.7, 0.8, 0.9], n_labels=2)
+        signs = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        hessians = signs[:, None] * np.ones((6, 2))
+        if not diagonal:
+            hessians = signs[:, None, None] * np.eye(2)
+        store = GradHessStore(gradients=np.tile([1.0, -1.0], (6, 1)), hessians=hessians,
+                              diagonal=diagonal)
+        with pytest.raises(SolverError, match="empty body"):
+            refine_rule(dataset, store, _context(np.arange(6), head_mode))
 
     def test_perfect_split_is_found(self):
         """One condition separates the label perfectly; it must be chosen."""
