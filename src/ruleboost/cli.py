@@ -23,7 +23,7 @@ from .prediction import (
     decode_scores,
     default_decode_method,
 )
-from .rules import Ensemble, ensemble_scores
+from .rules import Ensemble, check_label_names, ensemble_scores
 from .synthetic import SCENARIOS, SyntheticConfig, SyntheticProcess, generate
 from .trajectory import ALL_VARIANTS, DEFAULT_CHECKPOINTS, run_trajectory
 from .training import TrainConfig, train
@@ -121,6 +121,7 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     ensemble = serialization.load(args.model)
     dataset = _load_dataset(args.data, args.labels)
+    check_label_names(ensemble, dataset)
     predicted, method = _decode_predictions(ensemble, dataset, args.decode)
     report = evaluate_predictions(dataset.labels, predicted)
     report["decode"] = method

@@ -19,10 +19,18 @@ dense all-label candidates are scored as -g'(H + lambda I)^-1 g / 2 by a
 vectorized Cholesky factorization over packed upper triangles, which
 forms no head.  A candidate whose system is singular or whose objective
 is not finite scores +inf on both paths.
+
+Statistics are sums of rows of the store's derivative table (gradients,
+then the Hessian diagonal or packed upper triangle); a dense Hessian is
+unpacked only once summed, for ``find_head``.  A ``ScanWorkspace`` lends
+the buffers that refinement gathers rows into and that the Cholesky
+scorer factors in, so a training run allocates them once rather than at
+every scan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,16 +67,72 @@ class AggregatedStats:
     def n_labels(self) -> int:
         return self.gradient.shape[0]
 
+    @classmethod
+    def from_sums(cls, sums: np.ndarray, n_labels: int, diagonal: bool, count: int):
+        """The statistics of a summed table row: l gradients, then the Hessian part.
 
-def stats_for_rows(store: GradHessStore, rows) -> AggregatedStats:
-    """Sum the store over an index array (repeated indices count repeatedly)."""
+        A packed dense Hessian is unpacked into its (l, l) matrix.
+        """
+        gradient, hessian = sums[:n_labels], sums[n_labels:]
+        if not diagonal:
+            hessian = unpack_hessians(hessian[None], n_labels)[0]
+        return cls(gradient, hessian, diagonal, int(count))
+
+
+class ScanWorkspace:
+    """Float buffers that one training run's refinement reuses instead of allocating.
+
+    ``array(name, shape)`` returns a C-contiguous view of the buffer kept
+    under ``name``.  The buffer grows with the shapes asked for and never
+    shrinks, so the memory it uses is that of the largest scan of the run;
+    its contents are whatever the last user left.  A view stays valid
+    until the next request under the same name.  ``train`` owns its
+    workspace and drops it on return; nothing caches one across runs.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            # Room for twice the request: the later scans of a run, of about
+            # the size of its first ones, then fit without reallocating.
+            # Pages that no scan writes take no memory.
+            grown = 2 * (size if buffer is None else max(size, buffer.size))
+            buffer = self._buffers[name] = np.empty(grown)
+        return buffer[:size].reshape(shape)
+
+
+def column_sums(table_rows: np.ndarray, n_labels: int) -> np.ndarray:
+    """Column sums of rows of a derivative table, its gradient and Hessian parts summed apart.
+
+    numpy sums a lone column pairwise but several columns row by row;
+    summing each part on its own adds in the order that summing separate
+    gradient and Hessian arrays does, at every l.
+    """
+    sums = np.empty(table_rows.shape[1])
+    np.sum(table_rows[:, :n_labels], axis=0, out=sums[:n_labels])
+    np.sum(table_rows[:, n_labels:], axis=0, out=sums[n_labels:])
+    return sums
+
+
+def stats_for_rows(store: GradHessStore, rows, workspace: ScanWorkspace | None = None
+                   ) -> AggregatedStats:
+    """Sum the store over an index array (repeated indices count repeatedly).
+
+    With a workspace, the rows' table entries are gathered into its
+    ``"rows"`` buffer, and the indices must be valid.
+    """
     rows = np.asarray(rows)
-    return AggregatedStats(
-        gradient=store.gradients[rows].sum(axis=0),
-        hessian=store.hessians[rows].sum(axis=0),
-        diagonal=store.diagonal,
-        count=int(rows.shape[0]),
-    )
+    if workspace is None:
+        gathered = store.table[rows]
+    else:
+        out = workspace.array("rows", (rows.shape[0], store.table.shape[1]))
+        gathered = np.take(store.table, rows, axis=0, out=out, mode="clip")
+    return AggregatedStats.from_sums(column_sums(gathered, store.n_labels), store.n_labels,
+                                     store.diagonal, rows.shape[0])
 
 
 def aggregate_stats(
@@ -76,6 +140,7 @@ def aggregate_stats(
     body: Body,
     dataset: Dataset,
     indices: np.ndarray | None = None,
+    workspace: ScanWorkspace | None = None,
 ) -> AggregatedStats:
     """Sum gradients/Hessians of the examples covered by a body.
 
@@ -88,7 +153,7 @@ def aggregate_stats(
     else:
         indices = np.asarray(indices)
         rows = indices[mask[indices]]
-    return stats_for_rows(store, rows)
+    return stats_for_rows(store, rows, workspace)
 
 
 @lru_cache(maxsize=None)
@@ -133,31 +198,44 @@ def _bordered_layout(n_labels: int):
                                            starts[:n_labels])
 
 
-def _cholesky_objectives(gradients: np.ndarray, packed: np.ndarray, l2_weight: float):
+def _cholesky_objectives(gradients: np.ndarray, packed: np.ndarray, l2_weight: float,
+                         workspace: ScanWorkspace | None = None):
     """-g'(H + l2 I)^-1 g / 2 per candidate, and where a pivot was too small to trust.
 
     Factors the bordered matrix [[H + l2 I, g], [g', 0]] right-looking,
     one pivot at a time over all candidates at once, with the candidate
     axis last.  After the l pivots of H its corner holds -|L^-1 g|^2, the
-    Schur complement -g'(H + l2 I)^-1 g, so no head is ever formed.
+    Schur complement -g'(H + l2 I)^-1 g, so no head is ever formed.  The
+    matrix, the pivot limits and the rows of the factor live in one
+    working array, the workspace's ``"cholesky"`` buffer when one is given.
     """
     n_candidates, n_labels = gradients.shape
     starts, hessian_positions, gradient_positions, diagonal_positions = _bordered_layout(n_labels)
-    a = np.empty((starts[-1], n_candidates))
+    size = starts[-1]
+    shape = (size + 3 * n_labels + 1, n_candidates)
+    work = np.empty(shape) if workspace is None else workspace.array("cholesky", shape)
+    a, limits, factor, product, root = np.split(
+        work, [size, size + n_labels, size + 2 * n_labels, size + 3 * n_labels])
     a[hessian_positions] = packed.T
     a[gradient_positions] = gradients.T
     a[-1] = 0.0
-    a[diagonal_positions] += l2_weight
-    limits = _PIVOT_TOLERANCE * a[diagonal_positions]
+    for k, position in enumerate(diagonal_positions):
+        a[position] += l2_weight
+        np.multiply(_PIVOT_TOLERANCE, a[position], out=limits[k])
     weak = np.zeros(n_candidates, dtype=bool)
+    strong = np.empty(n_candidates, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n_labels):
             pivot = a[starts[k]]
-            weak |= ~(pivot > limits[k])
+            np.greater(pivot, limits[k], out=strong)
+            weak |= ~strong
             # Row k of the factor beyond its diagonal, border entry included.
-            factor = a[starts[k] + 1 : starts[k + 1]] / np.sqrt(pivot)
-            for i in range(n_labels - k):
-                a[starts[k + 1 + i] : starts[k + 2 + i]] -= factor[i] * factor[i:]
+            length = n_labels - k
+            np.sqrt(pivot, out=root[0])
+            np.divide(a[starts[k] + 1 : starts[k + 1]], root, out=factor[:length])
+            for i in range(length):
+                np.multiply(factor[i], factor[i:length], out=product[: length - i])
+                a[starts[k + 1 + i] : starts[k + 2 + i]] -= product[: length - i]
     return 0.5 * a[-1], weak
 
 
@@ -185,16 +263,18 @@ def _closed_form_heads(g, h_diag, l2_weight, head_mode, fixed_label):
 
 
 def score_heads(gradients, hessians, diagonal: bool, l2_weight: float,
-                head_mode: str, fixed_label: int | None = None):
+                head_mode: str, fixed_label: int | None = None,
+                workspace: ScanWorkspace | None = None):
     """Optimal objective of every candidate, without forming its head.
 
     ``gradients`` is (c, l); ``hessians`` is (c, l) when ``diagonal`` and
     the (c, l(l+1)/2) packed upper triangles (``packed_indices``)
     otherwise.  Returns the (c,) objectives and, for single-label heads,
     the (c,) chosen labels (None for full heads), as ``solve_heads`` does.
-    Dense all-label objectives are -g'(H + lambda I)^-1 g / 2, by Cholesky;
-    a candidate with a pivot too small to trust is scored by ``solve_heads``.
-    A candidate without a usable head scores +inf.
+    Dense all-label objectives are -g'(H + lambda I)^-1 g / 2, by Cholesky
+    (in the workspace, when given); a candidate with a pivot too small to
+    trust is scored by ``solve_heads``.  A candidate without a usable head
+    scores +inf.
     """
     g = gradients
     if head_mode not in (HEAD_SINGLE, HEAD_MULTI):
@@ -206,7 +286,7 @@ def score_heads(gradients, hessians, diagonal: bool, l2_weight: float,
     if diagonal:
         objectives, _, labels = _closed_form_heads(g, hessians, l2_weight, head_mode, fixed_label)
         return objectives, labels
-    objectives, weak = _cholesky_objectives(g, hessians, l2_weight)
+    objectives, weak = _cholesky_objectives(g, hessians, l2_weight, workspace)
     if weak.any():
         fallback, _, _ = solve_heads(
             g[weak], unpack_hessians(hessians[weak], g.shape[1]), False, l2_weight, HEAD_MULTI

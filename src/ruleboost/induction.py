@@ -10,20 +10,27 @@ search recurses on the newly covered subset and stops as soon as no
 candidate strictly improves the objective; there is no other stopping
 criterion.  Only the final body's head is solved.
 
+Every statistic is a sum of rows of the store's one derivative table
+(gradients, then the Hessian diagonal or packed upper triangle), so a
+candidate's gradient and Hessian sums are one row of a candidate table.
 Numeric attributes are scanned with prefix sums over the covered sample
 in value order.  Each numeric column is sorted once per training run
 (``presort``, with its missing values cut off); a step counts how often
 each row occurs in its sample and repeats every row of the presorted
 order that many times, so it gets the sample in value order in O(n)
-instead of sorting it again.  The <= and > candidates of a column are
-scored as two blocks, and the winner is mapped back to the tie-break
-order in which <= of a threshold comes before > of the same threshold;
-only the winner's threshold is computed.  Dense example-wise Hessians are
-scanned as packed upper triangles.
+instead of sorting it again.  A scan gathers those rows' table entries,
+prefix-sums them in place, takes the rows at the thresholds (the <=
+block) and subtracts them from the total (the > block): four numpy calls
+into the buffers of a ``ScanWorkspace`` that the training run owns, so
+steady-state scans allocate no table-sized array.  The winner is mapped
+back to the tie-break order in which <= of a threshold comes before > of
+the same threshold; only the winner's threshold is computed.
 
 Single-label rules pick their label freely while the first condition is
 chosen and keep it for every later refinement step; their candidates need
-only the Hessian diagonal, so an example-wise store contributes just that.
+only the Hessian diagonal, so the gradients and Hessian diagonal of an
+example-wise store are copied once per rule into the workspace and
+scanned as a label-wise-shaped table.
 """
 
 from __future__ import annotations
@@ -42,12 +49,13 @@ from .errors import InductionError, SolverError
 from .heads import (
     HEAD_SINGLE,
     AggregatedStats,
+    ScanWorkspace,
+    column_sums,
     find_head,
     objective_value,
     packed_indices,
     score_heads,
     stats_for_rows,
-    unpack_hessians,
 )
 from .losses import GradHessStore
 from .rules import OP_EQ, OP_GT, OP_LEQ, OP_NEQ, Body, Condition, Rule, condition_mask
@@ -71,6 +79,8 @@ class RefinementContext:
     feature_sampling: bool = True
     # ``presort(dataset)``; derived from the dataset when left out.
     orders: list | None = None
+    # Buffers reused across steps and rules; a fresh one when left out.
+    workspace: ScanWorkspace | None = None
 
 
 def presort(dataset: Dataset) -> list:
@@ -106,34 +116,24 @@ def _midpoints(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 class _Scan(NamedTuple):
     """The candidate conditions of one attribute, in ``n_blocks`` blocks of equal length.
 
-    ``gradients`` and ``hessians`` stack the blocks' summed statistics
-    block after block, one row per condition.  Candidate i of the
-    tie-break order is candidate i // n_blocks of block i % n_blocks, and
-    ``condition(i)`` gives its (operator, threshold); only the winner's is
-    ever built.
+    ``sums`` stacks the blocks' summed table rows (gradients, then the
+    Hessian part) block after block, one row per condition.  Candidate i
+    of the tie-break order is candidate i // n_blocks of block
+    i % n_blocks, and ``condition(i)`` gives its (operator, threshold);
+    only the winner's is ever built.
     """
 
-    gradients: np.ndarray
-    hessians: np.ndarray
+    sums: np.ndarray
     n_blocks: int
     condition: Callable[[int], tuple]
 
 
-def _le_and_gt(values, boundary):
-    """Prefix sums of the sorted rows up to each boundary, then the rest: two blocks."""
-    prefix = np.cumsum(values, axis=0)
-    n_thresholds = boundary.size
-    blocks = np.empty((2 * n_thresholds,) + prefix.shape[1:])
-    np.take(prefix, boundary, axis=0, out=blocks[:n_thresholds])
-    np.subtract(prefix[-1], blocks[:n_thresholds], out=blocks[n_thresholds:])
-    return blocks
-
-
-def _numeric_candidates(column, order, counts, gradients, hessians):
+def _numeric_candidates(column, order, counts, table, workspace):
     """Thresholds between adjacent distinct values of the sample, <= and > blocks.
 
     ``order`` is the column's presorted order and ``counts`` the number of
-    times each row occurs in the sample.
+    times each row occurs in the sample.  The prefix sums and the blocks
+    are built in the workspace's ``"rows"`` and ``"candidates"`` buffers.
     """
     sorted_rows = np.repeat(order, counts[order])
     if sorted_rows.size < 2:
@@ -142,17 +142,25 @@ def _numeric_candidates(column, order, counts, gradients, hessians):
     boundary = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
     if boundary.size == 0:
         return None
+    width = table.shape[1]
+    # The presorted order holds valid rows, so no index needs a bounds check.
+    prefix = np.take(table, sorted_rows, axis=0, mode="clip",
+                     out=workspace.array("rows", (sorted_rows.size, width)))
+    np.cumsum(prefix, axis=0, out=prefix)
+    n_thresholds = boundary.size
+    blocks = workspace.array("candidates", (2 * n_thresholds, width))
+    np.take(prefix, boundary, axis=0, out=blocks[:n_thresholds], mode="clip")
+    np.subtract(prefix[-1], blocks[:n_thresholds], out=blocks[n_thresholds:])
 
     def condition(i):
         below = boundary[i // 2]
         threshold = _midpoints(sorted_values[below], sorted_values[below + 1])
         return (OP_LEQ, OP_GT)[i % 2], float(threshold)
 
-    return _Scan(_le_and_gt(gradients[sorted_rows], boundary),
-                 _le_and_gt(hessians[sorted_rows], boundary), 2, condition)
+    return _Scan(blocks, 2, condition)
 
 
-def _nominal_candidates(attr, column, rows, gradients, hessians):
+def _nominal_candidates(attr, column, rows, table, n_labels):
     """== and != of every value occurring in the sample, in one block."""
     codes = column[rows]
     present = codes != MISSING_CODE
@@ -161,57 +169,55 @@ def _nominal_candidates(attr, column, rows, gradients, hessians):
         return None
     codes_present = codes[present]
     total_rows = rows.shape[0]
-    g_total = gradients[rows_present].sum(axis=0)
-    h_total = hessians[rows_present].sum(axis=0)
+    total = column_sums(table[rows_present], n_labels)
 
     conditions: list[tuple] = []
-    block_gradients: list[np.ndarray] = []
-    block_hessians: list[np.ndarray] = []
+    sums: list[np.ndarray] = []
     for code in np.unique(codes_present):
         match = codes_present == code
         count_eq = int(match.sum())
         value = attr.values[int(code)]
-        g_eq = gradients[rows_present[match]].sum(axis=0)
-        h_eq = hessians[rows_present[match]].sum(axis=0)
+        equal = column_sums(table[rows_present[match]], n_labels)
         # A condition covering none or all of the current rows cannot be a
         # strict improvement, so it is not worth scoring.
         if count_eq < total_rows:
             conditions.append((OP_EQ, value))
-            block_gradients.append(g_eq)
-            block_hessians.append(h_eq)
+            sums.append(equal)
         if rows_present.shape[0] - count_eq > 0:
             conditions.append((OP_NEQ, value))
-            block_gradients.append(g_total - g_eq)
-            block_hessians.append(h_total - h_eq)
+            sums.append(total - equal)
     if not conditions:
         return None
-    return _Scan(np.array(block_gradients), np.array(block_hessians), 1, conditions.__getitem__)
+    return _Scan(np.array(sums), 1, conditions.__getitem__)
 
 
-def _best_refinement(dataset, orders, rows, gradients, hessians, diagonal, attributes,
-                     l2_weight, head_mode, fixed_label, incumbent_objective):
+def _best_refinement(dataset, orders, rows, store, attributes, l2_weight, head_mode,
+                     fixed_label, incumbent_objective, workspace):
     """Best strict improvement over the given attributes, or None.
 
     Candidates are visited in tie-break order: attributes as given,
     thresholds ascending with <= before >, nominal values in schema order
     with == before !=.  The first candidate reaching the minimum wins.
-    Returns its objective, condition, summed statistics (as scored) and
-    single-label label.
+    Returns its objective, condition, summed table row (as scored, copied
+    out of the workspace) and single-label label.
     """
     counts = np.bincount(rows, minlength=dataset.n_examples)
+    n_labels = store.n_labels
     best = None
     threshold = incumbent_objective
     for attribute_index in attributes:
         attr = dataset.schema[attribute_index]
         column = dataset.columns[attribute_index]
         if attr.is_numeric:
-            scan = _numeric_candidates(column, orders[attribute_index], counts, gradients, hessians)
+            scan = _numeric_candidates(column, orders[attribute_index], counts, store.table,
+                                       workspace)
         else:
-            scan = _nominal_candidates(attr, column, rows, gradients, hessians)
+            scan = _nominal_candidates(attr, column, rows, store.table, n_labels)
         if scan is None:
             continue
-        objectives, labels = score_heads(scan.gradients, scan.hessians, diagonal, l2_weight,
-                                         head_mode, fixed_label)
+        objectives, labels = score_heads(scan.sums[:, :n_labels], scan.sums[:, n_labels:],
+                                         store.diagonal, l2_weight, head_mode, fixed_label,
+                                         workspace)
         # Row j of the transposed blocks holds candidate j of every block,
         # so the flat argmin is the first minimum in tie-break order.
         blocks = objectives.reshape(scan.n_blocks, -1)
@@ -223,8 +229,18 @@ def _best_refinement(dataset, orders, rows, gradients, hessians, diagonal, attri
             operator, value = scan.condition(i)
             label = None if labels is None else int(labels[j])
             best = (threshold, Condition(int(attribute_index), operator, value),
-                    scan.gradients[j], scan.hessians[j], label)
+                    scan.sums[j].copy(), label)
     return best
+
+
+def _diagonal_store(store: GradHessStore, workspace: ScanWorkspace) -> GradHessStore:
+    """The gradients and Hessian diagonal of an example-wise store, copied into the workspace."""
+    n_labels = store.n_labels
+    rows, columns = packed_indices(n_labels)
+    keep = np.concatenate([np.arange(n_labels), n_labels + np.flatnonzero(rows == columns)])
+    table = np.take(store.table, keep, axis=1, mode="clip",
+                    out=workspace.array("diagonal", (store.n_examples, 2 * n_labels)))
+    return GradHessStore(table, n_labels, diagonal=True)
 
 
 def refine_rule_with_trace(
@@ -242,20 +258,13 @@ def refine_rule_with_trace(
     if rows.min() < 0 or rows.max() >= dataset.n_examples:
         raise InductionError("sample indices outside the dataset")
 
-    stats = stats_for_rows(store, rows)
-    hessians, diagonal = store.hessians, store.diagonal
-    empty_hessian = stats.hessian
-    if not diagonal:
-        if context.head_mode == HEAD_SINGLE:
-            # Single-label candidates read only the Hessian diagonal.
-            hessians = hessians.diagonal(axis1=1, axis2=2)
-            empty_hessian = empty_hessian.diagonal()
-            diagonal = True
-        else:
-            packed = packed_indices(store.n_labels)
-            hessians = hessians[:, packed[0], packed[1]]
-            empty_hessian = empty_hessian[packed]
-    objectives, _ = score_heads(stats.gradient[None], empty_hessian[None], diagonal,
+    workspace = ScanWorkspace() if context.workspace is None else context.workspace
+    if context.head_mode == HEAD_SINGLE and not store.diagonal:
+        # Single-label candidates read only the Hessian diagonal.
+        store = _diagonal_store(store, workspace)
+    stats = stats_for_rows(store, rows, workspace)
+    empty_hessian = stats.hessian if store.diagonal else stats.hessian[packed_indices(store.n_labels)]
+    objectives, _ = score_heads(stats.gradient[None], empty_hessian[None], store.diagonal,
                                 context.l2_weight, context.head_mode)
     best_objective = float(objectives[0])
     if not math.isfinite(best_objective):
@@ -278,12 +287,12 @@ def refine_rule_with_trace(
         else:
             attributes = np.arange(n_attributes)
         best = _best_refinement(
-            dataset, orders, rows, store.gradients, hessians, diagonal, attributes,
-            context.l2_weight, context.head_mode, fixed_label, best_objective,
+            dataset, orders, rows, store, attributes, context.l2_weight, context.head_mode,
+            fixed_label, best_objective, workspace,
         )
         if best is None:
             break
-        best_objective, condition, gradient, hessian, label = best
+        best_objective, condition, sums, label = best
         conditions.append(condition)
         rows = rows[condition_mask(dataset, condition, rows)]
         if fixed_label is None:
@@ -291,9 +300,7 @@ def refine_rule_with_trace(
         trace.append(best_objective)
 
     if conditions:
-        if not diagonal:
-            hessian = unpack_hessians(hessian[None], store.n_labels)[0]
-        stats = AggregatedStats(gradient, hessian, diagonal, int(rows.size))
+        stats = AggregatedStats.from_sums(sums, store.n_labels, store.diagonal, rows.size)
     # Raises SolverError when the final body has no usable head.
     head = find_head(stats, context.l2_weight, context.head_mode, fixed_label)
     return Rule(Body(tuple(conditions)), head), trace

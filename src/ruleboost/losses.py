@@ -12,8 +12,13 @@ z + log(1 + e^-z) for positive z, and the example-wise weights use a
 shifted-exponential normalization.
 
 The GradHessStore holds per-example gradients and Hessians at the current
-model scores.  For a decomposable loss only the Hessian diagonal is kept
-(shape (n, l)); otherwise full matrices are kept (shape (n, l, l)).
+model scores in one C-contiguous (n, w) table, row i holding example i's
+l gradients and then its Hessian: for a decomposable loss the l diagonal
+entries (w = 2l), otherwise the l(l+1)/2 entries of the upper triangle,
+row by row (``heads.packed_indices``; w = l + l(l+1)/2).  Each loss
+writes the table rows of a batch in one pass (``derivative_table``) with
+the expressions ``gradient_batch`` and ``hessian_batch`` use, so the
+entries are theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -77,6 +82,17 @@ class LabelWiseLogisticLoss:
         # expit(z) * expit(-z) keeps tiny curvatures instead of rounding to 0.
         return expit(z) * expit(-z)
 
+    def derivative_table(self, y, q) -> np.ndarray:
+        """[gradients | Hessian diagonals] of every row, shape (n, 2l)."""
+        y, q = _as_batch(y, q)
+        n_labels = y.shape[1]
+        z = -y * q
+        positive = expit(z)
+        table = np.empty((y.shape[0], 2 * n_labels))
+        np.multiply(-y, positive, out=table[:, :n_labels])
+        np.multiply(positive, expit(-z), out=table[:, n_labels:])
+        return table
+
     def evaluate(self, y, q) -> float:
         return float(self.evaluate_batch(y, q)[0])
 
@@ -123,6 +139,30 @@ class ExampleWiseLogisticLoss:
         h[:, idx, idx] += w
         return h
 
+    def derivative_table(self, y, q) -> np.ndarray:
+        """[gradients | packed upper-triangle Hessians] of every row, shape (n, l + l(l+1)/2).
+
+        One weight computation serves both parts.  Row j of the upper
+        triangle holds -u_j u_k for k >= j, plus w_j on the diagonal, as in
+        ``hessian_batch``.
+        """
+        y, q = _as_batch(y, q)
+        n_labels = y.shape[1]
+        w = self._weights(y, q)
+        u = y * w
+        table = np.empty((y.shape[0], n_labels + n_labels * (n_labels + 1) // 2))
+        np.multiply(-y, w, out=table[:, :n_labels])
+        start = n_labels
+        for j in range(n_labels):
+            row = table[:, start : start + n_labels - j]
+            # einsum, as in hessian_batch, adds each product onto 0.0, so
+            # an entry is never -0.0 before the negation.
+            np.einsum("n,nk->nk", u[:, j], u[:, j:], out=row)
+            np.negative(row, out=row)
+            row[:, 0] += w[:, j]
+            start += n_labels - j
+        return table
+
     def evaluate(self, y, q) -> float:
         return float(self.evaluate_batch(y, q)[0])
 
@@ -150,43 +190,43 @@ def make_loss(loss_id: str):
 
 @dataclass
 class GradHessStore:
-    """Per-example gradients and Hessians of a loss at the current scores.
+    """Per-example gradients and Hessians of a loss at the current scores, in one table.
 
-    ``hessians`` has shape (n, l) when ``diagonal`` (the loss decomposes)
-    and (n, l, l) otherwise.
+    ``table`` is C-contiguous (n, w): the l gradients of each example,
+    then its Hessian diagonal when ``diagonal`` (the loss decomposes,
+    w = 2l) or its packed upper triangle otherwise (w = l + l(l+1)/2).
+    ``gradients`` and ``hessians`` are views of the two parts.
     """
 
-    gradients: np.ndarray
-    hessians: np.ndarray
+    table: np.ndarray
+    n_labels: int
     diagonal: bool
 
     @property
     def n_examples(self) -> int:
-        return self.gradients.shape[0]
+        return self.table.shape[0]
 
     @property
-    def n_labels(self) -> int:
-        return self.gradients.shape[1]
+    def gradients(self) -> np.ndarray:
+        return self.table[:, : self.n_labels]
+
+    @property
+    def hessians(self) -> np.ndarray:
+        return self.table[:, self.n_labels :]
 
     def recompute(self, loss, labels: np.ndarray, scores: np.ndarray, rows=None):
         """Refresh gradients/Hessians of the given rows at the given scores."""
         if rows is None:
             rows = slice(None)
         labels = np.asarray(labels[rows], dtype=np.float64)
-        scores = scores[rows]
-        self.gradients[rows] = loss.gradient_batch(labels, scores)
-        self.hessians[rows] = loss.hessian_batch(labels, scores)
+        self.table[rows] = loss.derivative_table(labels, scores[rows])
 
 
 def init_store(loss, dataset: Dataset) -> GradHessStore:
     """Store at all-zero scores, the state before any rule is learned."""
     labels = dataset.labels.astype(np.float64)
-    zeros = np.zeros_like(labels)
-    return GradHessStore(
-        gradients=loss.gradient_batch(labels, zeros),
-        hessians=loss.hessian_batch(labels, zeros),
-        diagonal=loss.decomposable,
-    )
+    return GradHessStore(loss.derivative_table(labels, np.zeros_like(labels)),
+                         dataset.n_labels, loss.decomposable)
 
 
 def update_store(

@@ -243,31 +243,46 @@ def add_head(scores: np.ndarray, mask: np.ndarray, head_scores: np.ndarray) -> n
 _SHOWN_DIFFERENCES = 3
 
 
+def _raise_mismatch(what: str, model: list[str], data: list[str]) -> None:
+    """Raise SchemaError listing where two described sequences differ, if they do."""
+    if model == data:
+        return
+    differences = [
+        f"{what} {i + 1} is {m} in the model but {d} in the data"
+        for i, (m, d) in enumerate(zip(model, data))
+        if m != d
+    ]
+    if len(model) != len(data):
+        differences.append(f"the model has {len(model)} {what}s, the data {len(data)}")
+    more = len(differences) - _SHOWN_DIFFERENCES
+    raise SchemaError(
+        f"the data does not match the model's {what}s: "
+        + "; ".join(differences[:_SHOWN_DIFFERENCES])
+        + (f"; and {more} more" if more > 0 else "")
+    )
+
+
 def check_schema(ensemble: Ensemble, dataset: Dataset) -> None:
     """Raise SchemaError unless the data has the model's attributes: names, kinds and order.
 
     Conditions refer to attributes by position, so data with the same
     columns in another order would be scored silently wrong.
     """
-    expected = tuple((a.name, a.kind) for a in ensemble.schema.attributes)
-    actual = tuple((a.name, a.kind) for a in dataset.schema.attributes)
-    if expected == actual:
-        return
-    differences = [
-        f"attribute {i + 1} is {m[0]!r} ({m[1]}) in the model but {d[0]!r} ({d[1]}) in the data"
-        for i, (m, d) in enumerate(zip(expected, actual))
-        if m != d
-    ]
-    if len(expected) != len(actual):
-        differences.append(
-            f"the model has {len(expected)} attributes, the data {len(actual)}"
-        )
-    more = len(differences) - _SHOWN_DIFFERENCES
-    raise SchemaError(
-        "the data does not match the model's attributes: "
-        + "; ".join(differences[:_SHOWN_DIFFERENCES])
-        + (f"; and {more} more" if more > 0 else "")
+    _raise_mismatch(
+        "attribute",
+        [f"{a.name!r} ({a.kind})" for a in ensemble.schema.attributes],
+        [f"{a.name!r} ({a.kind})" for a in dataset.schema.attributes],
     )
+
+
+def check_label_names(ensemble: Ensemble, dataset: Dataset) -> None:
+    """Raise SchemaError unless the data's label names are the model's, in order.
+
+    Scores are matched to labels by position, so comparing them with
+    relabelled or reordered label columns would give silently wrong metrics.
+    """
+    _raise_mismatch("label", [repr(name) for name in ensemble.label_names],
+                    [repr(name) for name in dataset.label_names])
 
 
 def ensemble_scores(ensemble: Ensemble, dataset: Dataset) -> np.ndarray:

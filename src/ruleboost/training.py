@@ -21,7 +21,15 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError
-from .heads import HEAD_MULTI, HEAD_SINGLE, aggregate_stats, find_head, solve_full_head, stats_for_rows
+from .heads import (
+    HEAD_MULTI,
+    HEAD_SINGLE,
+    ScanWorkspace,
+    aggregate_stats,
+    find_head,
+    solve_full_head,
+    stats_for_rows,
+)
 from .induction import RefinementContext, presort, refine_rule_with_trace
 from .losses import LOSSES, init_store, make_loss, update_store
 from .rules import Body, Ensemble, EnsembleMeta, Rule, add_head, body_mask
@@ -85,9 +93,11 @@ def train_with_diagnostics(dataset: Dataset, config: TrainConfig) -> tuple[Ensem
     n = dataset.n_examples
     store = init_store(loss, dataset)
     scores = np.zeros((n, dataset.n_labels))
+    # Gather and scan buffers for the whole run, dropped when it returns.
+    workspace = ScanWorkspace()
 
     # The default rule covers everything and always scores every label.
-    default_stats = stats_for_rows(store, np.arange(n))
+    default_stats = stats_for_rows(store, np.arange(n), workspace)
     default_head = solve_full_head(default_stats, config.l2_weight)
     rules = [Rule(Body(), default_head)]
     prescale_heads = [default_head.scores]
@@ -107,9 +117,10 @@ def train_with_diagnostics(dataset: Dataset, config: TrainConfig) -> tuple[Ensem
             rng=_round_rng(config.seed, _STREAM_FEATURES, round_index),
             feature_sampling=config.feature_sampling,
             orders=orders,
+            workspace=workspace,
         )
         draft, trace = refine_rule_with_trace(dataset, store, context)
-        full_stats = aggregate_stats(store, draft.body, dataset)
+        full_stats = aggregate_stats(store, draft.body, dataset, workspace=workspace)
         head = find_head(full_stats, config.l2_weight, config.head_mode)
         prescale_heads.append(head.scores)
         rules.append(Rule(draft.body, head.scaled(config.shrinkage)))

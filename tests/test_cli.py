@@ -289,3 +289,23 @@ class TestErrorPaths:
             assert lines[0].startswith("error:")
             assert "attribute 1 is 'x1' (numeric) in the model but 'x2' (numeric)" in lines[0]
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("header,message", [
+        ("@attribute zzz {0,1}\n@attribute label2 {0,1}\n",
+         "label 1 is 'label1' in the model but 'zzz' in the data"),
+        ("@attribute label2 {0,1}\n@attribute label1 {0,1}\n",
+         "label 1 is 'label1' in the model but 'label2' in the data"),
+    ])
+    def test_evaluate_with_renamed_or_reordered_labels(self, synth_dir, model_path, tmp_path,
+                                                      capsys, header, message):
+        text = (synth_dir / "test.arff").read_text()
+        original = "@attribute label1 {0,1}\n@attribute label2 {0,1}\n"
+        assert original in text
+        relabelled = tmp_path / "relabelled.arff"
+        relabelled.write_text(text.replace(original, header))
+        assert main(["evaluate", "--data", str(relabelled), "--labels", "3",
+                     "--model", str(model_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert message in lines[0]

@@ -10,6 +10,7 @@ from ruleboost.heads import (
     HEAD_MULTI,
     HEAD_SINGLE,
     AggregatedStats,
+    ScanWorkspace,
     aggregate_stats,
     find_head,
     objective_value,
@@ -17,6 +18,8 @@ from ruleboost.heads import (
     score_heads,
     solve_full_head,
     solve_heads,
+    stats_for_rows,
+    unpack_hessians,
 )
 from ruleboost.losses import ExampleWiseLogisticLoss, init_store, make_loss
 from ruleboost.rules import Body, Condition, Head
@@ -184,7 +187,7 @@ class TestAggregateStats:
         stats = aggregate_stats(store, Body((Condition(0, "<=", 0.0),)), dataset)
         assert stats.count == 1
         np.testing.assert_array_equal(stats.gradient, store.gradients[0])
-        np.testing.assert_array_equal(stats.hessian, store.hessians[0])
+        np.testing.assert_array_equal(stats.hessian, unpack_hessians(store.hessians[:1], 2)[0])
 
     def test_partial_coverage_brute_force_sum(self):
         dataset = self._dataset()
@@ -194,6 +197,28 @@ class TestAggregateStats:
         assert stats.count == 3
         np.testing.assert_allclose(stats.gradient, store.gradients[:3].sum(axis=0))
         np.testing.assert_allclose(stats.hessian, store.hessians[:3].sum(axis=0))
+
+    @pytest.mark.parametrize("loss_id", ["label-wise-logistic", "example-wise-logistic"])
+    @pytest.mark.parametrize("n_labels", [1, 2, 6])
+    def test_sums_are_those_of_the_gradients_and_the_hessians(self, loss_id, n_labels, rng):
+        # numpy sums a lone column pairwise and several row by row; the
+        # statistics must still be the plain sums of each part, at l = 1 too.
+        n = 3000
+        schema = AttributeSchema((Attribute("x", NUMERIC),))
+        labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, n_labels))
+        dataset = Dataset(schema, [np.arange(n, dtype=float)], labels,
+                          [f"l{k}" for k in range(n_labels)])
+        loss = make_loss(loss_id)
+        store = init_store(loss, dataset)
+        store.recompute(loss, labels, rng.normal(0.0, 3.0, size=(n, n_labels)))
+        rows = rng.integers(0, n, size=n)
+        hessian = store.hessians[rows].sum(axis=0)
+        if not store.diagonal:
+            hessian = unpack_hessians(hessian[None], n_labels)[0]
+        for workspace in (None, ScanWorkspace()):
+            stats = stats_for_rows(store, rows, workspace)
+            assert stats.gradient.tobytes() == store.gradients[rows].sum(axis=0).tobytes()
+            assert stats.hessian.tobytes() == hessian.tobytes()
 
     def test_sample_multiplicity_counts(self):
         dataset = self._dataset()

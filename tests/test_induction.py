@@ -12,7 +12,16 @@ import pytest
 
 from ruleboost.dataset import MISSING_CODE, NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
 from ruleboost.errors import InductionError, SolverError
-from ruleboost.heads import HEAD_MULTI, find_head, objective_value, solve_heads, stats_for_rows
+from ruleboost.heads import (
+    HEAD_MULTI,
+    ScanWorkspace,
+    find_head,
+    objective_value,
+    packed_indices,
+    solve_heads,
+    stats_for_rows,
+    unpack_hessians,
+)
 from ruleboost.induction import (
     RefinementContext,
     _midpoints,
@@ -109,9 +118,17 @@ def oracle_head_and_objective(g, h, diagonal, l2, head_mode, fixed_label):
     return obj, p
 
 
-def oracle_objective_of_rows(store, rows, l2, head_mode, fixed_label=None):
+def oracle_sums(store, rows):
+    """Summed gradients and Hessians of some rows; a dense Hessian as its (l, l) matrix."""
     g = store.gradients[rows].sum(axis=0)
     h = store.hessians[rows].sum(axis=0)
+    if not store.diagonal:
+        h = unpack_hessians(h[None], store.n_labels)[0]
+    return g, h
+
+
+def oracle_objective_of_rows(store, rows, l2, head_mode, fixed_label=None):
+    g, h = oracle_sums(store, rows)
     result = oracle_head_and_objective(g, h, store.diagonal, l2, head_mode, fixed_label)
     assert result is not None
     return result[0]
@@ -133,8 +150,7 @@ def oracle_first_condition(dataset, store, rows, l2, head_mode):
                 # Zero stats give objective 0, never a strict improvement;
                 # full coverage reproduces the incumbent exactly.
                 continue
-            g = store.gradients[covered].sum(axis=0)
-            h = store.hessians[covered].sum(axis=0)
+            g, h = oracle_sums(store, covered)
             result = oracle_head_and_objective(g, h, store.diagonal, l2, head_mode, None)
             if result is None:
                 continue
@@ -149,8 +165,7 @@ def oracle_objective_of_condition(dataset, store, rows, condition, l2, head_mode
         dataset, condition.attribute_index, condition.operator, condition.threshold, rows
     )
     covered = rows[mask]
-    g = store.gradients[covered].sum(axis=0)
-    h = store.hessians[covered].sum(axis=0)
+    g, h = oracle_sums(store, covered)
     result = oracle_head_and_objective(g, h, store.diagonal, l2, head_mode, None)
     assert result is not None
     return result[0]
@@ -160,30 +175,31 @@ def oracle_objective_of_condition(dataset, store, rows, condition, l2, head_mode
 # Candidate conditions of the refinement scan
 # ---------------------------------------------------------------------------
 
-def in_tie_break_order(scan):
+def in_tie_break_order(scan, n_labels):
     """A scan's blocks as one (operators, thresholds, gradients, hessians) table.
 
     Candidate i of the tie-break order is candidate i // k of block i % k;
-    the scan stacks its k blocks one after another.
+    the scan stacks its k blocks one after another, each candidate's
+    summed table row holding its l gradients and then its Hessian part.
     """
     k = scan.n_blocks
-    conditions = [scan.condition(i) for i in range(scan.gradients.shape[0])]
+    conditions = [scan.condition(i) for i in range(scan.sums.shape[0])]
 
     def interleave(stacked):
         blocks = stacked.reshape((k, -1) + stacked.shape[1:])
         return np.stack(list(blocks), axis=1).reshape(stacked.shape)
 
     return ([op for op, _ in conditions], [t for _, t in conditions],
-            interleave(scan.gradients), interleave(scan.hessians))
+            interleave(scan.sums[:, :n_labels]), interleave(scan.sums[:, n_labels:]))
 
 
 def numeric_scan(dataset, attribute_index, rows, store):
     """The refinement scan of a numeric attribute, in tie-break order, or None."""
     blocks = _numeric_candidates(
         dataset.columns[attribute_index], presort(dataset)[attribute_index],
-        np.bincount(rows, minlength=dataset.n_examples), store.gradients, store.hessians,
+        np.bincount(rows, minlength=dataset.n_examples), store.table, ScanWorkspace(),
     )
-    return None if blocks is None else in_tie_break_order(blocks)
+    return None if blocks is None else in_tie_break_order(blocks, store.n_labels)
 
 
 def enumerate_conditions(dataset, attribute_index, rows=None):
@@ -195,9 +211,9 @@ def enumerate_conditions(dataset, attribute_index, rows=None):
         table = numeric_scan(dataset, attribute_index, rows, store)
     else:
         blocks = _nominal_candidates(
-            attr, dataset.columns[attribute_index], rows, store.gradients, store.hessians
+            attr, dataset.columns[attribute_index], rows, store.table, store.n_labels
         )
-        table = None if blocks is None else in_tie_break_order(blocks)
+        table = None if blocks is None else in_tie_break_order(blocks, store.n_labels)
     if table is None:
         return []
     operators, thresholds, _, _ = table
@@ -237,7 +253,7 @@ def argsort_scan(column, rows, store):
             interleave(g_le, grad_prefix[-1] - g_le), interleave(h_le, hess_prefix[-1] - h_le))
 
 
-def lu_best_refinement(dataset, orders, rows, gradients, hessians, diagonal, attributes,
+def lu_best_refinement(dataset, orders, rows, store, attributes,
                        l2_weight, head_mode, fixed_label, incumbent_objective):
     """The refinement step as it was before candidates were only scored.
 
@@ -252,13 +268,17 @@ def lu_best_refinement(dataset, orders, rows, gradients, hessians, diagonal, att
         attr = dataset.schema[attribute_index]
         column = dataset.columns[attribute_index]
         if attr.is_numeric:
-            scan = _numeric_candidates(column, orders[attribute_index], counts, gradients, hessians)
+            scan = _numeric_candidates(column, orders[attribute_index], counts, store.table,
+                                       ScanWorkspace())
         else:
-            scan = _nominal_candidates(attr, column, rows, gradients, hessians)
+            scan = _nominal_candidates(attr, column, rows, store.table, store.n_labels)
         if scan is None:
             continue
-        operators, thresholds, g, h = in_tie_break_order(scan)
-        objectives, scores, labels = solve_heads(g, h, diagonal, l2_weight, head_mode, fixed_label)
+        operators, thresholds, g, h = in_tie_break_order(scan, store.n_labels)
+        if not store.diagonal:
+            h = unpack_hessians(h, store.n_labels)
+        objectives, scores, labels = solve_heads(g, h, store.diagonal, l2_weight, head_mode,
+                                                 fixed_label)
         i = int(np.argmin(objectives))
         if objective_improvement(float(objectives[i]), threshold):
             threshold = float(objectives[i])
@@ -276,9 +296,11 @@ def lu_refine_rule(dataset, store, context):
     conditions = []
     fixed_label = None
     orders = presort(dataset)
-    hessians, diagonal = store.hessians, store.diagonal
-    if context.head_mode == "single" and not diagonal:
-        hessians, diagonal = hessians.diagonal(axis1=1, axis2=2), True
+    if context.head_mode == "single" and not store.diagonal:
+        # Single-label heads read the gradients and the Hessian diagonal.
+        on_diagonal = np.equal(*packed_indices(store.n_labels))
+        store = GradHessStore(np.hstack([store.gradients, store.hessians[:, on_diagonal]]),
+                              store.n_labels, True)
     while True:
         if context.feature_sampling:
             attributes = context.rng.choice(
@@ -288,7 +310,7 @@ def lu_refine_rule(dataset, store, context):
         else:
             attributes = np.arange(dataset.n_attributes)
         best = lu_best_refinement(
-            dataset, orders, rows, store.gradients, hessians, diagonal, attributes,
+            dataset, orders, rows, store, attributes,
             context.l2_weight, context.head_mode, fixed_label, best_objective,
         )
         if best is None:
@@ -341,6 +363,34 @@ class TestScoredRefinementAgainstLUOracle:
                 assert actual.body == expected.body
                 assert actual.head.label_index == expected.head.label_index
                 np.testing.assert_array_equal(actual.head.scores, expected.head.scores)
+
+
+class TestWorkspaceReuse:
+    """A workspace left over from other samples gives the rules a fresh one gives."""
+
+    @pytest.mark.parametrize("loss_id", ["label-wise-logistic", "example-wise-logistic"])
+    @pytest.mark.parametrize("head_mode", ["single", "multi"])
+    def test_large_small_large_samples(self, loss_id, head_mode):
+        rng = np.random.default_rng(515)
+        n = 300
+        dataset = random_dataset(rng, n, n_numeric=3, n_nominal=2, n_labels=4, missing_rate=0.1)
+        assert any(np.isnan(column).any() for column in dataset.columns[:3])
+        loss = make_loss(loss_id)
+        store = init_store(loss, dataset)
+        workspace = ScanWorkspace()
+        samples = [rng.integers(0, n, size=n), rng.integers(0, n, size=12),
+                   rng.integers(0, n, size=2 * n)]
+        for trial, rows in enumerate(samples):
+            # New scores each time, so that nothing copied from the store may go stale.
+            store.recompute(loss, dataset.labels, rng.normal(0.0, 1.5, size=store.gradients.shape))
+            for feature_sampling in (False, True):
+                settings = dict(l2=0.25 * trial, feature_sampling=feature_sampling, seed=trial)
+                context = _context(rows, head_mode, **settings)
+                context.workspace = workspace
+                reused = refine_rule_with_trace(dataset, store, context)
+                fresh = refine_rule_with_trace(dataset, store, _context(rows, head_mode, **settings))
+                assert reused == fresh
+                assert len(reused[0].body) > 0
 
 
 def _numeric_dataset(values, n_labels=1):
@@ -544,9 +594,9 @@ class TestRefineRule:
         signs = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
         hessians = signs[:, None] * np.ones((6, 2))
         if not diagonal:
-            hessians = signs[:, None, None] * np.eye(2)
-        store = GradHessStore(gradients=np.tile([1.0, -1.0], (6, 1)), hessians=hessians,
-                              diagonal=diagonal)
+            # The packed upper triangles of signs * I.
+            hessians = signs[:, None] * np.array([1.0, 0.0, 1.0])
+        store = GradHessStore(np.hstack([np.tile([1.0, -1.0], (6, 1)), hessians]), 2, diagonal)
         with pytest.raises(SolverError, match="empty body"):
             refine_rule(dataset, store, _context(np.arange(6), head_mode))
 
@@ -700,8 +750,7 @@ class TestTieBreakOnExactTies:
             columns = [rng.integers(0, 4, n).astype(float) for _ in range(2)]
             dataset = Dataset(schema, columns, np.ones((n, 1), dtype=np.int8), ["l0"])
             store = GradHessStore(
-                gradients=rng.integers(-1, 2, (n, 1)).astype(float),
-                hessians=np.ones((n, 1)), diagonal=True,
+                np.hstack([rng.integers(-1, 2, (n, 1)).astype(float), np.ones((n, 1))]), 1, True
             )
             rows = np.arange(n)
             rule = refine_rule(dataset, store, _context(rows, "multi"))

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import expit as scipy_expit
 
 from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema, Dataset
+from ruleboost.heads import packed_indices
 from ruleboost.losses import (
     ExampleWiseLogisticLoss,
     LabelWiseLogisticLoss,
@@ -254,7 +255,7 @@ class TestStore:
         assert not store.diagonal
         assert np.allclose(np.abs(store.gradients), 1.0 / 3.0)
         assert store.gradients.shape == (2, 2)
-        assert store.hessians.shape == (2, 2, 2)
+        assert store.hessians.shape == (2, 3)
 
     def test_store_dimensions(self):
         dataset = _toy_dataset([[1, -1, 1]] * 5)
@@ -302,6 +303,8 @@ class TestStore:
             update_store(store, loss, dataset, rule, scores)
         fresh_g = loss.gradient_batch(labels.astype(float), scores)
         fresh_h = loss.hessian_batch(labels.astype(float), scores)
+        if not store.diagonal:
+            fresh_h = fresh_h[:, packed_indices(3)[0], packed_indices(3)[1]]
         np.testing.assert_allclose(store.gradients, fresh_g, rtol=0, atol=0)
         np.testing.assert_allclose(store.hessians, fresh_h, rtol=0, atol=0)
 
@@ -316,3 +319,57 @@ class TestStore:
         expected = loss.gradient([1.0, -1.0], head)
         np.testing.assert_allclose(store.gradients[0], expected, rtol=0, atol=0)
         assert np.all(store.gradients[1:] == init_store(loss, dataset).gradients[1:])
+
+
+def _expected_table(loss, y, q):
+    """The batch derivatives side by side, a dense Hessian packed as its upper triangle."""
+    hessians = loss.hessian_batch(y, q)
+    if not loss.decomposable:
+        rows, columns = packed_indices(y.shape[1])
+        hessians = hessians[:, rows, columns]
+    return np.hstack([loss.gradient_batch(y, q), hessians])
+
+
+def _extreme_scores(rng, shape):
+    """Scores up to |q| = 745 mixed with moderate ones: weights down to about 1e-300 and 0."""
+    q = rng.normal(0.0, 2.0, size=shape)
+    extreme = rng.random(shape) < 0.4
+    q[extreme] = rng.choice([-745.0, -709.0, -690.0, -600.0, 0.0, 600.0, 690.0, 709.0, 745.0],
+                            size=int(extreme.sum()))
+    return q
+
+
+class TestDerivativeTable:
+    """The store's one table holds the batch derivatives bit for bit."""
+
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.loss_id)
+    @pytest.mark.parametrize("n_labels", [1, 2, 6])
+    def test_table_is_the_batch_derivatives(self, loss, n_labels, rng):
+        y = rng.choice([-1.0, 1.0], size=(300, n_labels))
+        for q in (rng.normal(0.0, 2.0, size=y.shape), _extreme_scores(rng, y.shape)):
+            table = loss.derivative_table(y, q)
+            assert table.flags.c_contiguous
+            assert table.shape == (300, n_labels + (n_labels if loss.decomposable
+                                                    else n_labels * (n_labels + 1) // 2))
+            assert table.tobytes() == _expected_table(loss, y, q).tobytes()
+        tiny = _extreme_scores(rng, y.shape)
+        weights = np.abs(loss.derivative_table(y, tiny)[:, :n_labels])
+        assert weights[weights > 0].min() < 1e-250
+
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.loss_id)
+    def test_table_stays_exact_through_store_updates(self, loss, rng):
+        labels = rng.choice([-1, 1], size=(80, 4)).astype(np.int8)
+        dataset = _toy_dataset(labels.tolist())
+        store = init_store(loss, dataset)
+        scores = np.zeros((80, 4))
+        # Each label's scores drift one way, through |q| = 745 and beyond.
+        signs = np.array([1.0, -1.0, 1.0, -1.0])
+        for _ in range(12):
+            operator = "<=" if rng.random() < 0.5 else ">"
+            rule = Rule(Body((Condition(0, operator, float(rng.uniform(0, 80))),)),
+                        Head(signs * rng.uniform(0.0, 150.0, size=4)))
+            update_store(store, loss, dataset, rule, scores)
+            assert store.table.flags.c_contiguous
+            expected = _expected_table(loss, labels.astype(float), scores)
+            assert store.table.tobytes() == expected.tobytes()
+        assert np.abs(scores).max() > 700.0

@@ -1,5 +1,8 @@
 """Boosting loop: default rule, shrinkage, score bookkeeping, determinism."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,9 @@ from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema, Dataset
 from ruleboost.errors import ConfigError
 from ruleboost.losses import make_loss
 from ruleboost.rules import ensemble_scores
+from ruleboost import training
 from ruleboost.serialization import dumps
+from ruleboost.synthetic import SyntheticConfig, generate
 from ruleboost.training import TrainConfig, train, train_with_diagnostics
 
 from conftest import random_dataset
@@ -193,3 +198,50 @@ class TestEnsembleMetadata:
             if key not in seen:
                 seen.append(key)
         assert [tuple(v) for v in ensemble.label_vectors] == seen
+
+
+class TestRunWorkspace:
+    """Each run owns its scan buffers: runs do not share them, and none outlives its run."""
+
+    def test_interleaved_runs_equal_separate_runs(self, rng, monkeypatch):
+        large = random_dataset(rng, 300, n_numeric=3, n_nominal=1, n_labels=3, missing_rate=0.1)
+        small = random_dataset(rng, 60, n_numeric=2, n_nominal=1, n_labels=3, missing_rate=0.1)
+        refine = training.refine_rule_with_trace
+        for loss in ("label-wise-logistic", "example-wise-logistic"):
+            for head_mode in ("single", "multi"):
+                config = TrainConfig(loss=loss, head_mode=head_mode, n_rules=12, seed=3)
+                separate = (dumps(train(large, config)), dumps(train(small, config)))
+                rounds, inner = [], []
+
+                def refine_and_train_the_other(dataset, store, context):
+                    # The small run trains in full while the large one is in round 5.
+                    rounds.append(dataset)
+                    if len(rounds) == 4:
+                        inner.append(dumps(train(small, config)))
+                    return refine(dataset, store, context)
+
+                monkeypatch.setattr(training, "refine_rule_with_trace", refine_and_train_the_other)
+                outer = dumps(train(large, config))
+                monkeypatch.setattr(training, "refine_rule_with_trace", refine)
+                assert len(inner) == 1
+                assert (outer, inner[0]) == separate
+
+    def test_no_buffer_outlives_training(self):
+        dataset, _ = generate(SyntheticConfig("marginal_dependence", 20000, 6, seed=0))
+        config = TrainConfig(loss="example-wise-logistic", head_mode="multi", n_rules=3,
+                             l2_weight=1.0)
+        tracemalloc.start()
+        try:
+            ensemble = train(dataset, config)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        numpy_domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        alive = sum(stat.size for stat in
+                    snapshot.filter_traces([numpy_domain]).statistics("filename"))
+        assert len(ensemble.rules) == 3
+        # The run itself held table-sized arrays; none of them is left.
+        assert peak > 20 * 2 ** 20
+        assert alive < 2 ** 20

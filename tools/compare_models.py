@@ -1,4 +1,4 @@
-"""Train the same 144 models under two source trees and compare them.
+"""Train the same 144 models and trajectories under two source trees and compare them.
 
 Usage::
 
@@ -17,7 +17,14 @@ subprocess, every combination of
 each with 100 rules.  The script prints how many models are
 byte-identical, how many have the same rule bodies, and the largest head
 difference among the models with the same bodies, then lists every model
-that differs.  It exits 1 when any model differs.
+that differs.
+
+Both trees also run ``ruleboost trajectory`` at the settings of the
+benchmark's ``trajectory-4v`` workload (conditional_dependence, n = 2000,
+6 labels, noise 0.1, ``--seed 0``, checkpoints 1,2,4,8,16,32,50), and the
+script compares the four series CSVs byte for byte.
+
+It exits 1 when any model or series differs.
 """
 
 from __future__ import annotations
@@ -25,7 +32,9 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 SCENARIOS = ("marginal_independence", "marginal_dependence", "conditional_dependence")
 SEEDS = (0, 1, 2)
@@ -40,6 +49,10 @@ DATA_KINDS = ("plain", "tie-heavy")
 N_EXAMPLES = 2000
 N_LABELS = 6
 N_RULES = 100
+TRAJECTORY_ARGS = (
+    "trajectory", "--scenario", "conditional_dependence", "--n", "2000", "--labels", "6",
+    "--noise", "0.1", "--seed", "0", "--checkpoints", "1,2,4,8,16,32,50",
+)
 
 
 def _tie_heavy(dataset, seed):
@@ -77,15 +90,32 @@ def emit_models(src: str) -> None:
                               flush=True)
 
 
-def _models_of(src: str) -> dict[str, str]:
+def emit_trajectory(src: str, out: str) -> int:
+    """Run ``ruleboost trajectory`` at the trajectory-4v settings with the package in ``src``."""
+    sys.path.insert(0, src)
+    from ruleboost.cli import main as cli_main
+
+    return cli_main([*TRAJECTORY_ARGS, "--out", out])
+
+
+def _run(src: str, *args: str) -> str:
     completed = subprocess.run(
-        [sys.executable, __file__, "--emit", src],
-        capture_output=True, text=True, check=False,
+        [sys.executable, __file__, *args], capture_output=True, text=True, check=False,
     )
     if completed.returncode != 0:
-        raise SystemExit(f"training under {src} failed:\n{completed.stderr}")
-    lines = [json.loads(line) for line in completed.stdout.splitlines()]
+        raise SystemExit(f"running under {src} failed:\n{completed.stderr}")
+    return completed.stdout
+
+
+def _models_of(src: str) -> dict[str, str]:
+    lines = [json.loads(line) for line in _run(src, "--emit", src).splitlines()]
     return {line["name"]: line["model"] for line in lines}
+
+
+def _series_of(src: str) -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as out:
+        _run(src, "--trajectory", src, out)
+        return {path.name: path.read_bytes() for path in sorted(Path(out).glob("*.csv"))}
 
 
 def _bodies_and_heads(model: str):
@@ -110,6 +140,7 @@ def _head_difference(first, second) -> float:
 def compare(parent_src: str, change_src: str) -> int:
     with ThreadPoolExecutor(2) as pool:
         parent, change = pool.map(_models_of, (parent_src, change_src))
+        parent_series, change_series = pool.map(_series_of, (parent_src, change_src))
     if parent.keys() != change.keys():
         raise SystemExit("the two trees trained different model sets")
     identical = same_bodies = 0
@@ -137,7 +168,14 @@ def compare(parent_src: str, change_src: str) -> int:
     print(f"worst head difference among same bodies: {worst_head:.3g} (relative)")
     for line in differing:
         print(f"  {line}")
-    return 0 if identical == total else 1
+    if parent_series.keys() != change_series.keys() or len(parent_series) != 4:
+        raise SystemExit("the two trees wrote different trajectory series")
+    same_series = [name for name in parent_series if parent_series[name] == change_series[name]]
+    print(f"trajectory series byte-identical: {len(same_series)}/{len(parent_series)}")
+    for name in parent_series:
+        if name not in same_series:
+            print(f"  {name} differs")
+    return 0 if identical == total and len(same_series) == len(parent_series) else 1
 
 
 def main(argv=None) -> int:
@@ -145,6 +183,8 @@ def main(argv=None) -> int:
     if len(argv) == 2 and argv[0] == "--emit":
         emit_models(argv[1])
         return 0
+    if len(argv) == 3 and argv[0] == "--trajectory":
+        return emit_trajectory(argv[1], argv[2])
     if len(argv) != 2:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
         return 2
