@@ -97,11 +97,11 @@ class ScanWorkspace:
         size = math.prod(shape)
         buffer = self._buffers.get(name)
         if buffer is None or buffer.size < size:
-            # Room for twice the request: the later scans of a run, of about
-            # the size of its first ones, then fit without reallocating.
-            # Pages that no scan writes take no memory.
-            grown = 2 * (size if buffer is None else max(size, buffer.size))
-            buffer = self._buffers[name] = np.empty(grown)
+            # Room for twice the request: a run's later scans are often a
+            # little larger than its first ones, and regrowing for each of
+            # them doubles a 50-rule example-wise run's page faults.  Pages
+            # that no scan writes take no memory.
+            buffer = self._buffers[name] = np.empty(2 * size)
         return buffer[:size].reshape(shape)
 
 
@@ -122,15 +122,14 @@ def stats_for_rows(store: GradHessStore, rows, workspace: ScanWorkspace | None =
                    ) -> AggregatedStats:
     """Sum the store over an index array (repeated indices count repeatedly).
 
-    With a workspace, the rows' table entries are gathered into its
-    ``"rows"`` buffer, and the indices must be valid.
+    The rows' table entries are gathered into the workspace's ``"rows"``
+    buffer (a fresh workspace's when none is given) without a bounds
+    check, so the indices must be valid.
     """
     rows = np.asarray(rows)
-    if workspace is None:
-        gathered = store.table[rows]
-    else:
-        out = workspace.array("rows", (rows.shape[0], store.table.shape[1]))
-        gathered = np.take(store.table, rows, axis=0, out=out, mode="clip")
+    workspace = ScanWorkspace() if workspace is None else workspace
+    out = workspace.array("rows", (rows.shape[0], store.table.shape[1]))
+    gathered = np.take(store.table, rows, axis=0, out=out, mode="clip")
     return AggregatedStats.from_sums(column_sums(gathered, store.n_labels), store.n_labels,
                                      store.diagonal, rows.shape[0])
 
@@ -207,13 +206,14 @@ def _cholesky_objectives(gradients: np.ndarray, packed: np.ndarray, l2_weight: f
     axis last.  After the l pivots of H its corner holds -|L^-1 g|^2, the
     Schur complement -g'(H + l2 I)^-1 g, so no head is ever formed.  The
     matrix, the pivot limits and the rows of the factor live in one
-    working array, the workspace's ``"cholesky"`` buffer when one is given.
+    working array, the workspace's ``"cholesky"`` buffer (a fresh
+    workspace's when none is given).
     """
     n_candidates, n_labels = gradients.shape
     starts, hessian_positions, gradient_positions, diagonal_positions = _bordered_layout(n_labels)
     size = starts[-1]
-    shape = (size + 3 * n_labels + 1, n_candidates)
-    work = np.empty(shape) if workspace is None else workspace.array("cholesky", shape)
+    workspace = ScanWorkspace() if workspace is None else workspace
+    work = workspace.array("cholesky", (size + 3 * n_labels + 1, n_candidates))
     a, limits, factor, product, root = np.split(
         work, [size, size + n_labels, size + 2 * n_labels, size + 3 * n_labels])
     a[hessian_positions] = packed.T
@@ -271,18 +271,16 @@ def score_heads(gradients, hessians, diagonal: bool, l2_weight: float,
     the (c, l(l+1)/2) packed upper triangles (``packed_indices``)
     otherwise.  Returns the (c,) objectives and, for single-label heads,
     the (c,) chosen labels (None for full heads), as ``solve_heads`` does.
-    Dense all-label objectives are -g'(H + lambda I)^-1 g / 2, by Cholesky
-    (in the workspace, when given); a candidate with a pivot too small to
-    trust is scored by ``solve_heads``.  A candidate without a usable head
-    scores +inf.
+    Single-label heads read only the Hessian diagonal, so they are scored
+    from diagonal statistics; packed dense Hessians are scored as
+    all-label heads.  Those objectives are -g'(H + lambda I)^-1 g / 2, by
+    Cholesky in the workspace; a candidate with a pivot too small to trust
+    is scored by ``solve_heads``.  A candidate without a usable head scores
+    +inf.
     """
     g = gradients
     if head_mode not in (HEAD_SINGLE, HEAD_MULTI):
         raise ValueError(f"unknown head mode {head_mode!r}")
-    if head_mode == HEAD_SINGLE and not diagonal:
-        # Single-label heads read only the Hessian diagonal.
-        rows, columns = packed_indices(g.shape[1])
-        hessians, diagonal = hessians[:, rows == columns], True
     if diagonal:
         objectives, _, labels = _closed_form_heads(g, hessians, l2_weight, head_mode, fixed_label)
         return objectives, labels

@@ -265,7 +265,7 @@ def refine_rule_with_trace(
     stats = stats_for_rows(store, rows, workspace)
     empty_hessian = stats.hessian if store.diagonal else stats.hessian[packed_indices(store.n_labels)]
     objectives, _ = score_heads(stats.gradient[None], empty_hessian[None], store.diagonal,
-                                context.l2_weight, context.head_mode)
+                                context.l2_weight, context.head_mode, workspace=workspace)
     best_objective = float(objectives[0])
     if not math.isfinite(best_objective):
         # As in find_head, a bag without a usable head is an error: an

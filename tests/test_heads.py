@@ -10,7 +10,6 @@ from ruleboost.heads import (
     HEAD_MULTI,
     HEAD_SINGLE,
     AggregatedStats,
-    ScanWorkspace,
     aggregate_stats,
     find_head,
     objective_value,
@@ -215,10 +214,9 @@ class TestAggregateStats:
         hessian = store.hessians[rows].sum(axis=0)
         if not store.diagonal:
             hessian = unpack_hessians(hessian[None], n_labels)[0]
-        for workspace in (None, ScanWorkspace()):
-            stats = stats_for_rows(store, rows, workspace)
-            assert stats.gradient.tobytes() == store.gradients[rows].sum(axis=0).tobytes()
-            assert stats.hessian.tobytes() == hessian.tobytes()
+        stats = stats_for_rows(store, rows)
+        assert stats.gradient.tobytes() == store.gradients[rows].sum(axis=0).tobytes()
+        assert stats.hessian.tobytes() == hessian.tobytes()
 
     def test_sample_multiplicity_counts(self):
         dataset = self._dataset()
@@ -276,13 +274,6 @@ class TestScoreHeads:
             solved, _, solved_labels = solve_heads(g, h, True, l2, head_mode)
             np.testing.assert_array_equal(scored, solved)
             np.testing.assert_array_equal(labels, solved_labels)
-
-    def test_single_label_reads_the_packed_diagonal(self, rng):
-        g, packed, full = random_spd_batch(rng, 20, 3)
-        scored, labels = score_heads(g, packed, False, 0.5, HEAD_SINGLE, fixed_label=2)
-        solved, _, _ = solve_heads(g, full, False, 0.5, HEAD_SINGLE, fixed_label=2)
-        assert np.all(labels == 2)
-        np.testing.assert_array_equal(scored, solved)
 
     def test_zero_pivot_scores_inf(self):
         # A zero pivot means a singular system, which has no head.
