@@ -1,9 +1,18 @@
-"""Command line interface: train, predict, evaluate, tune, synth, trajectory."""
+"""Command line interface: train, predict, evaluate, tune, synth, trajectory.
+
+Importing this module loads only what ``predict`` and ``evaluate`` run.
+The names that training, tuning, synthesis and trajectories need are
+listed in ``_DEFERRED`` and resolved through the package's lazy exports
+on first access (PEP 562).  The commands read them as attributes of this
+module when they are called, so wrappers installed on it by profilers or
+tracers are the ones called.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -11,10 +20,19 @@ from pathlib import Path
 import numpy as np
 
 from . import serialization
+from .choices import (
+    ALL_VARIANTS,
+    DEFAULT_CHECKPOINTS,
+    DEFAULT_L2_WEIGHTS,
+    DEFAULT_RULE_COUNTS,
+    DEFAULT_SHRINKAGES,
+    HEAD_MULTI,
+    HEAD_SINGLE,
+    SCENARIOS,
+)
 from .dataio import load_arff, load_csv, save_arff
 from .dataset import Dataset
 from .errors import ConfigError, RuleBoostError
-from .heads import HEAD_MULTI, HEAD_SINGLE
 from .losses import EXAMPLE_WISE_LOGISTIC, LABEL_WISE_LOGISTIC
 from .metrics import evaluate_predictions
 from .prediction import (
@@ -24,16 +42,27 @@ from .prediction import (
     default_decode_method,
 )
 from .rules import Ensemble, check_label_names, ensemble_scores
-from .synthetic import SCENARIOS, SyntheticConfig, SyntheticProcess, generate
-from .trajectory import ALL_VARIANTS, DEFAULT_CHECKPOINTS, run_trajectory
-from .training import TrainConfig, train
-from .tuning import (
-    DEFAULT_L2_WEIGHTS,
-    DEFAULT_RULE_COUNTS,
-    DEFAULT_SHRINKAGES,
-    GridSearchConfig,
-    grid_search,
-)
+
+# The names only the training-side commands use.
+_DEFERRED = frozenset({
+    "TrainConfig", "train", "SyntheticConfig", "SyntheticProcess", "generate",
+    "run_trajectory", "GridSearchConfig", "grid_search",
+})
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value
+    return value
+
+
+def _deferred(*names: str) -> list:
+    """This module's current ``names``, importing their modules on first use."""
+    module = sys.modules[__name__]
+    return [getattr(module, name) for name in names]
+
 
 LOSS_CHOICES = (LABEL_WISE_LOGISTIC, EXAMPLE_WISE_LOGISTIC)
 HEAD_CHOICES = (HEAD_SINGLE, HEAD_MULTI)
@@ -81,6 +110,7 @@ def _decode_predictions(ensemble: Ensemble, dataset: Dataset, method: str | None
 
 
 def _cmd_train(args) -> int:
+    TrainConfig, train = _deferred("TrainConfig", "train")
     dataset = _load_dataset(args.data, args.labels)
     config = TrainConfig(
         loss=args.loss,
@@ -134,6 +164,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    GridSearchConfig, grid_search = _deferred("GridSearchConfig", "grid_search")
     dataset = _load_dataset(args.data, args.labels)
     config = GridSearchConfig(
         loss=args.loss,
@@ -163,6 +194,9 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    SyntheticConfig, SyntheticProcess, generate = _deferred(
+        "SyntheticConfig", "SyntheticProcess", "generate"
+    )
     config = SyntheticConfig(
         scenario=args.scenario,
         n_examples=args.n,
@@ -189,6 +223,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
+    SyntheticConfig, generate, run_trajectory = _deferred(
+        "SyntheticConfig", "generate", "run_trajectory"
+    )
     config = SyntheticConfig(
         scenario=args.scenario,
         n_examples=args.n,
@@ -323,5 +360,40 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Process entry of ``ruleboost`` and ``python -m ruleboost.cli``: ``main``, then exit.
+
+    After flushing stdout and stderr it leaves with ``os._exit``, skipping
+    the interpreter's teardown, which frees every loaded module and
+    object only for the process to end.  Every file the commands write
+    is closed before ``main`` returns.  A process that a tracer or
+    profiler watches, or whose flush fails, exits normally instead, so
+    that they report as they always do.
+    """
+    status = main()
+    if not _observed():
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except OSError:
+            pass
+        else:
+            os._exit(status)
+    sys.exit(status)
+
+
+def _observed() -> bool:
+    """Whether a tracer or profiler is set.
+
+    It is set by ``sys.settrace`` or ``sys.setprofile`` or, from Python
+    3.12, where cProfile and coverage use it, as a ``sys.monitoring`` tool.
+    """
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    # Tool ids 0-5 are the debugger, coverage, profiler, two spare ids and the optimizer.
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

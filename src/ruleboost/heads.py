@@ -36,13 +36,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .choices import HEAD_MULTI, HEAD_SINGLE
 from .dataset import Dataset
 from .errors import SolverError
 from .losses import GradHessStore
 from .rules import Body, Head, body_mask
-
-HEAD_SINGLE = "single"
-HEAD_MULTI = "multi"
 
 # A Cholesky pivot below this fraction of its diagonal entry marks a
 # nearly singular system; such a candidate is scored by LU instead, whose

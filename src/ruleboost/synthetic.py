@@ -24,13 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choices import CONDITIONAL_DEPENDENCE, MARGINAL_DEPENDENCE, MARGINAL_INDEPENDENCE, SCENARIOS
 from .dataset import NUMERIC, Attribute, AttributeSchema, Dataset
 from .errors import ConfigError
-
-MARGINAL_INDEPENDENCE = "marginal_independence"
-MARGINAL_DEPENDENCE = "marginal_dependence"
-CONDITIONAL_DEPENDENCE = "conditional_dependence"
-SCENARIOS = (MARGINAL_INDEPENDENCE, MARGINAL_DEPENDENCE, CONDITIONAL_DEPENDENCE)
 
 _STREAM_BOUNDARIES = 100
 _STREAM_TRAIN = 101

@@ -23,36 +23,16 @@ from functools import partial
 
 import numpy as np
 
+# The variants are defined beside the command line's choices; this module
+# re-exports them with the walk that runs them.
+from .choices import ALL_VARIANTS, DEFAULT_CHECKPOINTS, HEAD_MULTI, TrajectoryVariant
 from .dataset import Dataset
 from .errors import ConfigError, RuleBoostError
-from .heads import HEAD_MULTI, HEAD_SINGLE
-from .losses import EXAMPLE_WISE_LOGISTIC, LABEL_WISE_LOGISTIC
+from .losses import EXAMPLE_WISE_LOGISTIC
 from .metrics import hamming_loss, subset_zero_one_loss
 from .prediction import decode_scores, default_decode_method
 from .rules import Ensemble, add_head, body_mask
 from .training import TrainConfig, train
-
-DEFAULT_CHECKPOINTS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000)
-
-_LOSS_TAGS = {LABEL_WISE_LOGISTIC: "lwlog", EXAMPLE_WISE_LOGISTIC: "exwlog"}
-
-
-@dataclass(frozen=True)
-class TrajectoryVariant:
-    loss: str
-    head_mode: str
-
-    @property
-    def name(self) -> str:
-        return f"{_LOSS_TAGS.get(self.loss, self.loss)}-{self.head_mode}"
-
-
-ALL_VARIANTS = (
-    TrajectoryVariant(LABEL_WISE_LOGISTIC, HEAD_SINGLE),
-    TrajectoryVariant(LABEL_WISE_LOGISTIC, HEAD_MULTI),
-    TrajectoryVariant(EXAMPLE_WISE_LOGISTIC, HEAD_SINGLE),
-    TrajectoryVariant(EXAMPLE_WISE_LOGISTIC, HEAD_MULTI),
-)
 
 
 @dataclass(frozen=True)

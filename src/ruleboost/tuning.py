@@ -12,9 +12,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .choices import DEFAULT_L2_WEIGHTS, DEFAULT_RULE_COUNTS, DEFAULT_SHRINKAGES, HEAD_MULTI
 from .dataset import Dataset
 from .errors import ConfigError, RuleBoostError
-from .heads import HEAD_MULTI
 from .losses import LOSSES
 from .metrics import hamming_loss, subset_zero_one_loss
 from .prediction import decode_scores, default_decode_method
@@ -24,10 +24,6 @@ from .trajectory import staged_scores
 _STREAM_SPLIT = 200
 
 METRICS = {"hamming": hamming_loss, "subset01": subset_zero_one_loss}
-
-DEFAULT_SHRINKAGES = (0.1, 0.3, 0.5)
-DEFAULT_L2_WEIGHTS = (0.0, 0.25, 1.0, 4.0, 16.0, 64.0)
-DEFAULT_RULE_COUNTS = tuple(range(50, 10001, 50))
 
 
 @dataclass(frozen=True)

@@ -116,11 +116,12 @@ class TestTrainPredictEvaluate:
 
 
 # Serves with both decoders and evaluates, then prints the loaded modules
-# of the packages named after the file arguments.
+# named by the prefixes after the file arguments: a package ("scipy") or a
+# dotted module ("ruleboost.training"), each with its submodules.
 SERVE_LOADED_MODULES = """
 import sys
 import ruleboost.cli
-data, model, out, *packages = sys.argv[1:]
+data, model, out, *prefixes = sys.argv[1:]
 for argv in (
     ["predict", "--data", data, "--labels", "3", "--model", model, "--output", out],
     ["predict", "--data", data, "--labels", "3", "--model", model, "--output", out,
@@ -128,8 +129,18 @@ for argv in (
     ["evaluate", "--data", data, "--labels", "3", "--model", model],
 ):
     assert ruleboost.cli.main(argv) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] in packages))
+print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in prefixes)))
 """
+
+# The modules that only training, tuning, trajectories and synthesis use.
+TRAINING_STACK = (
+    "ruleboost.heads",
+    "ruleboost.induction",
+    "ruleboost.training",
+    "ruleboost.trajectory",
+    "ruleboost.tuning",
+    "ruleboost.synthetic",
+)
 
 
 TRAIN_WITHOUT_SCIPY = """
@@ -147,14 +158,19 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def _run_with_src(script, *args):
+def _python(*args, text=False):
+    """``python args`` with the tested package first on the path, its output captured."""
     src = str(Path(ruleboost.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", script, *map(str, args)],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *map(str, args)],
+        env=env, capture_output=True, text=text, timeout=120,
     )
+
+
+def _run_with_src(script, *args):
+    return _python("-c", script, *args, text=True)
 
 
 class TestServingImports:
@@ -170,6 +186,92 @@ class TestServingImports:
                                tmp_path / "predictions.csv", "multiprocessing", "concurrent")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_predict_and_evaluate_do_not_load_the_training_stack(self, synth_dir, model_path,
+                                                                 tmp_path):
+        result = _run_with_src(SERVE_LOADED_MODULES, synth_dir / "test.arff", model_path,
+                               tmp_path / "predictions.csv", *TRAINING_STACK)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_importing_the_package_loads_no_submodule(self):
+        result = _run_with_src(
+            "import sys, ruleboost; print(sorted(m for m in sys.modules if m.startswith('ruleboost.')))"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+
+def _run_cli(*args):
+    """``python -m ruleboost.cli args``, its stdout read through a pipe."""
+    return _python("-m", "ruleboost.cli", *args)
+
+
+# Runs the process entry on the arguments after the script, with an exit
+# handler that reports whether the interpreter's teardown ran.
+ENTRY_WITH_EXIT_HANDLER = """
+import atexit, sys
+from ruleboost import cli
+atexit.register(print, "teardown ran")
+if sys.argv[1] == "traced":
+    sys.settrace(lambda *args: None)
+sys.argv[1:2] = []
+cli.run()
+"""
+
+
+class TestProcessEntry:
+    def test_piped_stdout_matches_the_output_file(self, synth_dir, model_path, tmp_path):
+        data = ["--data", synth_dir / "test.arff", "--labels", "3", "--model", model_path]
+        for method in ("sign", "known-vectors"):
+            out = tmp_path / f"{method}.csv"
+            written = _run_cli("predict", *data, "--decode", method, "--output", out)
+            assert written.returncode == 0, written.stderr
+            piped = _run_cli("predict", *data, "--decode", method)
+            assert piped.returncode == 0, piped.stderr
+            assert piped.stdout == out.read_bytes()
+            assert piped.stderr == b""
+
+    def test_missing_model_exits_1_with_one_error_line(self, synth_dir, tmp_path):
+        result = _run_cli("predict", "--data", synth_dir / "test.arff", "--labels", "3",
+                          "--model", tmp_path / "absent.json")
+        assert result.returncode == 1
+        assert result.stdout == b""
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+
+    def test_unknown_option_exits_2_with_usage(self, synth_dir, model_path):
+        result = _run_cli("predict", "--data", synth_dir / "test.arff", "--labels", "3",
+                          "--model", model_path, "--no-such-option")
+        assert result.returncode == 2
+        err = result.stderr.decode()
+        assert err.startswith("usage: ruleboost ")
+        assert "error: unrecognized arguments: --no-such-option" in err
+
+    def test_profiled_run_prints_its_profile(self, synth_dir, model_path, tmp_path):
+        out = tmp_path / "predictions.csv"
+        result = _python("-m", "cProfile", "-s", "cumulative", "-m", "ruleboost.cli", "predict",
+                         "--data", synth_dir / "test.arff", "--labels", "3",
+                         "--model", model_path, "--output", out)
+        assert result.returncode == 0, result.stderr
+        text = result.stdout.decode()
+        assert "wrote 200 predictions" in text
+        assert "function calls" in text and "Ordered by: cumulative time" in text
+        assert len(out.read_text().splitlines()) == 201
+
+    @pytest.mark.parametrize("mode,teardown", [("plain", False), ("traced", True)])
+    def test_teardown_is_skipped_unless_traced(self, synth_dir, model_path, tmp_path, mode,
+                                               teardown):
+        out = tmp_path / "predictions.csv"
+        result = _python("-c", ENTRY_WITH_EXIT_HANDLER, mode, "predict",
+                         "--data", synth_dir / "test.arff", "--labels", "3",
+                         "--model", model_path, "--output", out)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.decode().splitlines()
+        assert lines[0].startswith("wrote 200 predictions")
+        assert ("teardown ran" in lines) == teardown
+        assert len(out.read_text().splitlines()) == 201
 
 
 class TestTrainingImports:

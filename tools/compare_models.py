@@ -24,12 +24,19 @@ benchmark's ``trajectory-4v`` workload (conditional_dependence, n = 2000,
 6 labels, noise 0.1, ``--seed 0``, checkpoints 1,2,4,8,16,32,50), and the
 script compares the four series CSVs byte for byte.
 
-It exits 1 when any model or series differs.
+Last, each tree runs ``python -m ruleboost.cli`` as a process: ``--help``
+of the program and of every subcommand, and ``predict`` with both
+decoders on one model and test file (written by the parent tree), its
+CSV read from stdout through a pipe.  The script compares their stdout,
+stderr and exit codes byte for byte.
+
+It exits 1 when any model, series or command line output differs.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -53,6 +60,8 @@ TRAJECTORY_ARGS = (
     "trajectory", "--scenario", "conditional_dependence", "--n", "2000", "--labels", "6",
     "--noise", "0.1", "--seed", "0", "--checkpoints", "1,2,4,8,16,32,50",
 )
+SUBCOMMANDS = ("train", "predict", "evaluate", "tune", "synth", "trajectory")
+DECODERS = ("sign", "known-vectors")
 
 
 def _tie_heavy(dataset, seed):
@@ -118,6 +127,36 @@ def _series_of(src: str) -> dict[str, bytes]:
         return {path.name: path.read_bytes() for path in sorted(Path(out).glob("*.csv"))}
 
 
+def _cli(src: str, *args: str) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of ``python -m ruleboost.cli args`` with the package in ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run([sys.executable, "-m", "ruleboost.cli", *args], env=env,
+                               capture_output=True, check=False)
+    return completed.returncode, completed.stdout, completed.stderr
+
+
+def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
+    """Each tree's ``--help`` texts and piped ``predict`` outputs, by command line."""
+    with tempfile.TemporaryDirectory() as work:
+        data, model = Path(work) / "data", Path(work) / "model.json"
+        for args in (
+            ("synth", "--scenario", "marginal_dependence", "--n", str(N_EXAMPLES),
+             "--labels", str(N_LABELS), "--out", str(data)),
+            ("train", "--data", str(data / "train.arff"), "--labels", str(N_LABELS),
+             "--loss", "example-wise-logistic", "--rules", str(N_RULES), "--model", str(model)),
+        ):
+            status, _, stderr = _cli(parent_src, *args)
+            if status != 0:
+                raise SystemExit(f"ruleboost {args[0]} under {parent_src} failed:\n"
+                                 f"{stderr.decode(errors='replace')}")
+        commands = [("--help",)] + [(command, "--help") for command in SUBCOMMANDS]
+        commands += [("predict", "--decode", method, "--data", str(data / "test.arff"),
+                      "--labels", str(N_LABELS), "--model", str(model)) for method in DECODERS]
+        return tuple({" ".join(args[:3]): _cli(src, *args) for args in commands}
+                     for src in (parent_src, change_src))
+
+
 def _bodies_and_heads(model: str):
     document = json.loads(model)
     bodies = [json.dumps(rule["conditions"]) for rule in document["rules"]]
@@ -175,7 +214,15 @@ def compare(parent_src: str, change_src: str) -> int:
     for name in parent_series:
         if name not in same_series:
             print(f"  {name} differs")
-    return 0 if identical == total and len(same_series) == len(parent_series) else 1
+    parent_cli, change_cli = _cli_outputs(parent_src, change_src)
+    same_cli = [name for name in parent_cli if parent_cli[name] == change_cli[name]]
+    print(f"command line outputs byte-identical: {len(same_cli)}/{len(parent_cli)}")
+    for name in parent_cli:
+        if name not in same_cli:
+            print(f"  ruleboost {name} differs")
+    same = (identical == total, len(same_series) == len(parent_series),
+            len(same_cli) == len(parent_cli))
+    return 0 if all(same) else 1
 
 
 def main(argv=None) -> int:
