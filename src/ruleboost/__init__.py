@@ -17,6 +17,7 @@ _EXPORTS = {
         "SCENARIOS",
         "TrajectoryVariant",
     ),
+    "dataio": ("load_arff", "load_csv", "save_arff"),
     "dataset": ("Attribute", "AttributeSchema", "Dataset", "Example"),
     "errors": (
         "ConfigError",

@@ -1,17 +1,19 @@
 """Command line interface: train, predict, evaluate, tune, synth, trajectory.
 
-Importing this module loads only what ``predict`` and ``evaluate`` run.
-The names that training, tuning, synthesis and trajectories need are
-listed in ``_DEFERRED`` and resolved through the package's lazy exports
-on first access (PEP 562).  The commands read them as attributes of this
-module when they are called, so wrappers installed on it by profilers or
-tracers are the ones called.
+Importing this module loads the argument parser and the model's
+in-memory types, and no command's file handling or training code.  The
+names the commands use beyond that are listed in ``_DEFERRED`` and
+resolved through the package's lazy exports on first access (PEP 562):
+the file readers and writers (``dataio``, ``serialization``) as well as
+training, tuning, synthesis and trajectories.  The commands read them as
+attributes of this module when they are called, so wrappers installed on
+it by profilers or tracers are the ones called.  ``json`` is imported by
+the commands that write it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -19,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import serialization
 from .choices import (
     ALL_VARIANTS,
     DEFAULT_CHECKPOINTS,
@@ -30,7 +31,6 @@ from .choices import (
     HEAD_SINGLE,
     SCENARIOS,
 )
-from .dataio import load_arff, load_csv, save_arff
 from .dataset import Dataset
 from .errors import ConfigError, RuleBoostError
 from .losses import EXAMPLE_WISE_LOGISTIC, LABEL_WISE_LOGISTIC
@@ -43,8 +43,9 @@ from .prediction import (
 )
 from .rules import Ensemble, check_label_names, ensemble_scores
 
-# The names only the training-side commands use.
+# The names that not every command uses: file input and output, and training.
 _DEFERRED = frozenset({
+    "load_arff", "load_csv", "save_arff", "serialization",
     "TrainConfig", "train", "SyntheticConfig", "SyntheticProcess", "generate",
     "run_trajectory", "GridSearchConfig", "grid_search",
 })
@@ -60,8 +61,8 @@ def __getattr__(name: str):
 
 def _deferred(*names: str) -> list:
     """This module's current ``names``, importing their modules on first use."""
-    module = sys.modules[__name__]
-    return [getattr(module, name) for name in names]
+    namespace = globals()
+    return [namespace[name] if name in namespace else __getattr__(name) for name in names]
 
 
 LOSS_CHOICES = (LABEL_WISE_LOGISTIC, EXAMPLE_WISE_LOGISTIC)
@@ -77,10 +78,8 @@ def _parse_labels(spec: str):
 
 def _load_dataset(path: str, labels_spec: str) -> Dataset:
     labels = _parse_labels(labels_spec)
-    suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        return load_csv(path, labels)
-    return load_arff(path, labels)
+    (load,) = _deferred("load_csv" if Path(path).suffix.lower() == ".csv" else "load_arff")
+    return load(path, labels)
 
 
 def _float_list(spec: str) -> tuple[float, ...]:
@@ -110,7 +109,7 @@ def _decode_predictions(ensemble: Ensemble, dataset: Dataset, method: str | None
 
 
 def _cmd_train(args) -> int:
-    TrainConfig, train = _deferred("TrainConfig", "train")
+    TrainConfig, train, serialization = _deferred("TrainConfig", "train", "serialization")
     dataset = _load_dataset(args.data, args.labels)
     config = TrainConfig(
         loss=args.loss,
@@ -132,6 +131,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    (serialization,) = _deferred("serialization")
     ensemble = serialization.load(args.model)
     dataset = _load_dataset(args.data, args.labels)
     predicted, method = _decode_predictions(ensemble, dataset, args.decode)
@@ -149,6 +149,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    (serialization,) = _deferred("serialization")
     ensemble = serialization.load(args.model)
     dataset = _load_dataset(args.data, args.labels)
     check_label_names(ensemble, dataset)
@@ -159,6 +160,8 @@ def _cmd_evaluate(args) -> int:
     for key, value in report.items():
         print(f"{key}={value}")
     if args.json:
+        import json
+
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 
@@ -181,6 +184,8 @@ def _cmd_tune(args) -> int:
     print(f"best: rules={best.n_rules} shrinkage={best.shrinkage} l2={best.l2_weight}")
     print(f"metric={report.metric}")
     if args.json:
+        import json
+
         payload = report.to_dict()
         payload["best"] = {
             "n_rules": best.n_rules,
@@ -194,8 +199,10 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    SyntheticConfig, SyntheticProcess, generate = _deferred(
-        "SyntheticConfig", "SyntheticProcess", "generate"
+    import json
+
+    SyntheticConfig, SyntheticProcess, generate, save_arff = _deferred(
+        "SyntheticConfig", "SyntheticProcess", "generate", "save_arff"
     )
     config = SyntheticConfig(
         scenario=args.scenario,

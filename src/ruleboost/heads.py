@@ -212,8 +212,11 @@ def _cholesky_objectives(gradients: np.ndarray, packed: np.ndarray, l2_weight: f
     size = starts[-1]
     workspace = ScanWorkspace() if workspace is None else workspace
     work = workspace.array("cholesky", (size + 3 * n_labels + 1, n_candidates))
-    a, limits, factor, product, root = np.split(
-        work, [size, size + n_labels, size + 2 * n_labels, size + 3 * n_labels])
+    a = work[:size]
+    limits = work[size : size + n_labels]
+    factor = work[size + n_labels : size + 2 * n_labels]
+    product = work[size + 2 * n_labels : size + 3 * n_labels]
+    root = work[size + 3 * n_labels :]
     a[hessian_positions] = packed.T
     a[gradient_positions] = gradients.T
     a[-1] = 0.0

@@ -18,12 +18,14 @@ entries (w = 2l), otherwise the l(l+1)/2 entries of the upper triangle,
 row by row (``heads.packed_indices``; w = l + l(l+1)/2).  Each loss
 writes the table rows of a batch in one pass (``derivative_table``) with
 the expressions ``gradient_batch`` and ``hessian_batch`` use, so the
-entries are theirs bit for bit.
+entries are theirs bit for bit.  After each rule the store gathers the
+covered rows' labels and scores and writes their new table rows into
+buffers it keeps across rounds, then scatters those rows into the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,13 +84,13 @@ class LabelWiseLogisticLoss:
         # expit(z) * expit(-z) keeps tiny curvatures instead of rounding to 0.
         return expit(z) * expit(-z)
 
-    def derivative_table(self, y, q) -> np.ndarray:
-        """[gradients | Hessian diagonals] of every row, shape (n, 2l)."""
+    def derivative_table(self, y, q, out=None) -> np.ndarray:
+        """[gradients | Hessian diagonals] of every row, shape (n, 2l), into ``out`` if given."""
         y, q = _as_batch(y, q)
         n_labels = y.shape[1]
         z = -y * q
         positive = expit(z)
-        table = np.empty((y.shape[0], 2 * n_labels))
+        table = np.empty((y.shape[0], 2 * n_labels)) if out is None else out
         np.multiply(-y, positive, out=table[:, :n_labels])
         np.multiply(positive, expit(-z), out=table[:, n_labels:])
         return table
@@ -139,18 +141,19 @@ class ExampleWiseLogisticLoss:
         h[:, idx, idx] += w
         return h
 
-    def derivative_table(self, y, q) -> np.ndarray:
+    def derivative_table(self, y, q, out=None) -> np.ndarray:
         """[gradients | packed upper-triangle Hessians] of every row, shape (n, l + l(l+1)/2).
 
         One weight computation serves both parts.  Row j of the upper
         triangle holds -u_j u_k for k >= j, plus w_j on the diagonal, as in
-        ``hessian_batch``.
+        ``hessian_batch``.  The table is written into ``out`` if given.
         """
         y, q = _as_batch(y, q)
         n_labels = y.shape[1]
         w = self._weights(y, q)
         u = y * w
-        table = np.empty((y.shape[0], n_labels + n_labels * (n_labels + 1) // 2))
+        width = n_labels + n_labels * (n_labels + 1) // 2
+        table = np.empty((y.shape[0], width)) if out is None else out
         np.multiply(-y, w, out=table[:, :n_labels])
         start = n_labels
         for j in range(n_labels):
@@ -201,6 +204,8 @@ class GradHessStore:
     table: np.ndarray
     n_labels: int
     diagonal: bool
+    # (n, width) float buffers that ``recompute`` reuses across rounds, by name.
+    _buffers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_examples(self) -> int:
@@ -215,11 +220,26 @@ class GradHessStore:
         return self.table[:, self.n_labels :]
 
     def recompute(self, loss, labels: np.ndarray, scores: np.ndarray, rows=None):
-        """Refresh gradients/Hessians of the given rows at the given scores."""
+        """Refresh gradients/Hessians of the given rows (all rows if None) at the given scores.
+
+        The rows' labels, scores and new table rows go into the store's
+        buffers, so a round allocates no table of its own.
+        """
         if rows is None:
-            rows = slice(None)
-        labels = np.asarray(labels[rows], dtype=np.float64)
-        self.table[rows] = loss.derivative_table(labels, scores[rows])
+            loss.derivative_table(labels, scores, out=self.table)
+            return
+        y = self._rows("labels", self.n_labels, len(rows))
+        y[...] = labels[rows]
+        q = np.take(scores, rows, axis=0, out=self._rows("scores", self.n_labels, len(rows)))
+        self.table[rows] = loss.derivative_table(
+            y, q, out=self._rows("table", self.table.shape[1], len(rows)))
+
+    def _rows(self, name: str, width: int, n_rows: int) -> np.ndarray:
+        """The first ``n_rows`` rows of the (n, width) buffer kept under ``name``."""
+        buffer = self._buffers.get(name)
+        if buffer is None:
+            buffer = self._buffers[name] = np.empty((self.n_examples, width))
+        return buffer[:n_rows]
 
 
 def init_store(loss, dataset: Dataset) -> GradHessStore:

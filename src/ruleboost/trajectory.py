@@ -8,16 +8,23 @@ checkpoints is exact.  ``staged_scores`` is that prefix walk; holdout
 tuning walks its rule-count axis with it too.
 
 The variants are independent, separately seeded runs, so
-``run_trajectory`` trains them in parallel: one forked worker process per
-usable CPU, up to the number of variants.  With one variant, one usable
-CPU or no ``fork`` start method, it trains them one after another in
-this process.  Either way each variant runs the same function on the
-same inputs, so every series is bit-identical to serial training.
+``run_trajectory`` trains them in parallel over W = min(variants, usable
+CPUs) shares.  Variants are dealt longest first, in snake order, so the
+longest lands in the first share.  Each share but the last runs in one
+bare ``os.fork()`` child, which pickles its series into a pipe and leaves
+with ``os._exit``; the calling process trains the last share itself, then
+collects the children.  With one variant, one usable CPU or no
+``os.fork``, it trains them one after another in this process.  Either
+way each variant runs the same function on the same inputs, so every
+series is bit-identical to serial training.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 from functools import partial
 
@@ -97,12 +104,11 @@ def run_trajectory(
     ]
     work = partial(_variant_points, train_data=train_data, test_data=test_data,
                    checkpoints=checkpoints)
-    workers = min(len(configs), _usable_cpus())
-    context = _fork_context() if workers > 1 else None
-    if context is None:
+    shares = _deal(configs, min(len(configs), _usable_cpus()))
+    if len(shares) == 1 or not hasattr(os, "fork"):
         all_points = [work(config) for config in configs]
     else:
-        all_points = _map_in_workers(work, configs, context, workers)
+        all_points = _map_in_forks(work, configs, shares)
     return {variant.name: points for variant, points in zip(variants, all_points)}
 
 
@@ -132,41 +138,99 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_context():
-    """The ``fork`` multiprocessing context, or None where the platform has none.
+def _deal(configs, n_shares: int) -> list[list[int]]:
+    """Indices of ``configs`` in ``n_shares`` shares, dealt longest first in snake order.
 
-    Imported here, so that commands that never train several variants do
-    not load multiprocessing.
+    Dense example-wise Hessians take longer than diagonal ones and
+    all-label heads longer than single-label ones, so with two shares of
+    the four variants the first holds exwlog-multi and lwlog-single.
     """
-    import multiprocessing
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
-
-
-def _map_in_workers(work, configs, context, workers) -> list:
-    """``[work(c) for c in configs]``, computed in forked worker processes.
-
-    Forked workers inherit the loaded modules, so none pays numpy's import
-    again.  Variants are submitted longest first (dense example-wise
-    Hessians before diagonal ones, all-label heads before single-label
-    ones), so the longest run does not start last.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
     def expected_cost(i):
         return (configs[i].loss != EXAMPLE_WISE_LOGISTIC, configs[i].head_mode != HEAD_MULTI)
 
-    pool = ProcessPoolExecutor(workers, mp_context=context)
+    shares: list[list[int]] = [[] for _ in range(n_shares)]
+    for position, i in enumerate(sorted(range(len(configs)), key=expected_cost)):
+        turn, seat = divmod(position, n_shares)
+        shares[seat if turn % 2 == 0 else n_shares - 1 - seat].append(i)
+    return shares
+
+
+def _map_in_forks(work, configs, shares) -> list:
+    """``[work(c) for c in configs]``: each share but the last in a forked child, the last here.
+
+    Children inherit the loaded modules and the data, so none imports or
+    receives anything.  The caller reads each child's pipe to its end and
+    reaps the child; whatever this process raises, its own share's error
+    included, first kills and reaps every child still running.
+    """
+    results = [None] * len(configs)
+    children: dict[int, int] = {}  # pid -> read end of its pipe
     try:
-        futures = {i: pool.submit(work, configs[i])
-                   for i in sorted(range(len(configs)), key=expected_cost)}
-        return [futures[i].result() for i in range(len(configs))]
-    except BrokenProcessPool as exc:
-        raise RuleBoostError(
-            f"a trajectory worker exited before returning its series ({exc})"
-        ) from exc
+        for share in shares[:-1]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _run_child(work, configs, share, write_end)
+            os.close(write_end)
+            children[pid] = read_end
+        for i in shares[-1]:
+            results[i] = work(configs[i])
+        outcomes = []
+        for pid, read_end in list(children.items()):
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            outcomes.append((payload, os.waitpid(pid, 0)[1]))
+            os.close(children.pop(pid))
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, read_end in children.items():
+            os.close(read_end)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    for share, (payload, status) in zip(shares, outcomes):
+        code = os.waitstatus_to_exitcode(status)
+        if not payload or code != 0:
+            ended = f"exit code {code}" if code >= 0 else f"signal {-code}"
+            raise RuleBoostError(
+                f"a trajectory worker exited before returning its series ({ended})"
+            )
+        kind, value = pickle.loads(payload)
+        if kind == "error":
+            raise value
+        for i, points in zip(share, value):
+            results[i] = points
+    return results
+
+
+def _run_child(work, configs, share, write_end) -> None:
+    """Train ``share`` and pickle ``("ok", series)`` or ``("error", exc)`` into the pipe.
+
+    It never returns: ``os._exit`` ends the child without flushing the
+    stdio buffers it shares with its parent, running ``atexit`` handlers
+    or unwinding into the parent's stack.  An exception that does not
+    survive pickling arrives as a ``RuleBoostError`` naming its type.
+    """
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps(("ok", [work(configs[i]) for i in share]))
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps(("error", exc))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps(("error", RuleBoostError(
+                    f"a trajectory worker raised {type(exc).__name__}: {exc}")))
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)

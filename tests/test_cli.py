@@ -132,6 +132,17 @@ for argv in (
 print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in prefixes)))
 """
 
+# Writes the trajectories of the four variants into the directory given
+# first, then prints the loaded modules named by the prefixes after it.
+TRAJECTORY_LOADED_MODULES = """
+import sys
+import ruleboost.cli
+out, *prefixes = sys.argv[1:]
+assert ruleboost.cli.main(["trajectory", "--scenario", "marginal_dependence", "--n", "120",
+                           "--labels", "3", "--checkpoints", "1,2,4", "--out", out]) == 0
+print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in prefixes)))
+"""
+
 # The modules that only training, tuning, trajectories and synthesis use.
 TRAINING_STACK = (
     "ruleboost.heads",
@@ -280,6 +291,16 @@ class TestTrainingImports:
                                tmp_path / "model.json", tmp_path / "series")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
+    def test_trajectory_loads_no_file_formats_or_process_pools(self, tmp_path):
+        """Its data is generated in-process, its series written as plain text, its forks bare."""
+        result = _run_with_src(TRAJECTORY_LOADED_MODULES, tmp_path / "series",
+                               "ruleboost.dataio", "ruleboost.serialization", "csv", "json",
+                               "multiprocessing", "concurrent")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "[]"
+        assert len(list((tmp_path / "series").glob("trajectory_*.csv"))) == 4
 
 
 class TestTune:

@@ -373,3 +373,17 @@ class TestDerivativeTable:
             expected = _expected_table(loss, labels.astype(float), scores)
             assert store.table.tobytes() == expected.tobytes()
         assert np.abs(scores).max() > 700.0
+
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.loss_id)
+    @pytest.mark.parametrize("n_labels", [1, 2, 6])
+    def test_table_written_into_out_equals_a_fresh_one(self, loss, n_labels, rng):
+        y = rng.choice([-1.0, 1.0], size=(300, n_labels))
+        width = n_labels + (n_labels if loss.decomposable else n_labels * (n_labels + 1) // 2)
+        # A buffer with more rows than the batch, holding earlier values and NaNs.
+        buffer = np.full((400, width), np.nan)
+        for q in (rng.normal(0.0, 2.0, size=y.shape), _extreme_scores(rng, y.shape)):
+            out = buffer[:300]
+            written = loss.derivative_table(y, q, out=out)
+            assert written is out
+            assert out.tobytes() == loss.derivative_table(y, q).tobytes()
+        assert np.isnan(buffer[300:]).all()

@@ -8,6 +8,7 @@ import ruleboost
 
 # The names ``ruleboost`` exports, by the module each was first imported from.
 EXPORTS = {
+    "dataio": ("load_arff", "load_csv", "save_arff"),
     "dataset": ("Attribute", "AttributeSchema", "Dataset", "Example"),
     "errors": ("ConfigError", "InductionError", "ParseError", "RuleBoostError", "SchemaError",
                "SolverError", "UnsupportedVersionError"),

@@ -1,7 +1,7 @@
 """Checkpointed trajectory evaluation with exact prefix semantics."""
 
-import multiprocessing
 import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +14,13 @@ from ruleboost.metrics import hamming_loss, subset_zero_one_loss
 from ruleboost.prediction import decode_scores, default_decode_method
 from ruleboost.rules import ensemble_scores
 from ruleboost.synthetic import SyntheticConfig, generate
-from ruleboost.trajectory import ALL_VARIANTS, TrajectoryVariant, run_trajectory, staged_scores
+from ruleboost.trajectory import (
+    ALL_VARIANTS,
+    TrajectoryPoint,
+    TrajectoryVariant,
+    run_trajectory,
+    staged_scores,
+)
 from ruleboost.training import TrainConfig, train
 
 
@@ -102,7 +108,7 @@ def use_cpus(monkeypatch, cpus):
 
 
 def check_before_training(monkeypatch, check):
-    """Patch ``trajectory.train`` to call ``check(config)`` first; forked workers inherit it."""
+    """Patch ``trajectory.train`` to call ``check(config)`` first; forked children inherit it."""
     original = trajectory.train
 
     def patched(data, config):
@@ -124,16 +130,29 @@ def raise_solver_error():
     raise SolverError("head system of exwlog-multi is singular")
 
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
-)
+def no_child_left():
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
 @needs_fork
 class TestParallelTraining:
     @pytest.mark.parametrize("l2_weight", [0.0, 1.0])
+    @pytest.mark.parametrize("cpus,callers_share", [
+        ({0, 1}, {"exwlog-single", "lwlog-multi"}),
+        ({0, 1, 2}, {"lwlog-multi", "lwlog-single"}),
+    ], ids=["2cpus", "3cpus"])
     def test_parallel_series_equal_serial_in_callers_order(self, small_data, monkeypatch,
-                                                           l2_weight):
+                                                           tmp_path, l2_weight, cpus,
+                                                           callers_share):
+        """The caller trains the last share; each other share trains in its own child."""
         train_data, test_data = small_data
         orders = (ALL_VARIANTS, ALL_VARIANTS[::-1])
 
@@ -143,18 +162,27 @@ class TestParallelTraining:
 
         use_cpus(monkeypatch, {0})
         serial = run_all()
-        use_cpus(monkeypatch, {0, 1})
-        caller = os.getpid()
+        use_cpus(monkeypatch, cpus)
+        log = tmp_path / "trained.txt"
+        names = {(v.loss, v.head_mode): v.name for v in ALL_VARIANTS}
 
-        def in_a_worker(config):
-            if os.getpid() == caller:
-                raise AssertionError("a variant was trained in the calling process")
+        def record(config):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {names[config.loss, config.head_mode]}\n")
 
-        check_before_training(monkeypatch, in_a_worker)
-        parallel = run_all()
-        for variants, expected, series in zip(orders, serial, parallel):
+        check_before_training(monkeypatch, record)
+        for variants, expected in zip(orders, serial):
+            log.unlink(missing_ok=True)
+            series = run_trajectory(train_data, test_data, variants, [1, 2, 4, 8],
+                                    l2_weight=l2_weight, seed=5)
             assert list(series) == [v.name for v in variants]
             assert list(series.items()) == list(expected.items())
+            trained = [line.split() for line in log.read_text().splitlines()]
+            assert sorted(name for _, name in trained) == sorted(names.values())
+            assert {name for pid, name in trained if int(pid) == os.getpid()} == callers_share
+            children = {int(pid) for pid, _ in trained} - {os.getpid()}
+            assert len(children) == len(cpus) - 1
+        assert no_child_left()
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
     def test_worker_error_keeps_its_type_and_message(self, small_data, monkeypatch, capsys,
@@ -172,23 +200,96 @@ class TestParallelTraining:
         assert capsys.readouterr().err == "error: head system of exwlog-multi is singular\n"
         assert not (tmp_path / "series").exists()
 
-    def test_worker_that_dies_raises_rule_boost_error(self, small_data, monkeypatch):
+    @pytest.mark.parametrize("die,ended", [
+        (lambda: os._exit(3), r"\(exit code 3\)"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), rf"\(signal {int(signal.SIGKILL)}\)"),
+    ], ids=["exit", "killed"])
+    def test_worker_that_dies_raises_rule_boost_error(self, small_data, monkeypatch, die,
+                                                      ended):
         train_data, test_data = small_data
         use_cpus(monkeypatch, {0, 1})
-        check_before_training(monkeypatch, for_exwlog_multi(lambda: os._exit(3)))
-        with pytest.raises(RuleBoostError, match="a trajectory worker exited"):
+        check_before_training(monkeypatch, for_exwlog_multi(die))
+        with pytest.raises(RuleBoostError, match="a trajectory worker exited before returning "
+                                                 "its series " + ended):
             run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2])
+        assert no_child_left()
+
+    @pytest.mark.parametrize("error", [SolverError, KeyboardInterrupt])
+    def test_error_in_the_callers_share_leaves_no_child(self, small_data, monkeypatch, error):
+        train_data, test_data = small_data
+        use_cpus(monkeypatch, {0, 1})
+        caller = os.getpid()
+
+        def fail_in_caller(config):
+            if os.getpid() == caller:
+                raise error("the caller's share failed")
+
+        check_before_training(monkeypatch, fail_in_caller)
+        with pytest.raises(error, match="the caller's share failed"):
+            run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2, 4, 8, 16, 32])
+        assert no_child_left()
+
+    def test_unpicklable_worker_error_names_its_type(self, small_data, monkeypatch):
+        train_data, test_data = small_data
+        use_cpus(monkeypatch, {0, 1})
+
+        class LocalError(Exception):
+            """A class defined in a function cannot be pickled."""
+
+        def raise_local_error():
+            raise LocalError("not picklable")
+
+        check_before_training(monkeypatch, for_exwlog_multi(raise_local_error))
+        with pytest.raises(RuleBoostError,
+                           match="a trajectory worker raised LocalError: not picklable"):
+            run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2])
+        assert no_child_left()
+
+    def test_series_larger_than_a_pipe_buffer(self, small_data, monkeypatch):
+        """A child's payload that fills the pipe waits for the caller, who reads it whole."""
+        train_data, test_data = small_data
+        use_cpus(monkeypatch, {0, 1})
+
+        def many_points(config, *, train_data, test_data, checkpoints):
+            return [TrajectoryPoint(t, 1.0 / t, config.head_mode == "multi") for t in checkpoints]
+
+        monkeypatch.setattr(trajectory, "_variant_points", many_points)
+        checkpoints = list(range(1, 5001))
+
+        def timed_out(signum, frame):
+            raise AssertionError("the trajectory map did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            series = run_trajectory(train_data, test_data, ALL_VARIANTS, checkpoints)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        for variant in ALL_VARIANTS:
+            assert series[variant.name] == [
+                TrajectoryPoint(t, 1.0 / t, variant.head_mode == "multi") for t in checkpoints
+            ]
+        assert no_child_left()
 
     def test_one_usable_cpu_forks_nothing(self, small_data, monkeypatch):
         train_data, test_data = small_data
         use_cpus(monkeypatch, {0})
 
-        def no_pools(*args, **kwargs):
-            raise AssertionError("a process pool was requested")
+        def no_forks():
+            raise AssertionError("a child process was forked")
 
-        monkeypatch.setattr(multiprocessing, "get_context", no_pools)
+        monkeypatch.setattr(os, "fork", no_forks)
         series = run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2])
         assert list(series) == [v.name for v in ALL_VARIANTS]
+
+    def test_without_os_fork_trains_in_process(self, small_data, monkeypatch):
+        train_data, test_data = small_data
+        use_cpus(monkeypatch, {0})
+        serial = run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2])
+        use_cpus(monkeypatch, {0, 1})
+        monkeypatch.delattr(os, "fork")
+        assert run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2]) == serial
 
 
 class TestStagedScores:
