@@ -18,7 +18,7 @@ _EXPORTS = {
         "TrajectoryVariant",
     ),
     "dataio": ("load_arff", "load_csv", "save_arff"),
-    "dataset": ("Attribute", "AttributeSchema", "Dataset", "Example"),
+    "dataset": ("Attribute", "AttributeSchema", "Dataset"),
     "errors": (
         "ConfigError",
         "InductionError",
@@ -61,10 +61,7 @@ _EXPORTS = {
         "EnsembleMeta",
         "Head",
         "Rule",
-        "aggregate",
-        "apply_rule",
         "body_mask",
-        "covers",
         "ensemble_scores",
     ),
     "serialization": ("dumps", "load", "loads", "save"),

@@ -99,6 +99,28 @@ def _add_data_arguments(parser):
     )
 
 
+def _add_scenario_arguments(parser):
+    parser.add_argument("--scenario", choices=SCENARIOS, required=True)
+    parser.add_argument("--n", type=int, default=10000)
+    parser.add_argument("--labels", type=int, default=6)
+    parser.add_argument("--noise", type=float, default=0.1)
+    parser.add_argument("--spread", type=float, default=0.1)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _synthetic_config(args):
+    """The ``SyntheticConfig`` that the arguments of ``_add_scenario_arguments`` describe."""
+    (SyntheticConfig,) = _deferred("SyntheticConfig")
+    return SyntheticConfig(
+        scenario=args.scenario,
+        n_examples=args.n,
+        n_labels=args.labels,
+        noise_rate=args.noise,
+        boundary_angle_spread=args.spread,
+        seed=args.seed,
+    )
+
+
 def _decode_predictions(ensemble: Ensemble, dataset: Dataset, method: str | None):
     if method is None:
         method = default_decode_method(ensemble.meta.loss)
@@ -201,17 +223,8 @@ def _cmd_tune(args) -> int:
 def _cmd_synth(args) -> int:
     import json
 
-    SyntheticConfig, SyntheticProcess, generate, save_arff = _deferred(
-        "SyntheticConfig", "SyntheticProcess", "generate", "save_arff"
-    )
-    config = SyntheticConfig(
-        scenario=args.scenario,
-        n_examples=args.n,
-        n_labels=args.labels,
-        noise_rate=args.noise,
-        boundary_angle_spread=args.spread,
-        seed=args.seed,
-    )
+    SyntheticProcess, generate, save_arff = _deferred("SyntheticProcess", "generate", "save_arff")
+    config = _synthetic_config(args)
     train_data, test_data = generate(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -230,17 +243,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
-    SyntheticConfig, generate, run_trajectory = _deferred(
-        "SyntheticConfig", "generate", "run_trajectory"
-    )
-    config = SyntheticConfig(
-        scenario=args.scenario,
-        n_examples=args.n,
-        n_labels=args.labels,
-        noise_rate=args.noise,
-        boundary_angle_spread=args.spread,
-        seed=args.seed,
-    )
+    generate, run_trajectory = _deferred("generate", "run_trajectory")
+    config = _synthetic_config(args)
     train_data, test_data = generate(config)
     wanted = {v.strip() for v in args.variants.split(",") if v.strip()}
     variants = [v for v in ALL_VARIANTS if v.name in wanted]
@@ -323,24 +327,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tune.set_defaults(func=_cmd_tune)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic benchmark")
-    p_synth.add_argument("--scenario", choices=SCENARIOS, required=True)
-    p_synth.add_argument("--n", type=int, default=10000)
-    p_synth.add_argument("--labels", type=int, default=6)
-    p_synth.add_argument("--noise", type=float, default=0.1)
-    p_synth.add_argument("--spread", type=float, default=0.1)
-    p_synth.add_argument("--seed", type=int, default=0)
+    _add_scenario_arguments(p_synth)
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.set_defaults(func=_cmd_synth)
 
     p_traj = sub.add_parser(
         "trajectory", help="loss trajectories of the four variants on synthetic data"
     )
-    p_traj.add_argument("--scenario", choices=SCENARIOS, required=True)
-    p_traj.add_argument("--n", type=int, default=10000)
-    p_traj.add_argument("--labels", type=int, default=6)
-    p_traj.add_argument("--noise", type=float, default=0.1)
-    p_traj.add_argument("--spread", type=float, default=0.1)
-    p_traj.add_argument("--seed", type=int, default=0)
+    _add_scenario_arguments(p_traj)
     p_traj.add_argument(
         "--variants",
         default=",".join(v.name for v in ALL_VARIANTS),

@@ -59,54 +59,6 @@ class AttributeSchema:
     def __getitem__(self, index: int) -> Attribute:
         return self.attributes[index]
 
-    def index_of(self, name: str) -> int:
-        for i, attr in enumerate(self.attributes):
-            if attr.name == name:
-                return i
-        raise SchemaError(f"no attribute named {name!r}")
-
-
-@dataclass(frozen=True)
-class Example:
-    """One feature vector aligned with a schema.
-
-    Values are floats (numeric), strings (nominal) or None (missing).
-    """
-
-    values: tuple
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def _encode_column(attr: Attribute, raw_values, n_rows: int) -> np.ndarray:
-    if attr.is_numeric:
-        column = np.empty(n_rows, dtype=np.float64)
-        for i, value in enumerate(raw_values):
-            if value is None:
-                column[i] = np.nan
-            else:
-                try:
-                    column[i] = float(value)
-                except (TypeError, ValueError):
-                    raise SchemaError(
-                        f"attribute {attr.name!r} is numeric but got {value!r}"
-                    ) from None
-        return column
-    code_of = {v: c for c, v in enumerate(attr.values)}
-    column = np.empty(n_rows, dtype=np.int64)
-    for i, value in enumerate(raw_values):
-        if value is None:
-            column[i] = MISSING_CODE
-        else:
-            try:
-                column[i] = code_of[value]
-            except (KeyError, TypeError):
-                raise SchemaError(
-                    f"value {value!r} is not in the domain of attribute {attr.name!r}"
-                ) from None
-    return column
-
 
 @dataclass
 class Dataset:
@@ -133,23 +85,6 @@ class Dataset:
             raise SchemaError("label entries must be -1 or +1")
         self.labels.setflags(write=False)
 
-    @classmethod
-    def from_rows(cls, schema, rows, labels, label_names) -> "Dataset":
-        """Build a dataset from row-major feature values and +-1 label rows."""
-        rows = list(rows)
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != len(schema):
-                raise SchemaError(f"example {i} has {len(row)} values, expected {len(schema)}")
-        columns = [
-            _encode_column(attr, [row[j] for row in rows], n)
-            for j, attr in enumerate(schema.attributes)
-        ]
-        label_matrix = np.asarray(labels, dtype=np.int8)
-        if label_matrix.ndim != 2:
-            label_matrix = label_matrix.reshape(n, -1)
-        return cls(schema, columns, label_matrix, list(label_names))
-
     @property
     def n_examples(self) -> int:
         return self.labels.shape[0] if self.labels.ndim == 2 else len(self.columns[0])
@@ -161,16 +96,6 @@ class Dataset:
     @property
     def n_labels(self) -> int:
         return len(self.label_names)
-
-    def example(self, index: int) -> Example:
-        values = []
-        for attr, column in zip(self.schema.attributes, self.columns):
-            raw = column[index]
-            if attr.is_numeric:
-                values.append(None if np.isnan(raw) else float(raw))
-            else:
-                values.append(None if raw == MISSING_CODE else attr.values[int(raw)])
-        return Example(tuple(values))
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)

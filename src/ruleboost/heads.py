@@ -21,11 +21,11 @@ forms no head.  A candidate whose system is singular or whose objective
 is not finite scores +inf on both paths.
 
 Statistics are sums of rows of the store's derivative table (gradients,
-then the Hessian diagonal or packed upper triangle); a dense Hessian is
-unpacked only once summed, for ``find_head``.  A ``ScanWorkspace`` lends
-the buffers that refinement gathers rows into and that the Cholesky
-scorer factors in, so a training run allocates them once rather than at
-every scan.
+then the Hessian diagonal or the packed upper triangle whose layout
+``losses`` defines); a dense Hessian is unpacked only once summed, for
+``find_head``.  A ``ScanWorkspace`` lends the buffers that refinement
+gathers rows into and that the Cholesky scorer factors in, so a training
+run allocates them once rather than at every scan.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .choices import HEAD_MULTI, HEAD_SINGLE
 from .dataset import Dataset
 from .errors import SolverError
-from .losses import GradHessStore
+from .losses import GradHessStore, packed_indices, unpack_hessians
 from .rules import Body, Head, body_mask
 
 # A Cholesky pivot below this fraction of its diagonal entry marks a
@@ -153,30 +153,10 @@ def aggregate_stats(
     return stats_for_rows(store, rows, workspace)
 
 
-@lru_cache(maxsize=None)
-def packed_indices(n_labels: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, columns) of the upper triangle of an l x l matrix, row by row.
-
-    A dense Hessian is packed as ``h[..., rows, columns]``: l(l+1)/2
-    entries instead of l^2, which loses nothing because it is symmetric.
-    The arrays are cached, so they are read-only.
-    """
-    return _read_only(*np.triu_indices(n_labels))
-
-
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.setflags(write=False)
     return arrays
-
-
-def unpack_hessians(packed: np.ndarray, n_labels: int) -> np.ndarray:
-    """The (c, l, l) symmetric matrices of (c, l(l+1)/2) packed upper triangles."""
-    rows, columns = packed_indices(n_labels)
-    full = np.empty((packed.shape[0], n_labels, n_labels))
-    full[:, rows, columns] = packed
-    full[:, columns, rows] = packed
-    return full
 
 
 @lru_cache(maxsize=None)

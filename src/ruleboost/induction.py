@@ -53,11 +53,10 @@ from .heads import (
     column_sums,
     find_head,
     objective_value,
-    packed_indices,
     score_heads,
     stats_for_rows,
 )
-from .losses import GradHessStore
+from .losses import GradHessStore, packed_indices
 from .rules import OP_EQ, OP_GT, OP_LEQ, OP_NEQ, Body, Condition, Rule, condition_mask
 
 

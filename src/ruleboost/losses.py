@@ -15,17 +15,19 @@ The GradHessStore holds per-example gradients and Hessians at the current
 model scores in one C-contiguous (n, w) table, row i holding example i's
 l gradients and then its Hessian: for a decomposable loss the l diagonal
 entries (w = 2l), otherwise the l(l+1)/2 entries of the upper triangle,
-row by row (``heads.packed_indices``; w = l + l(l+1)/2).  Each loss
-writes the table rows of a batch in one pass (``derivative_table``) with
-the expressions ``gradient_batch`` and ``hessian_batch`` use, so the
-entries are theirs bit for bit.  After each rule the store gathers the
-covered rows' labels and scores and writes their new table rows into
-buffers it keeps across rounds, then scatters those rows into the table.
+row by row (``packed_indices``; w = l + l(l+1)/2).  ``derivative_table``
+is the one place a loss computes its derivatives: it writes the table
+rows of a batch in one pass, and ``gradient_batch`` and ``hessian_batch``
+are its two parts (a dense Hessian unpacked by ``unpack_hessians``).
+After each rule the store gathers the covered rows' labels and scores and
+writes their new table rows into buffers it keeps across rounds, then
+scatters those rows into the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,7 +65,49 @@ def _as_batch(y, q):
     return y, q
 
 
-class LabelWiseLogisticLoss:
+@lru_cache(maxsize=None)
+def packed_indices(n_labels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of the upper triangle of an l x l matrix, row by row.
+
+    A dense Hessian is packed as ``h[..., rows, columns]``: l(l+1)/2
+    entries instead of l^2, which loses nothing because it is symmetric.
+    The arrays are cached, so they are read-only.
+    """
+    indices = np.triu_indices(n_labels)
+    for array in indices:
+        array.setflags(write=False)
+    return indices
+
+
+def unpack_hessians(packed: np.ndarray, n_labels: int) -> np.ndarray:
+    """The (c, l, l) symmetric matrices of (c, l(l+1)/2) packed upper triangles."""
+    rows, columns = packed_indices(n_labels)
+    full = np.empty((packed.shape[0], n_labels, n_labels))
+    full[:, rows, columns] = packed
+    full[:, columns, rows] = packed
+    return full
+
+
+class _Loss:
+    """What a loss derives from its ``evaluate_batch`` and ``derivative_table``."""
+
+    def _parts(self, y, q) -> tuple[np.ndarray, np.ndarray]:
+        """The gradient and Hessian parts of the derivative table of a batch."""
+        y, q = _as_batch(y, q)
+        table = self.derivative_table(y, q)
+        return table[:, : y.shape[1]], table[:, y.shape[1] :]
+
+    def gradient_batch(self, y, q) -> np.ndarray:
+        return self._parts(y, q)[0]
+
+    def evaluate(self, y, q) -> float:
+        return float(self.evaluate_batch(y, q)[0])
+
+    def gradient(self, y, q) -> np.ndarray:
+        return self.gradient_batch(y, q)[0]
+
+
+class LabelWiseLogisticLoss(_Loss):
     """Logistic loss applied to each label independently."""
 
     loss_id = LABEL_WISE_LOGISTIC
@@ -73,19 +117,13 @@ class LabelWiseLogisticLoss:
         y, q = _as_batch(y, q)
         return np.logaddexp(0.0, -y * q).sum(axis=1)
 
-    def gradient_batch(self, y, q) -> np.ndarray:
-        y, q = _as_batch(y, q)
-        return -y * expit(-y * q)
-
-    def hessian_batch(self, y, q) -> np.ndarray:
-        """Diagonal entries only, shape (n, l)."""
-        y, q = _as_batch(y, q)
-        z = -y * q
-        # expit(z) * expit(-z) keeps tiny curvatures instead of rounding to 0.
-        return expit(z) * expit(-z)
-
     def derivative_table(self, y, q, out=None) -> np.ndarray:
-        """[gradients | Hessian diagonals] of every row, shape (n, 2l), into ``out`` if given."""
+        """[gradients | Hessian diagonals] of every row, shape (n, 2l), into ``out`` if given.
+
+        The gradient is -y * expit(-y q); the Hessian diagonal is
+        expit(z) * expit(-z) with z = -y q, which keeps tiny curvatures
+        instead of rounding them to 0.
+        """
         y, q = _as_batch(y, q)
         n_labels = y.shape[1]
         z = -y * q
@@ -95,30 +133,20 @@ class LabelWiseLogisticLoss:
         np.multiply(positive, expit(-z), out=table[:, n_labels:])
         return table
 
-    def evaluate(self, y, q) -> float:
-        return float(self.evaluate_batch(y, q)[0])
-
-    def gradient(self, y, q) -> np.ndarray:
-        return self.gradient_batch(y, q)[0]
+    def hessian_batch(self, y, q) -> np.ndarray:
+        """Diagonal entries only, shape (n, l)."""
+        return self._parts(y, q)[1]
 
     def hessian(self, y, q) -> np.ndarray:
         """Full (l, l) matrix for one example."""
         return np.diag(self.hessian_batch(y, q)[0])
 
 
-class ExampleWiseLogisticLoss:
+class ExampleWiseLogisticLoss(_Loss):
     """Logistic loss over the whole label vector of one example."""
 
     loss_id = EXAMPLE_WISE_LOGISTIC
     decomposable = False
-
-    def _weights(self, y, q) -> np.ndarray:
-        """w_k = exp(-y_k q_k) / (1 + sum_j exp(-y_j q_j)), computed stably."""
-        z = -y * q
-        shift = np.maximum(z.max(axis=1, keepdims=True), 0.0)
-        ez = np.exp(z - shift)
-        denom = np.exp(-shift) + ez.sum(axis=1, keepdims=True)
-        return ez / denom
 
     def evaluate_batch(self, y, q) -> np.ndarray:
         y, q = _as_batch(y, q)
@@ -127,30 +155,21 @@ class ExampleWiseLogisticLoss:
         total = np.exp(-shift) + np.exp(z - shift[:, None]).sum(axis=1)
         return shift + np.log(total)
 
-    def gradient_batch(self, y, q) -> np.ndarray:
-        y, q = _as_batch(y, q)
-        return -y * self._weights(y, q)
-
-    def hessian_batch(self, y, q) -> np.ndarray:
-        """Full matrices, shape (n, l, l): diag(w) - (y*w)(y*w)^T."""
-        y, q = _as_batch(y, q)
-        w = self._weights(y, q)
-        u = y * w
-        h = -np.einsum("nj,nk->njk", u, u)
-        idx = np.arange(y.shape[1])
-        h[:, idx, idx] += w
-        return h
-
     def derivative_table(self, y, q, out=None) -> np.ndarray:
         """[gradients | packed upper-triangle Hessians] of every row, shape (n, l + l(l+1)/2).
 
-        One weight computation serves both parts.  Row j of the upper
-        triangle holds -u_j u_k for k >= j, plus w_j on the diagonal, as in
-        ``hessian_batch``.  The table is written into ``out`` if given.
+        With the weights w_k = exp(-y_k q_k) / (1 + sum_j exp(-y_j q_j)),
+        computed with a shifted exponential, and u = y * w, the gradient is
+        -u and the Hessian diag(w) - u u': row j of its upper triangle
+        holds -u_j u_k for k >= j, plus w_j on the diagonal.  The table is
+        written into ``out`` if given.
         """
         y, q = _as_batch(y, q)
         n_labels = y.shape[1]
-        w = self._weights(y, q)
+        z = -y * q
+        shift = np.maximum(z.max(axis=1, keepdims=True), 0.0)
+        ez = np.exp(z - shift)
+        w = ez / (np.exp(-shift) + ez.sum(axis=1, keepdims=True))
         u = y * w
         width = n_labels + n_labels * (n_labels + 1) // 2
         table = np.empty((y.shape[0], width)) if out is None else out
@@ -158,19 +177,18 @@ class ExampleWiseLogisticLoss:
         start = n_labels
         for j in range(n_labels):
             row = table[:, start : start + n_labels - j]
-            # einsum, as in hessian_batch, adds each product onto 0.0, so
-            # an entry is never -0.0 before the negation.
+            # einsum adds each product onto 0.0, so an entry is never -0.0
+            # before the negation.
             np.einsum("n,nk->nk", u[:, j], u[:, j:], out=row)
             np.negative(row, out=row)
             row[:, 0] += w[:, j]
             start += n_labels - j
         return table
 
-    def evaluate(self, y, q) -> float:
-        return float(self.evaluate_batch(y, q)[0])
-
-    def gradient(self, y, q) -> np.ndarray:
-        return self.gradient_batch(y, q)[0]
+    def hessian_batch(self, y, q) -> np.ndarray:
+        """Full matrices, shape (n, l, l), unpacked from the table."""
+        gradients, packed = self._parts(y, q)
+        return unpack_hessians(packed, gradients.shape[1])
 
     def hessian(self, y, q) -> np.ndarray:
         return self.hessian_batch(y, q)[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import EXAMPLE_WISE_LOGISTIC
+from .losses import EXAMPLE_WISE_LOGISTIC, ExampleWiseLogisticLoss
 
 DECODE_SIGN = "sign"
 DECODE_KNOWN_VECTORS = "known-vectors"
@@ -31,18 +31,10 @@ def predict_sign(scores: np.ndarray) -> np.ndarray:
     return np.where(scores > 0.0, 1, -1).astype(np.int8)
 
 
-def _known_vector_losses(score_matrix: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Example-wise logistic loss of every candidate, shape (n, n_candidates)."""
-    z = -score_matrix[:, None, :] * candidates[None, :, :]
-    shift = np.maximum(z.max(axis=2), 0.0)
-    total = np.exp(-shift) + np.exp(z - shift[:, :, None]).sum(axis=2)
-    return shift + np.log(total)
-
-
 # Score rows are decoded in chunks of about this many (row, candidate) cells.
 _CHUNK_CELLS = 1 << 22
-# Rows are decided by _known_vector_losses, so that near-ties are broken
-# exactly as the log-domain losses break them, where the two best
+# Rows are decided by the example-wise loss itself, so that near-ties are
+# broken exactly as the log-domain losses break them, where the two best
 # candidates are closer than _NEAR_TIE (relative), where the best one lies
 # among underflowing terms, or where max |q| is so large that the
 # log-domain losses themselves round by more than _NEAR_TIE.
@@ -72,11 +64,16 @@ def _decode_chunk(scores: np.ndarray, candidates: np.ndarray, indicators: np.nda
         & (shift[:, 0] <= _LARGE_SCORE)
     )
     redo = np.flatnonzero(~decided)
-    # The log-domain form allocates n_candidates * n_labels values per row.
-    step = max(1, len(scores) // max(1, scores.shape[1]))
+    # A log-domain pass holds several arrays of n_candidates * n_labels values
+    # per row (the pairs' labels and scores and the loss's temporaries), so it
+    # takes rows for about _CHUNK_CELLS / 2 values per array.
+    step = max(1, len(scores) // max(1, 2 * scores.shape[1]))
     for start in range(0, len(redo), step):
         part = redo[start : start + step]
-        best[part] = np.argmin(_known_vector_losses(scores[part], candidates), axis=1)
+        # One batch of (row, candidate) pairs, candidates varying fastest.
+        losses = ExampleWiseLogisticLoss().evaluate_batch(
+            np.tile(candidates, (len(part), 1)), np.repeat(scores[part], len(candidates), axis=0))
+        best[part] = np.argmin(losses.reshape(len(part), -1), axis=1)
     return best
 
 
@@ -92,8 +89,8 @@ def predict_known_vectors(score_matrix: np.ndarray, candidates: np.ndarray) -> n
     if not np.all(np.abs(candidates) == 1):
         raise ValueError("candidate label vectors must have entries -1 or +1")
     score_matrix = np.atleast_2d(np.asarray(score_matrix, dtype=np.float64))
-    if np.isnan(score_matrix).any():
-        raise ValueError("scores contain NaN")
+    if not np.isfinite(score_matrix).all():
+        raise ValueError("scores must be finite (got NaN or infinity)")
     as_float = candidates.astype(np.float64)
     indicators = np.concatenate([as_float > 0, as_float < 0], axis=1).astype(np.float64)
     chunk = max(1, _CHUNK_CELLS // len(candidates))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import MISSING_CODE, AttributeSchema, Dataset, Example
+from .dataset import MISSING_CODE, AttributeSchema, Dataset
 from .errors import SchemaError
 
 OP_EQ = "=="
@@ -39,24 +39,6 @@ class Condition:
     def __post_init__(self):
         if self.operator not in NOMINAL_OPS + NUMERIC_OPS:
             raise SchemaError(f"unknown operator {self.operator!r}")
-
-    def holds(self, value) -> bool:
-        """Evaluate against a raw value; None (missing) satisfies nothing."""
-        if value is None:
-            return False
-        if self.operator in NUMERIC_OPS:
-            if not isinstance(value, (int, float)):
-                raise SchemaError(
-                    f"numeric condition on attribute {self.attribute_index} "
-                    f"got non-numeric value {value!r}"
-                )
-            return value <= self.threshold if self.operator == OP_LEQ else value > self.threshold
-        if not isinstance(value, str):
-            raise SchemaError(
-                f"nominal condition on attribute {self.attribute_index} "
-                f"got non-nominal value {value!r}"
-            )
-        return (value == self.threshold) == (self.operator == OP_EQ)
 
     def __str__(self):
         return f"x{self.attribute_index} {self.operator} {self.threshold}"
@@ -107,10 +89,6 @@ class Head:
                 raise ValueError("single-label head has nonzero off-label scores")
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
-
-    @property
-    def is_single_label(self) -> bool:
-        return self.label_index is not None
 
     def scaled(self, factor: float) -> "Head":
         return Head(self.scores * factor, self.label_index)
@@ -165,26 +143,6 @@ class Ensemble:
     @property
     def n_labels(self) -> int:
         return len(self.label_names)
-
-
-def covers(body: Body, example: Example) -> bool:
-    """True iff every condition holds for the example."""
-    return all(cond.holds(example.values[cond.attribute_index]) for cond in body.conditions)
-
-
-def apply_rule(rule: Rule, example: Example) -> np.ndarray:
-    """Head scores if covered, else the null vector."""
-    if covers(rule.body, example):
-        return rule.head.scores.copy()
-    return np.zeros_like(rule.head.scores)
-
-
-def aggregate(ensemble: Ensemble, example: Example) -> np.ndarray:
-    """Vector sum of all rule predictions for one example."""
-    total = np.zeros(ensemble.n_labels)
-    for rule in ensemble.rules:
-        total += apply_rule(rule, example)
-    return total
 
 
 def condition_mask(dataset: Dataset, condition: Condition, rows=None) -> np.ndarray:

@@ -115,7 +115,7 @@ def generate(config: SyntheticConfig) -> tuple[Dataset, Dataset]:
 def bayes_optimal_predict(config: SyntheticConfig, features) -> np.ndarray:
     """Noiseless half-plane labels for one point or an (n, 2) array."""
     process = SyntheticProcess(config)
-    points = np.asarray(getattr(features, "values", features), dtype=np.float64)
+    points = np.asarray(features, dtype=np.float64)
     if points.ndim == 1:
         return process.noiseless_labels(points[None, :])[0]
     return process.noiseless_labels(points)

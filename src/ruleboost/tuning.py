@@ -8,7 +8,7 @@ round index.  Failed grid points are recorded and do not abort the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -76,24 +76,7 @@ class GridSearchReport:
     failures: list[GridFailure] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "n_train": self.n_train,
-            "n_validation": self.n_validation,
-            "cells": [
-                {
-                    "shrinkage": c.shrinkage,
-                    "l2_weight": c.l2_weight,
-                    "n_rules": c.n_rules,
-                    "value": c.value,
-                }
-                for c in self.cells
-            ],
-            "failures": [
-                {"shrinkage": f.shrinkage, "l2_weight": f.l2_weight, "error": f.error}
-                for f in self.failures
-            ],
-        }
+        return asdict(self)
 
 
 def train_validation_split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -6,6 +6,8 @@ import pytest
 from ruleboost.dataio import load_arff, load_csv, save_arff
 from ruleboost.errors import ParseError, SchemaError
 
+from reference import row_values
+
 DENSE_ARFF = """% toy dataset
 @relation toy
 
@@ -50,13 +52,13 @@ class TestLoadArffDense:
         assert dataset.n_attributes == 2
         assert dataset.label_names == ["label1"]
         assert dataset.labels[:, 0].tolist() == [1, -1, 1]
-        assert dataset.example(0).values == (1.5, "red")
+        assert row_values(dataset, 0) == (1.5, "red")
 
     def test_missing_value_marker(self, tmp_path):
         path = tmp_path / "toy.arff"
         path.write_text(DENSE_ARFF)
         dataset = load_arff(path, 1)
-        assert dataset.example(2).values[0] is None
+        assert row_values(dataset, 2)[0] is None
         assert np.isnan(dataset.columns[0][2])
 
     def test_labels_by_name(self, tmp_path):
@@ -72,7 +74,7 @@ class TestLoadArffDense:
         dataset = load_arff(path, 1)
         assert dataset.schema[0].name == "my attr"
         assert dataset.schema[1].values == ("a value", "other,value")
-        assert dataset.example(1).values == (2.0, "other,value")
+        assert row_values(dataset, 1) == (2.0, "other,value")
 
 
 class TestLoadArffSparse:
@@ -81,9 +83,9 @@ class TestLoadArffSparse:
         path.write_text(SPARSE_ARFF)
         dataset = load_arff(path, 1)
         # Hand-expanded expectations: numeric default 0, nominal default first value.
-        assert dataset.example(0).values == (1.5, 0.0, "x", 1.0)
-        assert dataset.example(1).values == (0.0, 2.0, "y", 0.0)
-        assert dataset.example(2).values == (0.0, 0.0, "x", 0.0)
+        assert row_values(dataset, 0) == (1.5, 0.0, "x", 1.0)
+        assert row_values(dataset, 1) == (0.0, 2.0, "y", 0.0)
+        assert row_values(dataset, 2) == (0.0, 0.0, "x", 0.0)
         assert dataset.labels[:, 0].tolist() == [1, -1, -1]
 
 
@@ -163,12 +165,7 @@ class TestArffRoundTrip:
 
         schema = AttributeSchema((Attribute("x", NUMERIC),))
         values = [0.1, 1.0 / 3.0, 2.0**-40, 1e300]
-        dataset = Dataset.from_rows(
-            schema,
-            [[v] for v in values],
-            np.ones((4, 1), dtype=np.int8),
-            ["l0"],
-        )
+        dataset = Dataset(schema, [np.array(values)], np.ones((4, 1), dtype=np.int8), ["l0"])
         path = tmp_path / "floats.arff"
         save_arff(dataset, path)
         reloaded = load_arff(path, 1)
@@ -318,7 +315,7 @@ class TestLoadCsv:
         assert dataset.schema[0].is_numeric
         assert not dataset.schema[1].is_numeric
         assert dataset.labels[:, 0].tolist() == [1, -1, 1]
-        assert dataset.example(2).values[0] is None
+        assert row_values(dataset, 2)[0] is None
 
     def test_trailing_count_labels(self, tmp_path):
         path = tmp_path / "toy.csv"

@@ -13,6 +13,8 @@ from ruleboost.synthetic import SyntheticConfig, generate
 from ruleboost.training import TrainConfig, train
 from ruleboost.tuning import GridSearchConfig, grid_search
 
+from reference import row_values
+
 
 class TestHeadValidation:
     def test_label_index_out_of_range(self):
@@ -59,7 +61,7 @@ class TestArffEdges:
         dataset = load_arff(path, ["label1"])
         assert dataset.label_names == ["label1"]
         assert [a.name for a in dataset.schema.attributes] == ["a", "b"]
-        assert dataset.example(0).values == (1.0, 10.0)
+        assert row_values(dataset, 0) == (1.0, 10.0)
         assert dataset.labels[:, 0].tolist() == [1, -1]
 
     def test_loaded_dataset_export_reload_round_trip(self, tmp_path):

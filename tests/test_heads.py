@@ -13,15 +13,21 @@ from ruleboost.heads import (
     aggregate_stats,
     find_head,
     objective_value,
-    packed_indices,
     score_heads,
     solve_full_head,
     solve_heads,
     stats_for_rows,
+)
+from ruleboost.losses import (
+    ExampleWiseLogisticLoss,
+    init_store,
+    make_loss,
+    packed_indices,
     unpack_hessians,
 )
-from ruleboost.losses import ExampleWiseLogisticLoss, init_store, make_loss
 from ruleboost.rules import Body, Condition, Head
+
+from conftest import dataset_from_rows
 
 
 def diag_stats(g, h, count=1):
@@ -170,7 +176,7 @@ class TestAggregateStats:
         schema = AttributeSchema((Attribute("x", NUMERIC),))
         labels = np.array([[1, -1], [-1, 1], [1, 1], [-1, -1], [1, -1]], dtype=np.int8)
         rows = [[float(i)] for i in range(5)]
-        return Dataset.from_rows(schema, rows, labels, ["l0", "l1"])
+        return dataset_from_rows(schema, rows, labels, ["l0", "l1"])
 
     def test_empty_coverage_gives_zero_stats(self):
         dataset = self._dataset()

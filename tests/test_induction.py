@@ -17,10 +17,8 @@ from ruleboost.heads import (
     ScanWorkspace,
     find_head,
     objective_value,
-    packed_indices,
     solve_heads,
     stats_for_rows,
-    unpack_hessians,
 )
 from ruleboost.induction import (
     RefinementContext,
@@ -33,10 +31,10 @@ from ruleboost.induction import (
     refine_rule,
     refine_rule_with_trace,
 )
-from ruleboost.losses import GradHessStore, init_store, make_loss
+from ruleboost.losses import GradHessStore, init_store, make_loss, packed_indices, unpack_hessians
 from ruleboost.rules import OP_GT, OP_LEQ, Body, Condition, Head, Rule, condition_mask
 
-from conftest import random_dataset
+from conftest import dataset_from_rows, random_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +395,7 @@ def _numeric_dataset(values, n_labels=1):
     schema = AttributeSchema((Attribute("x", NUMERIC),))
     rows = [[v] for v in values]
     labels = np.ones((len(values), n_labels), dtype=np.int8)
-    return Dataset.from_rows(schema, rows, labels, [f"l{k}" for k in range(n_labels)])
+    return dataset_from_rows(schema, rows, labels, [f"l{k}" for k in range(n_labels)])
 
 
 class TestEnumerateConditions:
@@ -412,7 +410,7 @@ class TestEnumerateConditions:
 
     def test_nominal_values_both_operators(self):
         schema = AttributeSchema((Attribute("c", NOMINAL, ("a", "b", "z")),))
-        dataset = Dataset.from_rows(
+        dataset = dataset_from_rows(
             schema, [["a"], ["b"], ["a"]], np.ones((3, 1), dtype=np.int8), ["l0"]
         )
         conditions = enumerate_conditions(dataset, 0)
@@ -422,7 +420,7 @@ class TestEnumerateConditions:
 
     def test_missing_values_are_skipped(self):
         schema = AttributeSchema((Attribute("x", NUMERIC),))
-        dataset = Dataset.from_rows(
+        dataset = dataset_from_rows(
             schema, [[1.0], [None], [3.0]], np.ones((3, 1), dtype=np.int8), ["l0"]
         )
         conditions = enumerate_conditions(dataset, 0)
@@ -500,7 +498,7 @@ class TestPresortedScanAgainstArgsort:
         schema = AttributeSchema(
             (Attribute("x", NUMERIC), Attribute("c", NOMINAL, ("a", "b")))
         )
-        dataset = Dataset.from_rows(
+        dataset = dataset_from_rows(
             schema, [[2.0, "a"], [None, "b"], [1.0, "a"], [2.0, None], [-0.0, "b"], [0.0, "a"]],
             np.ones((6, 1), dtype=np.int8), ["l0"],
         )
@@ -605,7 +603,7 @@ class TestRefineRule:
         values = [0.1, 0.2, 0.3, 0.7, 0.8, 0.9]
         labels = np.array([[1], [1], [1], [-1], [-1], [-1]], dtype=np.int8)
         dataset = _numeric_dataset(values)
-        dataset = Dataset.from_rows(dataset.schema, [[v] for v in values], labels, ["l0"])
+        dataset = dataset_from_rows(dataset.schema, [[v] for v in values], labels, ["l0"])
         store = init_store(make_loss("label-wise-logistic"), dataset)
         rows = np.arange(6)
         rule = refine_rule(dataset, store, _context(rows, "multi"))
@@ -635,7 +633,7 @@ class TestRefineRule:
         x1 = rng.uniform(0, 1, n)
         label = np.where((x0 <= 0.5) & (x1 <= 0.5), 1, -1).astype(np.int8)
         schema = AttributeSchema((Attribute("x0", NUMERIC), Attribute("x1", NUMERIC)))
-        dataset = Dataset.from_rows(
+        dataset = dataset_from_rows(
             schema, [[float(a), float(b)] for a, b in zip(x0, x1)],
             label.reshape(-1, 1), ["l0"],
         )

@@ -7,18 +7,20 @@ import numpy as np
 import pytest
 from scipy.special import expit as scipy_expit
 
-from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema, Dataset
-from ruleboost.heads import packed_indices
+from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema
 from ruleboost.losses import (
     ExampleWiseLogisticLoss,
     LabelWiseLogisticLoss,
     expit,
     init_store,
     make_loss,
+    packed_indices,
     update_store,
 )
 from ruleboost.prediction import predict_sign
 from ruleboost.rules import Body, Condition, Head, Rule
+
+from conftest import dataset_from_rows
 
 FD_STEP = 1e-6
 
@@ -236,7 +238,7 @@ class TestUpperBoundOnSubsetLoss:
 def _toy_dataset(labels):
     schema = AttributeSchema((Attribute("x", NUMERIC),))
     rows = [[float(i)] for i in range(len(labels))]
-    return Dataset.from_rows(schema, rows, np.asarray(labels, dtype=np.int8),
+    return dataset_from_rows(schema, rows, np.asarray(labels, dtype=np.int8),
                              [f"l{k}" for k in range(len(labels[0]))])
 
 
@@ -322,12 +324,24 @@ class TestStore:
 
 
 def _expected_table(loss, y, q):
-    """The batch derivatives side by side, a dense Hessian packed as its upper triangle."""
-    hessians = loss.hessian_batch(y, q)
-    if not loss.decomposable:
-        rows, columns = packed_indices(y.shape[1])
-        hessians = hessians[:, rows, columns]
-    return np.hstack([loss.gradient_batch(y, q), hessians])
+    """The derivatives by their textbook formulas, a dense Hessian packed as its upper triangle.
+
+    Label-wise: -y expit(-y q) and expit(z) expit(-z) with z = -y q.
+    Example-wise: -y w and diag(w) - u u' with u = y w, the weights
+    w_k = exp(z_k) / (1 + sum_j exp(z_j)) taken with a shifted exponential.
+    """
+    z = -y * q
+    if loss.decomposable:
+        return np.hstack([-y * expit(z), expit(z) * expit(-z)])
+    shift = np.maximum(z.max(axis=1, keepdims=True), 0.0)
+    ez = np.exp(z - shift)
+    w = ez / (np.exp(-shift) + ez.sum(axis=1, keepdims=True))
+    u = y * w
+    hessians = -np.einsum("nj,nk->njk", u, u)
+    diagonal = np.arange(y.shape[1])
+    hessians[:, diagonal, diagonal] += w
+    rows, columns = packed_indices(y.shape[1])
+    return np.hstack([-y * w, hessians[:, rows, columns]])
 
 
 def _extreme_scores(rng, shape):
@@ -340,11 +354,11 @@ def _extreme_scores(rng, shape):
 
 
 class TestDerivativeTable:
-    """The store's one table holds the batch derivatives bit for bit."""
+    """The store's one table holds the derivatives of the loss formulas bit for bit."""
 
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.loss_id)
     @pytest.mark.parametrize("n_labels", [1, 2, 6])
-    def test_table_is_the_batch_derivatives(self, loss, n_labels, rng):
+    def test_table_is_the_formula_derivatives(self, loss, n_labels, rng):
         y = rng.choice([-1.0, 1.0], size=(300, n_labels))
         for q in (rng.normal(0.0, 2.0, size=y.shape), _extreme_scores(rng, y.shape)):
             table = loss.derivative_table(y, q)

@@ -9,7 +9,7 @@ import ruleboost
 # The names ``ruleboost`` exports, by the module each was first imported from.
 EXPORTS = {
     "dataio": ("load_arff", "load_csv", "save_arff"),
-    "dataset": ("Attribute", "AttributeSchema", "Dataset", "Example"),
+    "dataset": ("Attribute", "AttributeSchema", "Dataset"),
     "errors": ("ConfigError", "InductionError", "ParseError", "RuleBoostError", "SchemaError",
                "SolverError", "UnsupportedVersionError"),
     "heads": ("HEAD_MULTI", "HEAD_SINGLE", "AggregatedStats", "aggregate_stats", "find_head",
@@ -23,8 +23,8 @@ EXPORTS = {
                 "subset_zero_one_loss"),
     "prediction": ("DECODE_KNOWN_VECTORS", "DECODE_SIGN", "decode_scores",
                    "default_decode_method", "predict_known_vectors", "predict_sign"),
-    "rules": ("Body", "Condition", "Ensemble", "EnsembleMeta", "Head", "Rule", "aggregate",
-              "apply_rule", "body_mask", "covers", "ensemble_scores"),
+    "rules": ("Body", "Condition", "Ensemble", "EnsembleMeta", "Head", "Rule", "body_mask",
+              "ensemble_scores"),
     "serialization": ("load", "loads", "save", "dumps"),
     "synthetic": ("SCENARIOS", "SyntheticConfig", "SyntheticProcess", "bayes_optimal_predict",
                   "generate"),

@@ -68,6 +68,13 @@ class TestPredictKnownVector:
         with pytest.raises(ValueError):
             predict_known_vectors(np.array([[1.0]]), np.empty((0, 1)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        candidates = np.array([[1, -1], [-1, 1]], dtype=np.int8)
+        with pytest.raises(ValueError, match="finite"):
+            predict_known_vectors(np.array([[0.5, 0.5], [bad, -1.0]]), candidates)
+
     def test_returns_member_of_candidate_set(self, rng):
         for _ in range(50):
             n_labels = int(rng.integers(1, 5))

@@ -10,7 +10,6 @@ from ruleboost.dataset import (
     Attribute,
     AttributeSchema,
     Dataset,
-    Example,
 )
 from ruleboost.errors import SchemaError
 from ruleboost.rules import (
@@ -20,15 +19,13 @@ from ruleboost.rules import (
     EnsembleMeta,
     Head,
     Rule,
-    aggregate,
-    apply_rule,
     body_mask,
     condition_mask,
-    covers,
     ensemble_scores,
 )
 
-from conftest import random_dataset
+from conftest import dataset_from_rows, random_dataset
+from reference import covers, row_scores, row_values
 
 
 SCHEMA = AttributeSchema(
@@ -39,83 +36,80 @@ SCHEMA = AttributeSchema(
 )
 
 
-def make_example(x, s):
-    return Example((x, s))
+def make_dataset(*rows):
+    """One example per (x, s) row, with one all-positive label."""
+    return dataset_from_rows(SCHEMA, rows, np.ones((len(rows), 1)), ["l0"])
 
 
-class TestCovers:
+class TestBodyMask:
     def test_empty_body_covers_everything(self):
-        assert covers(Body(), make_example(0.3, "b"))
+        assert body_mask(make_dataset((0.3, "b"), (None, None)), Body()).tolist() == [True, True]
 
     def test_single_numeric_condition(self):
         body = Body((Condition(0, "<=", 0.5),))
-        assert covers(body, make_example(0.3, "a"))
-        assert not covers(body, make_example(0.7, "a"))
+        assert body_mask(make_dataset((0.3, "a"), (0.7, "a")), body).tolist() == [True, False]
 
     def test_conjunction_fails_on_one_condition(self):
         body = Body((Condition(0, "<=", 0.5), Condition(1, "==", "a")))
-        assert not covers(body, make_example(0.3, "b"))
-        assert covers(body, make_example(0.3, "a"))
+        assert body_mask(make_dataset((0.3, "b"), (0.3, "a")), body).tolist() == [False, True]
 
     def test_missing_value_satisfies_nothing(self):
-        leq = Body((Condition(0, "<=", 0.5),))
-        gt = Body((Condition(0, ">", 0.5),))
-        example = make_example(None, "a")
-        assert not covers(leq, example)
-        assert not covers(gt, example)
-        assert not covers(Body((Condition(1, "!=", "a"),)), make_example(0.1, None))
+        dataset = make_dataset((None, "a"), (0.1, None))
+        for condition, expected in [
+            (Condition(0, "<=", 0.5), [False, True]),
+            (Condition(0, ">", 0.5), [False, False]),
+            (Condition(1, "==", "a"), [True, False]),
+            (Condition(1, "!=", "a"), [False, False]),
+        ]:
+            assert body_mask(dataset, Body((condition,))).tolist() == expected
 
     def test_type_mismatch_raises_schema_error(self):
+        dataset = make_dataset((0.3, "a"))
         with pytest.raises(SchemaError):
-            covers(Body((Condition(1, "<=", 0.5),)), make_example(0.3, "a"))
+            body_mask(dataset, Body((Condition(1, "<=", 0.5),)))
         with pytest.raises(SchemaError):
-            covers(Body((Condition(0, "==", "a"),)), make_example(0.3, "a"))
+            body_mask(dataset, Body((Condition(0, "==", "a"),)))
 
 
-class TestApplyAggregate:
-    def test_apply_covered(self):
-        rule = Rule(Body(), Head(np.array([0.5, -0.2])))
-        assert np.array_equal(apply_rule(rule, make_example(0.0, "a")), [0.5, -0.2])
+class TestEnsembleScores:
+    def _scores(self, rules, *rows):
+        n_labels = len(rules[0].head.scores)
+        ensemble = Ensemble(rules, [f"l{k}" for k in range(n_labels)], SCHEMA,
+                            EnsembleMeta("label-wise-logistic", 1.0, 0.0, 0))
+        return ensemble_scores(ensemble, make_dataset(*rows))
 
-    def test_apply_uncovered_is_null_vector(self):
-        rule = Rule(Body((Condition(0, ">", 1.0),)), Head(np.array([0.5, -0.2])))
-        assert np.array_equal(apply_rule(rule, make_example(0.0, "a")), [0.0, 0.0])
+    def test_covering_rule_adds_its_head(self):
+        rules = [Rule(Body(), Head(np.array([0.5, -0.2])))]
+        assert self._scores(rules, (0.0, "a")).tolist() == [[0.5, -0.2]]
 
-    def test_apply_single_label_head(self):
-        rule = Rule(Body(), Head(np.array([0.0, 0.7, 0.0]), label_index=1))
-        assert np.array_equal(apply_rule(rule, Example((0.0, "a"))), [0.0, 0.7, 0.0])
+    def test_uncovered_rule_adds_zero(self):
+        rules = [Rule(Body(), Head(np.zeros(2))),
+                 Rule(Body((Condition(0, ">", 1.0),)), Head(np.array([0.5, -0.2])))]
+        assert self._scores(rules, (0.0, "a")).tolist() == [[0.0, 0.0]]
 
-    def _ensemble(self, rules):
-        return Ensemble(
-            rules=rules,
-            label_names=["l0", "l1"],
-            schema=SCHEMA,
-            meta=EnsembleMeta("label-wise-logistic", 1.0, 0.0, 0),
-        )
+    def test_single_label_head(self):
+        rules = [Rule(Body(), Head(np.array([0.0, 0.7, 0.0]), label_index=1))]
+        assert self._scores(rules, (0.0, "a")).tolist() == [[0.0, 0.7, 0.0]]
 
-    def test_aggregate_default_only(self):
-        ensemble = self._ensemble([Rule(Body(), Head(np.array([0.1, -0.1])))])
-        assert np.allclose(aggregate(ensemble, make_example(0.0, "a")), [0.1, -0.1])
+    def test_default_rule_only(self):
+        rules = [Rule(Body(), Head(np.array([0.1, -0.1])))]
+        assert np.allclose(self._scores(rules, (0.0, "a")), [[0.1, -0.1]])
 
-    def test_aggregate_sums_covered_rules(self):
-        ensemble = self._ensemble(
-            [
-                Rule(Body(), Head(np.array([0.1, -0.1]))),
-                Rule(Body((Condition(0, "<=", 0.5),)), Head(np.array([0.2, 0.0]))),
-            ]
-        )
-        assert np.allclose(aggregate(ensemble, make_example(0.3, "a")), [0.3, -0.1])
+    def test_sums_covered_rules(self):
+        rules = [
+            Rule(Body(), Head(np.array([0.1, -0.1]))),
+            Rule(Body((Condition(0, "<=", 0.5),)), Head(np.array([0.2, 0.0]))),
+        ]
+        assert np.allclose(self._scores(rules, (0.3, "a")), [[0.3, -0.1]])
 
-    def test_aggregate_ignores_uncovered_rules(self):
-        ensemble = self._ensemble(
-            [
-                Rule(Body(), Head(np.array([0.1, -0.1]))),
-                Rule(Body((Condition(0, ">", 0.5),)), Head(np.array([9.0, 9.0]))),
-            ]
-        )
-        assert np.allclose(aggregate(ensemble, make_example(0.3, "a")), [0.1, -0.1])
+    def test_ignores_uncovered_rules(self):
+        rules = [
+            Rule(Body(), Head(np.array([0.1, -0.1]))),
+            Rule(Body((Condition(0, ">", 0.5),)), Head(np.array([9.0, 9.0]))),
+        ]
+        assert np.allclose(self._scores(rules, (0.3, "a")), [[0.1, -0.1]])
 
-    def test_aggregate_equals_sum_of_rule_applications(self, rng):
+    def test_scores_equal_per_row_sums_of_covering_heads(self, rng):
         """Random rules on a random dataset: vector sum identity."""
         dataset = random_dataset(rng, 40, n_numeric=2, n_nominal=1, n_labels=3,
                                  missing_rate=0.1)
@@ -134,10 +128,7 @@ class TestApplyAggregate:
                             EnsembleMeta("label-wise-logistic", 1.0, 0.0, 0))
         matrix = ensemble_scores(ensemble, dataset)
         for i in range(dataset.n_examples):
-            example = dataset.example(i)
-            expected = sum(apply_rule(rule, example) for rule in rules)
-            assert np.allclose(aggregate(ensemble, example), expected)
-            assert np.allclose(matrix[i], expected)
+            assert np.allclose(matrix[i], row_scores(rules, row_values(dataset, i)))
 
 
 class TestHeadInvariants:
@@ -169,7 +160,7 @@ class TestEnsembleInvariants:
 
 
 class TestVectorizedCoverage:
-    def test_mask_agrees_with_scalar_covers(self, rng):
+    def test_mask_agrees_with_per_row_reference(self, rng):
         dataset = random_dataset(rng, 60, n_numeric=2, n_nominal=2, n_labels=2,
                                  missing_rate=0.15)
         bodies = [
@@ -181,7 +172,7 @@ class TestVectorizedCoverage:
         ]
         for body in bodies:
             mask = body_mask(dataset, body)
-            expected = [covers(body, dataset.example(i)) for i in range(dataset.n_examples)]
+            expected = [covers(body, row_values(dataset, i)) for i in range(dataset.n_examples)]
             assert mask.tolist() == expected
 
 
@@ -217,28 +208,13 @@ class TestDatasetValidation:
         with pytest.raises(SchemaError):
             Attribute("a", NOMINAL, ())
 
-    def test_row_length_checked(self):
-        with pytest.raises(SchemaError):
-            Dataset.from_rows(SCHEMA, [[1.0]], np.array([[1, -1]]), ["l0", "l1"])
-
-    def test_unknown_nominal_value_rejected(self):
-        with pytest.raises(SchemaError):
-            Dataset.from_rows(SCHEMA, [[1.0, "zzz"]], np.array([[1, -1]]), ["l0", "l1"])
-
     def test_labels_must_be_plus_minus_one(self):
         with pytest.raises(SchemaError):
-            Dataset.from_rows(SCHEMA, [[1.0, "a"]], np.array([[1, 0]]), ["l0", "l1"])
-
-    def test_example_round_trip_with_missing(self):
-        dataset = Dataset.from_rows(
-            SCHEMA, [[None, "b"], [1.5, None]], np.array([[1, -1], [-1, 1]]), ["l0", "l1"]
-        )
-        assert dataset.example(0).values == (None, "b")
-        assert dataset.example(1).values == (1.5, None)
+            dataset_from_rows(SCHEMA, [[1.0, "a"]], np.array([[1, 0]]), ["l0", "l1"])
 
     def test_distinct_label_vectors_first_occurrence_order(self):
         labels = np.array([[1, -1], [-1, 1], [1, -1], [1, 1]], dtype=np.int8)
-        dataset = Dataset.from_rows(
+        dataset = dataset_from_rows(
             SCHEMA, [[0.1, "a"], [0.2, "a"], [0.3, "b"], [0.4, "b"]], labels, ["l0", "l1"]
         )
         distinct = dataset.distinct_label_vectors()

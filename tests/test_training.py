@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema, Dataset
+from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema
 from ruleboost.errors import ConfigError
 from ruleboost.losses import make_loss
 from ruleboost.rules import ensemble_scores
@@ -15,14 +15,14 @@ from ruleboost.serialization import dumps
 from ruleboost.synthetic import SyntheticConfig, generate
 from ruleboost.training import TrainConfig, train, train_with_diagnostics
 
-from conftest import random_dataset
+from conftest import dataset_from_rows, random_dataset
 
 
 def _single_label_dataset(labels):
     schema = AttributeSchema((Attribute("x", NUMERIC),))
     rows = [[float(i)] for i in range(len(labels))]
     matrix = np.asarray(labels, dtype=np.int8).reshape(-1, 1)
-    return Dataset.from_rows(schema, rows, matrix, ["l0"])
+    return dataset_from_rows(schema, rows, matrix, ["l0"])
 
 
 class TestConfigValidation:
@@ -168,7 +168,7 @@ class TestTrainingInvariants:
         values = rng.uniform(0, 1, 30)
         labels = np.where(values[:, None] > 0.5, 1, -1).astype(np.int8)
         labels = np.repeat(labels, 2, axis=1)
-        dataset = Dataset.from_rows(schema, [[float(v)] for v in values], labels, names)
+        dataset = dataset_from_rows(schema, [[float(v)] for v in values], labels, names)
         with_fs = train(dataset, TrainConfig(n_rules=6, seed=13, feature_sampling=True))
         without_fs = train(dataset, TrainConfig(n_rules=6, seed=13, feature_sampling=False))
         # One attribute: the feature subset is forced either way, so the

@@ -1,5 +1,7 @@
 """Holdout grid search behavior."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from ruleboost.errors import ConfigError
 from ruleboost.synthetic import SyntheticConfig, generate
 from ruleboost.tuning import (
     GridCell,
+    GridFailure,
     GridSearchConfig,
+    GridSearchReport,
     _select_best,
     grid_search,
     train_validation_split,
@@ -97,6 +101,19 @@ class TestSelection:
         payload = report.to_dict()
         assert payload["metric"] == config.metric
         assert len(payload["cells"]) == 1
+        json.dumps(payload)
+
+        report = GridSearchReport("hamming", 8, 4, [GridCell(0.3, 0.0, 2, 0.25)],
+                                  [GridFailure(0.1, 1.0, "SolverError: singular")])
+        expected = {
+            "metric": "hamming",
+            "n_train": 8,
+            "n_validation": 4,
+            "cells": [{"shrinkage": 0.3, "l2_weight": 0.0, "n_rules": 2, "value": 0.25}],
+            "failures": [{"shrinkage": 0.1, "l2_weight": 1.0, "error": "SolverError: singular"}],
+        }
+        # Compared as JSON text, so the key order counts too.
+        assert json.dumps(report.to_dict()) == json.dumps(expected)
 
     def test_empty_grid_rejected(self, dataset):
         with pytest.raises(ConfigError):
