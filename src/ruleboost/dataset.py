@@ -70,15 +70,15 @@ class Dataset:
     label_names: list[str]
 
     def __post_init__(self):
+        if self.labels.ndim != 2:
+            raise SchemaError("label matrix must be 2-D, one row per example")
         n = self.n_examples
         if len(self.columns) != len(self.schema):
             raise SchemaError("column count does not match schema")
         for column in self.columns:
             if column.shape != (n,):
-                raise SchemaError("column lengths are inconsistent")
+                raise SchemaError("column length does not match the label matrix's example count")
             column.setflags(write=False)
-        if self.labels.ndim != 2 or self.labels.shape[0] != n:
-            raise SchemaError("label matrix shape does not match example count")
         if self.labels.shape[1] != len(self.label_names):
             raise SchemaError("label matrix width does not match label names")
         if not np.all(np.abs(self.labels) == 1):
@@ -87,7 +87,7 @@ class Dataset:
 
     @property
     def n_examples(self) -> int:
-        return self.labels.shape[0] if self.labels.ndim == 2 else len(self.columns[0])
+        return self.labels.shape[0]
 
     @property
     def n_attributes(self) -> int:

@@ -208,6 +208,34 @@ class TestDatasetValidation:
         with pytest.raises(SchemaError):
             Attribute("a", NOMINAL, ())
 
+    def test_column_count_checked(self):
+        with pytest.raises(SchemaError, match="column count"):
+            Dataset(SCHEMA, [np.array([1.0])], np.array([[1, -1]], dtype=np.int8), ["l0", "l1"])
+
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_column_length_must_match_label_rows(self, n_rows):
+        columns = [np.zeros(n_rows), np.zeros(n_rows, dtype=np.int64)]
+        labels = np.ones((2, 2), dtype=np.int8)
+        with pytest.raises(SchemaError, match="column length"):
+            Dataset(SCHEMA, columns, labels, ["l0", "l1"])
+
+    def test_label_width_must_match_label_names(self):
+        with pytest.raises(SchemaError, match="label names"):
+            dataset_from_rows(SCHEMA, [[1.0, "a"]], np.array([[1, -1]]), ["l0"])
+
+    @pytest.mark.parametrize("n_attributes", [0, 2])
+    def test_one_dimensional_labels_rejected(self, n_attributes):
+        schema = AttributeSchema(SCHEMA.attributes[:n_attributes])
+        columns = [np.zeros(3), np.zeros(3, dtype=np.int64)][:n_attributes]
+        with pytest.raises(SchemaError, match="2-D"):
+            Dataset(schema, columns, np.ones(3, dtype=np.int8), ["l0"])
+
+    def test_columns_and_labels_are_read_only(self):
+        dataset = dataset_from_rows(SCHEMA, [[1.0, "a"]], np.array([[1, -1]]), ["l0", "l1"])
+        for array in (*dataset.columns, dataset.labels):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
     def test_labels_must_be_plus_minus_one(self):
         with pytest.raises(SchemaError):
             dataset_from_rows(SCHEMA, [[1.0, "a"]], np.array([[1, 0]]), ["l0", "l1"])
