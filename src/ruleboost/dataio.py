@@ -9,14 +9,19 @@ they must be nominal with domain {0, 1} and are mapped to -1/+1.
 Sparse rows follow ARFF semantics: unspecified numeric entries are 0 and
 unspecified nominal entries are the first value of their domain.
 
-The data block is split into a grid of tokens (sparse rows expanded into
-it) and converted one column at a time; a bad cell is reported with its
-line number, the earliest one first.
+The data block is converted one column at a time, from one of two
+tokenizers.  A plain dense block (no quotes, braces or '%', and one comma
+fewer than attributes on every line) is split in one pass into a flat
+list of cells, of which column j is every width-th cell from cell j.
+Any other block is tokenized line by line, with sparse rows expanded.
+Both feed the same column converters, so a bad cell is reported with its
+line number, the earliest one first, whichever tokenizer read it.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import repeat
 
 import numpy as np
 
@@ -128,6 +133,34 @@ def _sparse_tokens(text: str, defaults: list, line: int) -> list:
     return row
 
 
+def _bulk_columns(lines, data_line: int, width: int):
+    """Cells by column and their line numbers of a plain dense data block, else None.
+
+    Blank lines at the block's start and end are dropped.  The rest is
+    plain when it holds no quote, brace or '%' and each of its lines has
+    ``width - 1`` commas.  Its cells are then the per-line tokenizer's,
+    except that a line's first and last cell keep the whitespace around
+    the line, which every conversion strips, so one split of the joined
+    lines reads them all.
+    """
+    first, end = data_line, len(lines)
+    while first < end and not lines[first].strip():
+        first += 1
+    while end > first and not lines[end - 1].strip():
+        end -= 1
+    block = lines[first:end]
+    # One attribute needs no comma, so a blank line inside the block would pass.
+    if width < 2 or not block:
+        return None
+    if list(map(str.count, block, repeat(","))).count(width - 1) != len(block):
+        return None
+    joined = ",".join(block)
+    if any(mark in joined for mark in ("'", '"', "{", "%")):
+        return None
+    cells = joined.split(",")
+    return [cells[j::width] for j in range(width)], range(first + 1, end + 1)
+
+
 def _tokenize_data(lines, data_line: int, attributes):
     """Token rows after the @data line, their line numbers and the first row error.
 
@@ -162,7 +195,8 @@ def _tokenize_data(lines, data_line: int, attributes):
 
 def _numeric_column(attr: Attribute, cells, numbers) -> np.ndarray:
     try:
-        return np.array(list(map(float, cells)), dtype=np.float64)
+        # numpy calls float on each str, so this accepts exactly what float does.
+        return np.array(cells, dtype=np.float64)
     except ValueError:
         pass  # missing or quoted cells, or a bad one
     column = np.empty(len(cells), dtype=np.float64)
@@ -204,7 +238,8 @@ class _NominalCodes(dict):
 
 def _nominal_column(attr: Attribute, cells, numbers) -> np.ndarray:
     try:
-        return np.array(list(map(_NominalCodes(attr).__getitem__, cells)), dtype=np.int64)
+        return np.fromiter(map(_NominalCodes(attr).__getitem__, cells), dtype=np.int64,
+                           count=len(cells))
     except KeyError as unknown:
         cell = unknown.args[0]
         i = cells.index(cell)
@@ -239,8 +274,15 @@ def _read_arff(path):
     if data_line is None:
         raise ParseError(f"{path}: no @data section found")
 
-    rows, numbers, row_error = _tokenize_data(lines, data_line, attributes)
-    cells_by_column = list(zip(*rows)) if rows else [() for _ in attributes]
+    bulk = _bulk_columns(lines, data_line, len(attributes))
+    if bulk is not None:
+        (cells_by_column, numbers), row_error = bulk, None
+    else:
+        rows, numbers, row_error = _tokenize_data(lines, data_line, attributes)
+        cells_by_column = list(zip(*rows)) if rows else [() for _ in attributes]
+    # Freed before the columns are built, which lowers the peak RSS of the
+    # process that goes on to decode.
+    del lines
     columns, cell_errors = [], []
     for j, (attr, cells) in enumerate(zip(attributes, cells_by_column)):
         convert = _numeric_column if attr.is_numeric else _nominal_column

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-number check of configs."""
+
+import math
 
 
 class RuleBoostError(Exception):
@@ -11,6 +13,19 @@ class SchemaError(RuleBoostError):
 
 class ConfigError(RuleBoostError):
     """Invalid training or generation configuration."""
+
+
+def check_finite(config, *names: str) -> None:
+    """Raise ConfigError naming the first of ``config``'s fields that holds a non-finite number.
+
+    A field holds one number or a tuple or list of them.  NaN would pass
+    every range check, since each comparison with it is false.
+    """
+    for name in names:
+        value = getattr(config, name)
+        for number in value if isinstance(value, (tuple, list)) else (value,):
+            if not math.isfinite(number):
+                raise ConfigError(f"{name} must be a finite number, not {number!r}")
 
 
 class SolverError(RuleBoostError):

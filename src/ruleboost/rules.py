@@ -244,12 +244,20 @@ def check_label_names(ensemble: Ensemble, dataset: Dataset) -> None:
 
 
 def ensemble_scores(ensemble: Ensemble, dataset: Dataset) -> np.ndarray:
-    """Aggregated confidence scores for every example, shape (n, n_labels).
+    """Aggregated confidence scores for every example, shape (n, n_labels), C-contiguous.
+
+    The scores are summed in one contiguous row of length n per label:
+    each rule adds its head value for the label to that row's entries at
+    the rows its body covers.  Every entry gets the additions ``add_head``
+    would make, in the same rule order, so the scores are bit-identical to
+    adding whole heads to (n, n_labels) rows.
 
     Raises SchemaError when the data's attributes are not the model's.
     """
     check_schema(ensemble, dataset)
-    scores = np.zeros((dataset.n_examples, ensemble.n_labels))
+    by_label = np.zeros((ensemble.n_labels, dataset.n_examples))
     for rule in ensemble.rules:
-        add_head(scores, body_mask(dataset, rule.body), rule.head.scores)
-    return scores
+        rows = np.flatnonzero(body_mask(dataset, rule.body))
+        for sums, value in zip(by_label, rule.head.scores.tolist()):
+            sums[rows] += value
+    return np.ascontiguousarray(by_label.T)

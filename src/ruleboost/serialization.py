@@ -13,6 +13,7 @@ import numpy as np
 
 from .dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema
 from .errors import ParseError, SchemaError, UnsupportedVersionError
+from .losses import LOSSES
 from .rules import NOMINAL_OPS, NUMERIC_OPS, Body, Condition, Ensemble, EnsembleMeta, Head, Rule
 
 FORMAT_VERSION = 1
@@ -65,7 +66,11 @@ _ABSENT = object()
 
 
 def _typed(value, kinds, path: str, what: str):
-    """``value`` if it is one of ``kinds`` (a boolean is never a number), else ParseError."""
+    """``value`` if it is one of ``kinds``, a type or a tuple of them, else ParseError.
+
+    A boolean is never a number, though ``bool`` is a subclass of ``int``.
+    """
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         found = _JSON_TYPES.get(type(value), type(value).__name__)
         raise ParseError(f"{path} must be {what}, not {found}")
@@ -93,6 +98,21 @@ def _finite_number(value, path: str) -> float:
     if not math.isfinite(number):
         raise ParseError(f"{path} must be a finite number, not {value!r}")
     return number
+
+
+def _meta(document) -> EnsembleMeta:
+    """The training settings a model document records, each checked as training checks it."""
+    loss = _field(document, "loss", "", str, "a string")
+    if loss not in LOSSES:
+        raise ParseError(f"loss: unknown loss {loss!r}; expected one of {sorted(LOSSES)}")
+    shrinkage = _field(document, "shrinkage", "", _NUMBER, "a number")
+    if not 0.0 < _finite_number(shrinkage, "shrinkage") <= 1.0:
+        raise ParseError(f"shrinkage must be in (0, 1], not {shrinkage!r}")
+    l2_weight = _field(document, "l2_weight", "", _NUMBER, "a number")
+    if _finite_number(l2_weight, "l2_weight") < 0.0:
+        raise ParseError(f"l2_weight must be nonnegative, not {l2_weight!r}")
+    seed = _field(document, "seed", "", int, "an integer")
+    return EnsembleMeta(loss=loss, shrinkage=shrinkage, l2_weight=l2_weight, seed=seed)
 
 
 def _attribute(entry, path: str) -> Attribute:
@@ -171,9 +191,11 @@ def ensemble_from_dict(document: dict) -> Ensemble:
     if not isinstance(document, dict):
         raise ParseError("model document is not an object")
     version = document.get("format_version")
-    if version != FORMAT_VERSION:
+    # true == 1, so a boolean is compared only after it is ruled out.
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise UnsupportedVersionError(
-            f"unsupported model format version {version!r}; this build reads version {FORMAT_VERSION}"
+            f"format_version: unsupported model format version {version!r}; "
+            f"this build reads version {FORMAT_VERSION}"
         )
     attributes = [
         _attribute(entry, f"schema[{i}]")
@@ -190,12 +212,7 @@ def ensemble_from_dict(document: dict) -> Ensemble:
         _rule(entry, f"rules[{i}]", schema, len(label_names))
         for i, entry in enumerate(_field(document, "rules", "", list, "an array"))
     ]
-    meta = EnsembleMeta(
-        loss=_field(document, "loss", "", str, "a string"),
-        shrinkage=_field(document, "shrinkage", "", _NUMBER, "a number"),
-        l2_weight=_field(document, "l2_weight", "", _NUMBER, "a number"),
-        seed=_field(document, "seed", "", int, "an integer"),
-    )
+    meta = _meta(document)
     label_vectors = _label_vectors(document.get("label_vectors"), len(label_names))
     try:
         return Ensemble(rules=rules, label_names=list(label_names), schema=schema, meta=meta,

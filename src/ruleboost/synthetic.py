@@ -26,7 +26,7 @@ import numpy as np
 
 from .choices import CONDITIONAL_DEPENDENCE, MARGINAL_DEPENDENCE, MARGINAL_INDEPENDENCE, SCENARIOS
 from .dataset import NUMERIC, Attribute, AttributeSchema, Dataset
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 
 _STREAM_BOUNDARIES = 100
 _STREAM_TRAIN = 101
@@ -43,6 +43,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self, "noise_rate", "boundary_angle_spread")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if not (0.0 <= self.noise_rate < 1.0):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .heads import (
     HEAD_MULTI,
     HEAD_SINGLE,
@@ -54,6 +54,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
+        check_finite(self, "shrinkage", "l2_weight")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.n_rules < 1:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .choices import DEFAULT_L2_WEIGHTS, DEFAULT_RULE_COUNTS, DEFAULT_SHRINKAGES, HEAD_MULTI
 from .dataset import Dataset
-from .errors import ConfigError, RuleBoostError
+from .errors import ConfigError, RuleBoostError, check_finite
 from .losses import LOSSES
 from .metrics import hamming_loss, subset_zero_one_loss
 from .prediction import decode_scores, default_decode_method
@@ -40,6 +40,7 @@ class GridSearchConfig:
     feature_sampling: bool = True
 
     def validate(self):
+        check_finite(self, "shrinkages", "l2_weights", "validation_fraction")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if not self.shrinkages or not self.l2_weights or not self.rule_counts:

@@ -398,6 +398,49 @@ class TestErrorPaths:
         assert lines[0].startswith("error:")
         assert "rules[3].scores" in lines[0]
 
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda d: d.update(seed=True), "seed"),
+        (lambda d: d["rules"][1]["conditions"][0].update(attribute=True),
+         "rules[1].conditions[0].attribute"),
+        (lambda d: d.update(format_version=True), "format_version"),
+        (lambda d: d.update(loss="hinge"), "loss"),
+        (lambda d: d.update(shrinkage=-0.3), "shrinkage"),
+        (lambda d: d.update(l2_weight=-1.0), "l2_weight"),
+    ])
+    def test_model_with_a_bad_field_value(self, synth_dir, model_path, tmp_path, capsys,
+                                          mutate, field):
+        document = json.loads(model_path.read_text())
+        assert document["rules"][1]["conditions"]
+        mutate(document)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(document))
+        code = main(["predict", "--data", str(synth_dir / "test.arff"), "--labels", "3",
+                     "--model", str(broken), "--output", str(tmp_path / "p.csv")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert field in lines[0]
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("argv,field", [
+        (["train", "--loss", "label-wise-logistic", "--l2", "inf"], "l2_weight"),
+        (["train", "--loss", "example-wise-logistic", "--l2", "nan"], "l2_weight"),
+        (["synth", "--scenario", "marginal_dependence", "--spread", "nan"],
+         "boundary_angle_spread"),
+    ])
+    def test_non_finite_option(self, synth_dir, tmp_path, capsys, argv, field):
+        if argv[0] == "train":
+            argv = [*argv, "--data", str(synth_dir / "train.arff"), "--labels", "3",
+                    "--rules", "3", "--model", str(tmp_path / "m.json")]
+        else:
+            argv = [*argv, "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {field} must be a finite number")
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "out").exists()
+
     def test_data_with_swapped_attributes(self, synth_dir, model_path, tmp_path, capsys):
         text = (synth_dir / "test.arff").read_text()
         assert "@attribute x1 numeric\n@attribute x2 numeric\n" in text

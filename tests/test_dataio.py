@@ -1,10 +1,17 @@
 """ARFF and CSV ingestion, export round trips."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ruleboost import dataio
 from ruleboost.dataio import load_arff, load_csv, save_arff
-from ruleboost.errors import ParseError, SchemaError
+from ruleboost.errors import ParseError, RuleBoostError, SchemaError
 
 from reference import row_values
 
@@ -297,6 +304,123 @@ class TestArffRoundTripMixed:
             "0.1,?,1\n"
             "1e+300,'comma,inside',0\n"
         )
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-1000, 1000).map(str),
+    st.sampled_from(["?", "nan", "-Infinity", "1e999", "1_0", "-0.0", ".5", "5."]),
+)
+NOMINAL_VALUES = ("a", "b", "c")
+# A row one cell short or long, one of each (so that the block's comma
+# count is right), or one cell that does not convert.
+FAULTS = (None, "short", "long", "shifted", "number", "nominal", "label")
+WIDTH_FAULTS = ("short", "long", "shifted")
+BAD_CELLS = {"number": "1.2.3", "nominal": "zz", "label": "2"}
+
+
+@st.composite
+def dense_arff_files(draw):
+    """An ARFF text with a dense, unquoted data block, its label count and its fault."""
+    numeric = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    n_labels = draw(st.integers(1, 2))
+    header = [f"@attribute x{j} numeric" if is_numeric else f"@attribute x{j} {{a,b,c}}"
+              for j, is_numeric in enumerate(numeric)]
+    header += [f"@attribute l{k} {{0,1}}" for k in range(n_labels)]
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = [draw(NUMBER_CELLS) if is_numeric else draw(st.sampled_from(NOMINAL_VALUES + ("?",)))
+               for is_numeric in numeric]
+        rows.append(row + [draw(st.sampled_from(["0", "1"])) for _ in range(n_labels)])
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "shifted" and len(rows) == 1:
+        fault = "short"
+    i = draw(st.integers(0, len(rows) - 1))
+    if fault in ("short", "shifted"):
+        rows[i].pop(draw(st.integers(0, len(rows[i]) - 1)))
+    if fault in ("long", "shifted"):
+        # A shifted block's long row is the one after its short row.
+        j = (i + 1) % len(rows) if fault == "shifted" else i
+        rows[j].insert(draw(st.integers(0, len(rows[j]))), draw(NUMBER_CELLS))
+    if fault in BAD_CELLS:
+        columns = {
+            "number": [j for j, is_numeric in enumerate(numeric) if is_numeric],
+            "nominal": [j for j, is_numeric in enumerate(numeric) if not is_numeric],
+            "label": list(range(len(numeric), len(numeric) + n_labels)),
+        }[fault]
+        if columns:
+            rows[i][draw(st.sampled_from(columns))] = BAD_CELLS[fault]
+        else:
+            fault = None
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    lines = [",".join(draw(pad) + cell + draw(pad) for cell in row) for row in rows]
+    blank = st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2)
+    lines = draw(blank) + lines + draw(blank)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(["@relation r", *header, "@data", *lines])
+    return text + draw(st.sampled_from(["", eol])), n_labels, fault
+
+
+def outcome(path, labels):
+    """What loading gives: the dataset's schema, labels and column bytes, or the error."""
+    try:
+        dataset = load_arff(path, labels)
+    except RuleBoostError as exc:
+        return type(exc), str(exc)
+    return (dataset.schema, dataset.label_names, dataset.labels.tobytes(),
+            [(column.dtype.str, column.tobytes()) for column in dataset.columns])
+
+
+def tokenizer_unused(*args):
+    raise AssertionError("the per-line tokenizer read a plain block")
+
+
+class TestBulkDataBlock:
+    """A plain dense block is split in one pass; it must load as the per-line tokenizer loads it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense_arff_files())
+    def test_same_dataset_or_error_as_the_line_tokenizer(self, case):
+        text, n_labels, fault = case
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "data.arff"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.object(dataio, "_bulk_columns", return_value=None):
+                expected = outcome(path, n_labels)
+            # Only a row of the wrong width sends the block to the tokenizer.
+            if fault in WIDTH_FAULTS:
+                actual = outcome(path, n_labels)
+            else:
+                with mock.patch.object(dataio, "_tokenize_data", tokenizer_unused):
+                    actual = outcome(path, n_labels)
+        assert actual == expected
+        if fault is not None:
+            assert isinstance(expected[0], type) and issubclass(expected[0], RuleBoostError)
+
+    def test_plain_block_does_not_use_the_line_tokenizer(self, tmp_path, monkeypatch):
+        path = tmp_path / "plain.arff"
+        path.write_text(DENSE_ARFF.replace("% toy dataset\n", "").replace("?", "3.5")
+                        .replace("@data\n", "@data\n\n  \n") + "\n\n")
+        monkeypatch.setattr(dataio, "_tokenize_data", tokenizer_unused)
+        dataset = load_arff(path, 1)
+        assert dataset.columns[0].tolist() == [1.5, 2.5, 3.5]
+        assert dataset.columns[1].tolist() == [0, 2, 1]
+        assert dataset.labels.ravel().tolist() == [1, -1, 1]
+
+    @pytest.mark.parametrize("row,n_examples", [
+        ("% a comment", 3), ("{0 1.5, 1 red, 2 1}", 4), ("'1.5', red, 1", 4), ("", 3),
+        ("1.5, red, 1, 0", None),
+    ])
+    def test_other_blocks_use_the_line_tokenizer(self, tmp_path, row, n_examples):
+        path = tmp_path / "other.arff"
+        path.write_text(DENSE_ARFF.replace("2.5, blue, 0\n", f"2.5, blue, 0\n{row}\n"))
+        with mock.patch.object(dataio, "_tokenize_data", wraps=dataio._tokenize_data) as spy:
+            if n_examples is None:
+                with pytest.raises(ParseError, match="line 11: row has 4 values, expected 3"):
+                    load_arff(path, 1)
+            else:
+                assert load_arff(path, 1).n_examples == n_examples
+        assert spy.call_count == 1
 
 
 CSV_TEXT = """width,color,label1

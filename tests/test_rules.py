@@ -19,10 +19,12 @@ from ruleboost.rules import (
     EnsembleMeta,
     Head,
     Rule,
+    add_head,
     body_mask,
     condition_mask,
     ensemble_scores,
 )
+from ruleboost.training import TrainConfig, train
 
 from conftest import dataset_from_rows, random_dataset
 from reference import covers, row_scores, row_values
@@ -129,6 +131,43 @@ class TestEnsembleScores:
         matrix = ensemble_scores(ensemble, dataset)
         for i in range(dataset.n_examples):
             assert np.allclose(matrix[i], row_scores(rules, row_values(dataset, i)))
+
+
+def _rule_by_rule_scores(ensemble, dataset):
+    """Scores summed as whole heads added to (n, l) rows, one rule at a time."""
+    scores = np.zeros((dataset.n_examples, ensemble.n_labels))
+    for rule in ensemble.rules:
+        add_head(scores, body_mask(dataset, rule.body), rule.head.scores)
+    return scores
+
+
+class TestEnsembleScoresBitIdentity:
+    """``ensemble_scores`` sums per label but must equal whole-head additions bit for bit."""
+
+    @pytest.mark.parametrize("loss", ["label-wise-logistic", "example-wise-logistic"])
+    @pytest.mark.parametrize("head_mode", ["single", "multi"])
+    def test_trained_models_on_data_with_missing_values(self, rng, loss, head_mode):
+        dataset = random_dataset(rng, 300, n_numeric=3, n_nominal=2, n_labels=4,
+                                 missing_rate=0.15)
+        ensemble = train(dataset, TrainConfig(loss=loss, n_rules=30, head_mode=head_mode,
+                                              l2_weight=1.0))
+        if head_mode == "single":
+            assert all(rule.head.label_index is not None for rule in ensemble.rules[1:])
+        scores = ensemble_scores(ensemble, dataset)
+        assert scores.shape == (dataset.n_examples, ensemble.n_labels)
+        assert scores.dtype == np.float64 and scores.flags.c_contiguous
+        assert scores.tobytes() == _rule_by_rule_scores(ensemble, dataset).tobytes()
+
+    def test_zero_and_negative_zero_head_values(self):
+        rules = [Rule(Body(), Head(np.array([0.0, -0.0, 0.25]))),
+                 Rule(Body((Condition(0, "<=", 0.5),)), Head(np.array([-0.0, 0.0, -0.25]))),
+                 Rule(Body((Condition(1, "==", "b"),)), Head(np.array([0.0, -0.0, 0.0]), 1))]
+        ensemble = Ensemble(rules, ["l0", "l1", "l2"], SCHEMA,
+                            EnsembleMeta("label-wise-logistic", 1.0, 0.0, 0))
+        dataset = make_dataset((0.3, "a"), (0.7, "b"), (None, None))
+        scores = ensemble_scores(ensemble, dataset)
+        assert scores.tobytes() == _rule_by_rule_scores(ensemble, dataset).tobytes()
+        assert not np.signbit(scores).any()
 
 
 class TestHeadInvariants:

@@ -197,6 +197,18 @@ class TestInvalidFieldsNameTheirPath:
         (lambda d: d["label_vectors"], _set(0, [1, 0]), "label_vectors[0]"),
         (lambda d: d["label_vectors"], _set(0, [1, -1, 1]), "label_vectors[0]"),
         (lambda d: d, _set("seed", "0"), "seed"),
+        (lambda d: d, _set("seed", True), "seed"),
+        (lambda d: d["rules"][1]["conditions"][0], _set("attribute", True),
+         "rules[1].conditions[0].attribute"),
+        (lambda d: d, _set("format_version", True), "format_version"),
+        (lambda d: d, _set("loss", "hinge"), "loss"),
+        (lambda d: d, _set("shrinkage", 0.0), "shrinkage"),
+        (lambda d: d, _set("shrinkage", -0.3), "shrinkage"),
+        (lambda d: d, _set("shrinkage", 1.5), "shrinkage"),
+        (lambda d: d, _set("shrinkage", float("nan")), "shrinkage"),
+        (lambda d: d, _set("shrinkage", True), "shrinkage"),
+        (lambda d: d, _set("l2_weight", -1.0), "l2_weight"),
+        (lambda d: d, _set("l2_weight", float("inf")), "l2_weight"),
     ])
     def test_parse_error_names_path(self, locate, mutate, path):
         document = _two_rule_document()

@@ -19,6 +19,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SyntheticConfig("linear")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["noise_rate", "boundary_angle_spread"])
+    def test_non_finite_float_names_its_field(self, field, value):
+        for scenario in SCENARIOS:
+            with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
+                SyntheticConfig(scenario, **{field: value})
+
     def test_noise_rate_range(self):
         with pytest.raises(ConfigError):
             SyntheticConfig("marginal_independence", noise_rate=1.0)

@@ -48,6 +48,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             train(dataset, TrainConfig(l2_weight=-1.0))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["shrinkage", "l2_weight"])
+    def test_non_finite_float_names_its_field(self, rng, field, value):
+        dataset = random_dataset(rng, 10, n_numeric=1)
+        for loss in ("label-wise-logistic", "example-wise-logistic"):
+            config = TrainConfig(loss=loss, n_rules=2, **{field: value})
+            with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
+                train(dataset, config)
+
 
 class TestDefaultRule:
     def test_one_rule_ensemble_is_default_only(self, rng):

@@ -118,3 +118,14 @@ class TestSelection:
     def test_empty_grid_rejected(self, dataset):
         with pytest.raises(ConfigError):
             grid_search(dataset, GridSearchConfig(shrinkages=()))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field,wrap", [
+        ("shrinkages", lambda v: (0.3, v)),
+        ("l2_weights", lambda v: (0.0, v)),
+        ("validation_fraction", lambda v: v),
+    ])
+    def test_non_finite_float_names_its_field(self, dataset, field, wrap, value):
+        config = GridSearchConfig(rule_counts=(2,), **{field: wrap(value)})
+        with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
+            grid_search(dataset, config)

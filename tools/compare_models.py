@@ -25,10 +25,14 @@ benchmark's ``trajectory-4v`` workload (conditional_dependence, n = 2000,
 script compares the four series CSVs byte for byte.
 
 Last, each tree runs ``python -m ruleboost.cli`` as a process: ``--help``
-of the program and of every subcommand, and ``predict`` with both
-decoders on one model and test file (written by the parent tree), its
-CSV read from stdout through a pipe.  The script compares their stdout,
-stderr and exit codes byte for byte.
+of the program and of every subcommand, and ``predict`` on one model
+(written by the parent tree), its CSV read from stdout through a pipe.
+``predict`` runs with both decoders on the test file, once on a tie-heavy
+rewrite of it (features rounded to one decimal, 5% of them '?', which
+sends numeric columns through the per-cell converter) and once on the
+test file with a '%' comment line in its data block, which is read by
+the per-line tokenizer rather than in one split.  The script compares
+their stdout, stderr and exit codes byte for byte.
 
 It exits 1 when any model, series or command line output differs.
 """
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -136,6 +141,24 @@ def _cli(src: str, *args: str) -> tuple[int, bytes, bytes]:
     return completed.returncode, completed.stdout, completed.stderr
 
 
+def _test_file_variants(test: Path) -> tuple[Path, Path]:
+    """The test file rewritten tie-heavy, and with a comment line in its data block."""
+    head, data = test.read_text(encoding="utf-8").split("@data\n")
+    rows = data.splitlines()
+    rng = random.Random(7)
+    tie_rows = []
+    for row in rows:
+        cells = row.split(",")
+        cells[:-N_LABELS] = ["?" if rng.random() < 0.05 else repr(round(float(c), 1))
+                             for c in cells[:-N_LABELS]]
+        tie_rows.append(",".join(cells))
+    commented_rows = rows[:5] + ["% a comment line inside the data block"] + rows[5:]
+    paths = test.with_name("test_tie_heavy.arff"), test.with_name("test_commented.arff")
+    for path, lines in zip(paths, (tie_rows, commented_rows)):
+        path.write_text(head + "@data\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    return paths
+
+
 def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
     """Each tree's ``--help`` texts and piped ``predict`` outputs, by command line."""
     with tempfile.TemporaryDirectory() as work:
@@ -150,10 +173,15 @@ def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
             if status != 0:
                 raise SystemExit(f"ruleboost {args[0]} under {parent_src} failed:\n"
                                  f"{stderr.decode(errors='replace')}")
-        commands = [("--help",)] + [(command, "--help") for command in SUBCOMMANDS]
-        commands += [("predict", "--decode", method, "--data", str(data / "test.arff"),
-                      "--labels", str(N_LABELS), "--model", str(model)) for method in DECODERS]
-        return tuple({" ".join(args[:3]): _cli(src, *args) for args in commands}
+        tie_heavy, commented = _test_file_variants(data / "test.arff")
+        commands = {" ".join(args): args
+                    for args in [("--help",)] + [(command, "--help") for command in SUBCOMMANDS]}
+        for method, test in [(method, data / "test.arff") for method in DECODERS] + [
+                ("sign", tie_heavy), ("known-vectors", commented)]:
+            commands[f"predict --decode {method} --data {test.name}"] = (
+                "predict", "--decode", method, "--data", str(test), "--labels", str(N_LABELS),
+                "--model", str(model))
+        return tuple({name: _cli(src, *args) for name, args in commands.items()}
                      for src in (parent_src, change_src))
 
 
