@@ -21,6 +21,8 @@ CONDITIONAL_DEPENDENCE = "conditional_dependence"
 SCENARIOS = (MARGINAL_INDEPENDENCE, MARGINAL_DEPENDENCE, CONDITIONAL_DEPENDENCE)
 
 DEFAULT_CHECKPOINTS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000)
+# Holdout tuning's metrics, named as the fields of a trajectory point.
+METRICS = ("hamming", "subset01")
 
 DEFAULT_SHRINKAGES = (0.1, 0.3, 0.5)
 DEFAULT_L2_WEIGHTS = (0.0, 0.25, 1.0, 4.0, 16.0, 64.0)

@@ -29,6 +29,7 @@ from .choices import (
     DEFAULT_SHRINKAGES,
     HEAD_MULTI,
     HEAD_SINGLE,
+    METRICS,
     SCENARIOS,
 )
 from .dataset import Dataset
@@ -321,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rules-grid", default=",".join(str(x) for x in DEFAULT_RULE_COUNTS)
     )
     p_tune.add_argument("--val-fraction", type=float, default=1.0 / 3.0)
-    p_tune.add_argument("--metric", choices=("hamming", "subset01"), default="subset01")
+    p_tune.add_argument("--metric", choices=METRICS, default="subset01")
     p_tune.add_argument("--seed", type=int, default=0)
     p_tune.add_argument("--json", help="write the full report as JSON")
     p_tune.set_defaults(func=_cmd_tune)

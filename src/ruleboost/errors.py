@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the finite-number check of configs."""
+"""Exception types shared across the package, and the number checks of configs."""
 
 import math
+from numbers import Integral
 
 
 class RuleBoostError(Exception):
@@ -15,17 +16,32 @@ class ConfigError(RuleBoostError):
     """Invalid training or generation configuration."""
 
 
-def check_finite(config, *names: str) -> None:
-    """Raise ConfigError naming the first of ``config``'s fields that holds a non-finite number.
-
-    A field holds one number or a tuple or list of them.  NaN would pass
-    every range check, since each comparison with it is false.
-    """
+def _numbers(config, names):
+    """(name, number) for each number in the fields; a field holds one, or a tuple or list."""
     for name in names:
         value = getattr(config, name)
         for number in value if isinstance(value, (tuple, list)) else (value,):
-            if not math.isfinite(number):
-                raise ConfigError(f"{name} must be a finite number, not {number!r}")
+            yield name, number
+
+
+def check_finite(config, *names: str) -> None:
+    """Raise ConfigError naming the first of ``config``'s fields that holds a non-finite number.
+
+    NaN would pass every range check, since each comparison with it is false.
+    """
+    for name, number in _numbers(config, names):
+        if not math.isfinite(number):
+            raise ConfigError(f"{name} must be a finite number, not {number!r}")
+
+
+def check_integer(config, *names: str) -> None:
+    """Raise ConfigError naming the first of ``config``'s fields that holds a non-integer.
+
+    Booleans are rejected too: ``True`` would pass as the count 1.
+    """
+    for name, number in _numbers(config, names):
+        if isinstance(number, bool) or not isinstance(number, Integral):
+            raise ConfigError(f"{name} must be an integer, not {number!r}")
 
 
 class SolverError(RuleBoostError):

@@ -132,25 +132,10 @@ def stats_for_rows(store: GradHessStore, rows, workspace: ScanWorkspace | None =
                                      store.diagonal, rows.shape[0])
 
 
-def aggregate_stats(
-    store: GradHessStore,
-    body: Body,
-    dataset: Dataset,
-    indices: np.ndarray | None = None,
-    workspace: ScanWorkspace | None = None,
-) -> AggregatedStats:
-    """Sum gradients/Hessians of the examples covered by a body.
-
-    ``indices`` restricts (with multiplicity) to a sample of the dataset;
-    by default all examples are considered once.
-    """
-    mask = body_mask(dataset, body)
-    if indices is None:
-        rows = np.nonzero(mask)[0]
-    else:
-        indices = np.asarray(indices)
-        rows = indices[mask[indices]]
-    return stats_for_rows(store, rows, workspace)
+def aggregate_stats(store: GradHessStore, body: Body, dataset: Dataset,
+                    workspace: ScanWorkspace | None = None) -> AggregatedStats:
+    """Sum gradients/Hessians of the examples covered by a body, each once."""
+    return stats_for_rows(store, np.flatnonzero(body_mask(dataset, body)), workspace)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -2,7 +2,8 @@
 
 A rule maps an example to a vector of per-label confidence scores: the
 head scores if the body's conditions all hold, the null vector otherwise.
-An ensemble predicts the element-wise sum over its rules.  Missing
+An ensemble predicts the element-wise sum over its rules, which
+``staged_scores`` sums for prediction, trajectories and tuning.  Missing
 attribute values satisfy no condition, so an example with a missing value
 is never covered by a condition on that attribute.
 """
@@ -243,21 +244,34 @@ def check_label_names(ensemble: Ensemble, dataset: Dataset) -> None:
                     [repr(name) for name in dataset.label_names])
 
 
-def ensemble_scores(ensemble: Ensemble, dataset: Dataset) -> np.ndarray:
-    """Aggregated confidence scores for every example, shape (n, n_labels), C-contiguous.
+def staged_scores(ensemble: Ensemble, dataset: Dataset, checkpoints):
+    """Yield (t, scores of the first t rules) once per distinct checkpoint, ascending.
 
-    The scores are summed in one contiguous row of length n per label:
-    each rule adds its head value for the label to that row's entries at
-    the rows its body covers.  Every entry gets the additions ``add_head``
-    would make, in the same rule order, so the scores are bit-identical to
-    adding whole heads to (n, n_labels) rows.
+    One walk over the rules serves every checkpoint.  The scores are summed
+    in one contiguous row of length n per label: each rule adds its head
+    value for the label to that row's entries at the rows its body covers.
+    Every entry gets the additions ``add_head`` would make, in the same rule
+    order, so each stage, a new C-contiguous (n, n_labels) array, is
+    bit-identical to adding whole heads to (n, n_labels) rows.
 
     Raises SchemaError when the data's attributes are not the model's.
     """
     check_schema(ensemble, dataset)
+    stages = sorted(set(checkpoints))
+    if stages and not 1 <= stages[0] <= stages[-1] <= len(ensemble):
+        raise ValueError(f"checkpoints must lie in 1..{len(ensemble)}, got {stages}")
     by_label = np.zeros((ensemble.n_labels, dataset.n_examples))
-    for rule in ensemble.rules:
-        rows = np.flatnonzero(body_mask(dataset, rule.body))
-        for sums, value in zip(by_label, rule.head.scores.tolist()):
-            sums[rows] += value
-    return np.ascontiguousarray(by_label.T)
+    done = 0
+    for t in stages:
+        for rule in ensemble.rules[done:t]:
+            rows = np.flatnonzero(body_mask(dataset, rule.body))
+            for sums, value in zip(by_label, rule.head.scores.tolist()):
+                sums[rows] += value
+        done = t
+        yield t, np.ascontiguousarray(by_label.T)
+
+
+def ensemble_scores(ensemble: Ensemble, dataset: Dataset) -> np.ndarray:
+    """The last stage of ``staged_scores``: every example's scores, shape (n, n_labels)."""
+    ((_, scores),) = staged_scores(ensemble, dataset, [len(ensemble)])
+    return scores

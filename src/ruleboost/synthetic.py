@@ -26,7 +26,7 @@ import numpy as np
 
 from .choices import CONDITIONAL_DEPENDENCE, MARGINAL_DEPENDENCE, MARGINAL_INDEPENDENCE, SCENARIOS
 from .dataset import NUMERIC, Attribute, AttributeSchema, Dataset
-from .errors import ConfigError, check_finite
+from .errors import ConfigError, check_finite, check_integer
 
 _STREAM_BOUNDARIES = 100
 _STREAM_TRAIN = 101
@@ -43,6 +43,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer(self, "n_examples", "n_labels", "seed")
         check_finite(self, "noise_rate", "boundary_angle_spread")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
@@ -52,6 +53,8 @@ class SyntheticConfig:
             raise ConfigError("n_examples and n_labels must be positive")
         if self.boundary_angle_spread < 0.0:
             raise ConfigError("boundary_angle_spread must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 def _schema(n_labels: int) -> tuple[AttributeSchema, list[str]]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, check_finite
+from .errors import ConfigError, check_finite, check_integer
 from .heads import (
     HEAD_MULTI,
     HEAD_SINGLE,
@@ -54,6 +54,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
+        check_integer(self, "n_rules", "seed")
         check_finite(self, "shrinkage", "l2_weight")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
@@ -139,7 +140,7 @@ def train_with_diagnostics(dataset: Dataset, config: TrainConfig) -> tuple[Ensem
             loss=config.loss,
             shrinkage=config.shrinkage,
             l2_weight=config.l2_weight,
-            seed=config.seed,
+            seed=int(config.seed),
         ),
         label_vectors=dataset.distinct_label_vectors(),
     )

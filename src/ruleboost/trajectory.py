@@ -1,22 +1,21 @@
-"""Loss trajectories of growing ensembles.
+"""Loss trajectories of growing ensembles, and the worker map that trains them.
 
 Each variant (loss, head mode) is trained once to the largest checkpoint;
 because rules are additive and every round draws its randomness from a
 stream keyed by the round index, the ensemble prefix of length t is
 bit-identical to a fresh run with t rules, so evaluating prefixes at the
-checkpoints is exact.  ``staged_scores`` is that prefix walk; holdout
-tuning walks its rule-count axis with it too.
+checkpoints is exact.  ``checkpoint_points`` scores them in one walk.
 
-The variants are independent, separately seeded runs, so
-``run_trajectory`` trains them in parallel over W = min(variants, usable
-CPUs) shares.  Variants are dealt longest first, in snake order, so the
-longest lands in the first share.  Each share but the last runs in one
-bare ``os.fork()`` child, which pickles its series into a pipe and leaves
-with ``os._exit``; the calling process trains the last share itself, then
-collects the children.  With one variant, one usable CPU or no
-``os.fork``, it trains them one after another in this process.  Either
-way each variant runs the same function on the same inputs, so every
-series is bit-identical to serial training.
+``map_configs`` trains independent, separately seeded runs (the variants,
+and tuning's grid cells) over W = min(runs, usable CPUs) shares.  Runs
+are dealt longest first, in snake order.  Each share but the last runs in
+one bare ``os.fork()`` child, which pickles its results into a pipe and
+leaves with ``os._exit``; the calling process runs the last share itself,
+then collects the children.  With one run, one usable CPU, no ``os.fork``
+or other threads alive (a fork copies only the calling thread, so a lock
+another thread holds stays held in the child), the runs go one after
+another in this process.  Either way every result is bit-identical to
+serial training.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ import contextlib
 import os
 import pickle
 import signal
+import threading
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
 
 # The variants are defined beside the command line's choices; this module
 # re-exports them with the walk that runs them.
@@ -38,7 +36,9 @@ from .errors import ConfigError, RuleBoostError
 from .losses import EXAMPLE_WISE_LOGISTIC
 from .metrics import hamming_loss, subset_zero_one_loss
 from .prediction import decode_scores, default_decode_method
-from .rules import Ensemble, add_head, body_mask
+# ``body_mask`` is not used here; it is bound as ``trajectory.body_mask``
+# because the benchmark's traced run (perfbench/spans.py) wraps that name.
+from .rules import Ensemble, body_mask, staged_scores
 from .training import TrainConfig, train
 
 
@@ -49,22 +49,18 @@ class TrajectoryPoint:
     subset01: float
 
 
-def staged_scores(ensemble: Ensemble, dataset: Dataset, checkpoints):
-    """Yield (t, scores of the first t rules) once per distinct checkpoint, ascending.
+def checkpoint_points(ensemble: Ensemble, data: Dataset, checkpoints) -> list[TrajectoryPoint]:
+    """Losses on ``data`` of the ensemble's prefixes, once per distinct checkpoint, ascending.
 
-    One walk over the rules serves every checkpoint.  The yielded score
-    matrix is updated in place by the next stage; copy it to keep it.
+    Each prefix is decoded with the default method of the model's loss.
     """
-    stages = sorted(set(checkpoints))
-    if stages and not 1 <= stages[0] <= stages[-1] <= len(ensemble):
-        raise ValueError(f"checkpoints must lie in 1..{len(ensemble)}, got {stages}")
-    scores = np.zeros((dataset.n_examples, ensemble.n_labels))
-    done = 0
-    for t in stages:
-        for rule in ensemble.rules[done:t]:
-            add_head(scores, body_mask(dataset, rule.body), rule.head.scores)
-        done = t
-        yield t, scores
+    method = default_decode_method(ensemble.meta.loss)
+    points = []
+    for t, scores in staged_scores(ensemble, data, checkpoints):
+        predicted = decode_scores(scores, method, ensemble.label_vectors)
+        points.append(TrajectoryPoint(t, hamming_loss(data.labels, predicted),
+                                      subset_zero_one_loss(data.labels, predicted)))
+    return points
 
 
 def run_trajectory(
@@ -104,11 +100,7 @@ def run_trajectory(
     ]
     work = partial(_variant_points, train_data=train_data, test_data=test_data,
                    checkpoints=checkpoints)
-    shares = _deal(configs, min(len(configs), _usable_cpus()))
-    if len(shares) == 1 or not hasattr(os, "fork"):
-        all_points = [work(config) for config in configs]
-    else:
-        all_points = _map_in_forks(work, configs, shares)
+    all_points = map_configs(work, configs)
     return {variant.name: points for variant, points in zip(variants, all_points)}
 
 
@@ -116,19 +108,15 @@ def _variant_points(
     config: TrainConfig, *, train_data: Dataset, test_data: Dataset, checkpoints
 ) -> list[TrajectoryPoint]:
     """Train one variant to the last checkpoint and score its prefix at every checkpoint."""
-    ensemble = train(train_data, config)
-    method = default_decode_method(config.loss)
-    points: list[TrajectoryPoint] = []
-    for t, scores in staged_scores(ensemble, test_data, checkpoints):
-        predicted = decode_scores(scores, method, ensemble.label_vectors)
-        points.append(
-            TrajectoryPoint(
-                n_rules=t,
-                hamming=hamming_loss(test_data.labels, predicted),
-                subset01=subset_zero_one_loss(test_data.labels, predicted),
-            )
-        )
-    return points
+    return checkpoint_points(train(train_data, config), test_data, checkpoints)
+
+
+def map_configs(work, configs) -> list:
+    """``[work(c) for c in configs]``, in forked children and this process where that is safe."""
+    shares = _deal(configs, min(len(configs), _usable_cpus()))
+    if len(shares) <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [work(config) for config in configs]
+    return _map_in_forks(work, configs, shares)
 
 
 def _usable_cpus() -> int:
@@ -211,7 +199,7 @@ def _map_in_forks(work, configs, shares) -> list:
 
 
 def _run_child(work, configs, share, write_end) -> None:
-    """Train ``share`` and pickle ``("ok", series)`` or ``("error", exc)`` into the pipe.
+    """Run ``share`` and pickle ``("ok", results)`` or ``("error", exc)`` into the pipe.
 
     It never returns: ``os._exit`` ends the child without flushing the
     stdio buffers it shares with its parent, running ``atexit`` handlers

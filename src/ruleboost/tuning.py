@@ -1,9 +1,9 @@
 """Holdout grid search over shrinkage, L2 weight and rule count.
 
-The rule-count axis is evaluated by walking ensemble prefixes: one
-training run per (shrinkage, l2) pair at the largest rule count provides
-every smaller count exactly, because per-round randomness is keyed by the
-round index.  Failed grid points are recorded and do not abort the sweep.
+Tuning is a trajectory over grid cells: one training run per (shrinkage,
+l2) cell at the largest rule count gives every smaller count exactly, as
+in ``trajectory``, and the cells go through the same ``map_configs``.  A
+cell that raises a RuleBoostError is recorded and does not abort the sweep.
 """
 
 from __future__ import annotations
@@ -12,18 +12,15 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .choices import DEFAULT_L2_WEIGHTS, DEFAULT_RULE_COUNTS, DEFAULT_SHRINKAGES, HEAD_MULTI
+from .choices import (DEFAULT_L2_WEIGHTS, DEFAULT_RULE_COUNTS, DEFAULT_SHRINKAGES, HEAD_MULTI,
+                      HEAD_SINGLE, METRICS)
 from .dataset import Dataset
-from .errors import ConfigError, RuleBoostError, check_finite
+from .errors import ConfigError, RuleBoostError, check_finite, check_integer
 from .losses import LOSSES
-from .metrics import hamming_loss, subset_zero_one_loss
-from .prediction import decode_scores, default_decode_method
 from .training import TrainConfig, train
-from .trajectory import staged_scores
+from .trajectory import checkpoint_points, map_configs
 
 _STREAM_SPLIT = 200
-
-METRICS = {"hamming": hamming_loss, "subset01": subset_zero_one_loss}
 
 
 @dataclass(frozen=True)
@@ -40,9 +37,12 @@ class GridSearchConfig:
     feature_sampling: bool = True
 
     def validate(self):
+        check_integer(self, "rule_counts", "seed")
         check_finite(self, "shrinkages", "l2_weights", "validation_fraction")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
+        if self.head_mode not in (HEAD_SINGLE, HEAD_MULTI):
+            raise ConfigError(f"unknown head mode {self.head_mode!r}")
         if not self.shrinkages or not self.l2_weights or not self.rule_counts:
             raise ConfigError("every grid must be non-empty")
         if not (0.0 < self.validation_fraction < 1.0):
@@ -51,6 +51,8 @@ class GridSearchConfig:
             raise ConfigError(f"unknown metric {self.metric!r}; expected one of {sorted(METRICS)}")
         if any(t < 1 for t in self.rule_counts):
             raise ConfigError("rule counts must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,6 @@ def grid_search(dataset: Dataset, config: GridSearchConfig) -> tuple[TrainConfig
         n_train=train_split.n_examples,
         n_validation=val_split.n_examples,
     )
-    metric_fn = METRICS[config.metric]
-    method = default_decode_method(config.loss)
     base = TrainConfig(
         loss=config.loss,
         n_rules=max(config.rule_counts),
@@ -117,24 +117,22 @@ def grid_search(dataset: Dataset, config: GridSearchConfig) -> tuple[TrainConfig
         feature_sampling=config.feature_sampling,
         seed=config.seed,
     )
+    cells = [replace(base, shrinkage=shrinkage, l2_weight=l2_weight)
+             for shrinkage in config.shrinkages for l2_weight in config.l2_weights]
 
-    for shrinkage in config.shrinkages:
-        for l2_weight in config.l2_weights:
-            point = replace(base, shrinkage=shrinkage, l2_weight=l2_weight)
-            try:
-                ensemble = train(train_split, point)
-                for t, scores in staged_scores(ensemble, val_split, config.rule_counts):
-                    predicted = decode_scores(scores, method, ensemble.label_vectors)
-                    report.cells.append(
-                        GridCell(
-                            shrinkage=shrinkage,
-                            l2_weight=l2_weight,
-                            n_rules=t,
-                            value=metric_fn(val_split.labels, predicted),
-                        )
-                    )
-            except RuleBoostError as exc:
-                report.failures.append(GridFailure(shrinkage, l2_weight, str(exc)))
+    def cell_points(cell):
+        """The cell's validation points, or the message of the RuleBoostError it raised."""
+        try:
+            return checkpoint_points(train(train_split, cell), val_split, config.rule_counts)
+        except RuleBoostError as exc:
+            return str(exc)
+
+    for cell, outcome in zip(cells, map_configs(cell_points, cells)):
+        if isinstance(outcome, str):
+            report.failures.append(GridFailure(cell.shrinkage, cell.l2_weight, outcome))
+        else:
+            report.cells += [GridCell(cell.shrinkage, cell.l2_weight, point.n_rules,
+                                      getattr(point, config.metric)) for point in outcome]
 
     if not report.cells:
         raise RuleBoostError("every grid point failed; see the report failures")

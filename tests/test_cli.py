@@ -441,6 +441,20 @@ class TestErrorPaths:
         assert lines[0].startswith(f"error: {field} must be a finite number")
         assert not (tmp_path / "m.json").exists() and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "trajectory", "tune"])
+    def test_negative_seed_names_the_seed(self, synth_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--scenario", "marginal_dependence", "--n", "50", "--out", str(out)],
+            "trajectory": ["trajectory", "--scenario", "marginal_dependence", "--n", "50",
+                           "--checkpoints", "1,2", "--out", str(out)],
+            "tune": ["tune", "--data", str(synth_dir / "train.arff"), "--labels", "3",
+                     "--rules-grid", "2", "--json", str(out)],
+        }[command]
+        assert main([*argv, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+        assert not out.exists()
+
     def test_data_with_swapped_attributes(self, synth_dir, model_path, tmp_path, capsys):
         text = (synth_dir / "test.arff").read_text()
         assert "@attribute x1 numeric\n@attribute x2 numeric\n" in text

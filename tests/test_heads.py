@@ -227,7 +227,7 @@ class TestAggregateStats:
     def test_sample_multiplicity_counts(self):
         dataset = self._dataset()
         store = init_store(make_loss("label-wise-logistic"), dataset)
-        stats = aggregate_stats(store, Body(), dataset, indices=np.array([0, 0, 3]))
+        stats = stats_for_rows(store, [0, 0, 3])
         expected = 2 * store.gradients[0] + store.gradients[3]
         np.testing.assert_allclose(stats.gradient, expected)
         assert stats.count == 3

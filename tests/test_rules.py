@@ -1,5 +1,7 @@
 """Rule, body and ensemble semantics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from ruleboost.rules import (
     body_mask,
     condition_mask,
     ensemble_scores,
+    staged_scores,
 )
 from ruleboost.training import TrainConfig, train
 
@@ -157,6 +160,18 @@ class TestEnsembleScoresBitIdentity:
         assert scores.shape == (dataset.n_examples, ensemble.n_labels)
         assert scores.dtype == np.float64 and scores.flags.c_contiguous
         assert scores.tobytes() == _rule_by_rule_scores(ensemble, dataset).tobytes()
+
+    def test_every_stage_of_the_prefix_walk(self, rng):
+        dataset = random_dataset(rng, 200, n_numeric=3, n_nominal=2, n_labels=4,
+                                 missing_rate=0.15)
+        ensemble = train(dataset, TrainConfig(loss="example-wise-logistic", n_rules=12,
+                                              l2_weight=1.0))
+        stages = list(staged_scores(ensemble, dataset, [1, 2, 5, 12]))
+        assert [t for t, _ in stages] == [1, 2, 5, 12]
+        for t, scores in stages:
+            assert scores.dtype == np.float64 and scores.flags.c_contiguous
+            prefix = replace(ensemble, rules=ensemble.rules[:t])
+            assert scores.tobytes() == _rule_by_rule_scores(prefix, dataset).tobytes()
 
     def test_zero_and_negative_zero_head_values(self):
         rules = [Rule(Body(), Head(np.array([0.0, -0.0, 0.25]))),

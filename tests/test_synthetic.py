@@ -26,6 +26,17 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
                 SyntheticConfig(scenario, **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_examples", 10.5), ("n_labels", True), ("seed", 1.5),
+    ])
+    def test_non_integer_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, not {value!r}$"):
+            SyntheticConfig("marginal_independence", **{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be nonnegative$"):
+            SyntheticConfig("marginal_independence", seed=-1)
+
     def test_noise_rate_range(self):
         with pytest.raises(ConfigError):
             SyntheticConfig("marginal_independence", noise_rate=1.0)

@@ -58,6 +58,20 @@ class TestConfigValidation:
                 train(dataset, config)
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_rules", 2.5), ("n_rules", True), ("seed", 1.5), ("seed", "0"),
+    ])
+    def test_non_integer_names_its_field(self, rng, field, value):
+        dataset = random_dataset(rng, 10, n_numeric=1)
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, not {value!r}$"):
+            train(dataset, TrainConfig(**{field: value}))
+
+    def test_numpy_integers_are_integers(self, rng):
+        dataset = random_dataset(rng, 10, n_numeric=1)
+        config = TrainConfig(n_rules=np.int64(3), seed=np.int32(4))
+        assert dumps(train(dataset, config)) == dumps(train(dataset, TrainConfig(n_rules=3, seed=4)))
+
+
 class TestDefaultRule:
     def test_one_rule_ensemble_is_default_only(self, rng):
         dataset = random_dataset(rng, 12, n_numeric=2, n_labels=3)

@@ -2,6 +2,7 @@
 
 import os
 import signal
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -12,14 +13,13 @@ from ruleboost.cli import main
 from ruleboost.errors import ConfigError, RuleBoostError, SolverError
 from ruleboost.metrics import hamming_loss, subset_zero_one_loss
 from ruleboost.prediction import decode_scores, default_decode_method
-from ruleboost.rules import ensemble_scores
+from ruleboost.rules import ensemble_scores, staged_scores
 from ruleboost.synthetic import SyntheticConfig, generate
 from ruleboost.trajectory import (
     ALL_VARIANTS,
     TrajectoryPoint,
     TrajectoryVariant,
     run_trajectory,
-    staged_scores,
 )
 from ruleboost.training import TrainConfig, train
 
@@ -290,6 +290,27 @@ class TestParallelTraining:
         use_cpus(monkeypatch, {0, 1})
         monkeypatch.delattr(os, "fork")
         assert run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2]) == serial
+
+
+    def test_other_threads_keep_training_in_process(self, small_data, monkeypatch):
+        """A bare fork copies only the calling thread, so with others alive nothing forks."""
+        train_data, test_data = small_data
+        use_cpus(monkeypatch, {0})
+        serial = run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2])
+        use_cpus(monkeypatch, {0, 1})
+
+        def no_forks():
+            raise AssertionError("a child process was forked")
+
+        monkeypatch.setattr(os, "fork", no_forks)
+        release = threading.Event()
+        parked = threading.Thread(target=release.wait)
+        parked.start()
+        try:
+            assert run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2]) == serial
+        finally:
+            release.set()
+            parked.join()
 
 
 class TestStagedScores:

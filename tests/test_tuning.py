@@ -1,11 +1,13 @@
 """Holdout grid search behavior."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from ruleboost.errors import ConfigError
+from ruleboost import tuning
+from ruleboost.errors import ConfigError, SolverError
 from ruleboost.synthetic import SyntheticConfig, generate
 from ruleboost.tuning import (
     GridCell,
@@ -16,6 +18,8 @@ from ruleboost.tuning import (
     grid_search,
     train_validation_split,
 )
+
+from test_trajectory import needs_fork, no_child_left, use_cpus
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +133,68 @@ class TestSelection:
         config = GridSearchConfig(rule_counts=(2,), **{field: wrap(value)})
         with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
             grid_search(dataset, config)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rule_counts", (2, 2.5)), ("rule_counts", (True,)), ("seed", 1.5),
+    ])
+    def test_non_integer_names_its_field(self, dataset, field, value):
+        config = GridSearchConfig(**{"rule_counts": (2,), field: value})
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, not "):
+            grid_search(dataset, config)
+
+    def test_negative_seed_rejected(self, dataset):
+        with pytest.raises(ConfigError, match="^seed must be nonnegative$"):
+            grid_search(dataset, GridSearchConfig(rule_counts=(2,), seed=-1))
+
+    def test_unknown_head_mode_rejected_before_training(self, dataset, monkeypatch):
+        def no_training(data, config):
+            raise AssertionError("a grid cell was trained")
+
+        monkeypatch.setattr(tuning, "train", no_training)
+        with pytest.raises(ConfigError, match="^unknown head mode 'both'$"):
+            grid_search(dataset, GridSearchConfig(head_mode="both", rule_counts=(2,)))
+
+
+@needs_fork
+class TestParallelCells:
+    CONFIG = GridSearchConfig(loss="example-wise-logistic", shrinkages=(0.3, 0.5),
+                              l2_weights=(0.0, 1.0, 4.0), rule_counts=(4, 2, 6), seed=3)
+
+    def test_report_equals_serial(self, dataset, monkeypatch, tmp_path):
+        use_cpus(monkeypatch, {0})
+        serial = grid_search(dataset, self.CONFIG)
+        use_cpus(monkeypatch, {0, 1})
+        log = tmp_path / "trained.txt"
+        real_train = tuning.train
+
+        def logged_train(data, config):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return real_train(data, config)
+
+        monkeypatch.setattr(tuning, "train", logged_train)
+        best, report = grid_search(dataset, self.CONFIG)
+        assert best == serial[0]
+        assert json.dumps(report.to_dict()) == json.dumps(serial[1].to_dict())
+        pids = log.read_text().split()
+        assert len(pids) == 6 and len(set(pids)) == 2 and str(os.getpid()) in pids
+        assert no_child_left()
+
+    def test_error_in_a_forked_cell_is_recorded(self, dataset, monkeypatch):
+        use_cpus(monkeypatch, {0, 1})
+        caller = os.getpid()
+        real_train = tuning.train
+
+        def fail_in_child(data, config):
+            if os.getpid() != caller:
+                raise SolverError(f"l2 {config.l2_weight} is singular")
+            return real_train(data, config)
+
+        monkeypatch.setattr(tuning, "train", fail_in_child)
+        config = GridSearchConfig(shrinkages=(0.3,), l2_weights=(0.0, 1.0), rule_counts=(3, 2),
+                                  seed=1)
+        best, report = grid_search(dataset, config)
+        assert report.failures == [GridFailure(0.3, 0.0, "l2 0.0 is singular")]
+        assert [(c.l2_weight, c.n_rules) for c in report.cells] == [(1.0, 2), (1.0, 3)]
+        assert (best.l2_weight, best.n_rules) in {(1.0, 2), (1.0, 3)}
+        assert no_child_left()

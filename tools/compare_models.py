@@ -32,7 +32,11 @@ rewrite of it (features rounded to one decimal, 5% of them '?', which
 sends numeric columns through the per-cell converter) and once on the
 test file with a '%' comment line in its data block, which is read by
 the per-line tokenizer rather than in one split.  The script compares
-their stdout, stderr and exit codes byte for byte.
+their stdout, stderr and exit codes byte for byte.  Each tree also runs
+``ruleboost tune --json`` (example-wise loss, all-label heads, shrinkages
+0.3 and 0.5 x l2 weights 0, 1 and 4, rules 10 and 20) on a file with the
+``trajectory-4v`` settings above, and the script compares its report
+bytes with its stdout, stderr and exit code.
 
 It exits 1 when any model, series or command line output differs.
 """
@@ -61,9 +65,13 @@ DATA_KINDS = ("plain", "tie-heavy")
 N_EXAMPLES = 2000
 N_LABELS = 6
 N_RULES = 100
-TRAJECTORY_ARGS = (
-    "trajectory", "--scenario", "conditional_dependence", "--n", "2000", "--labels", "6",
-    "--noise", "0.1", "--seed", "0", "--checkpoints", "1,2,4,8,16,32,50",
+# The data of the benchmark's trajectory-4v workload.
+SCENARIO_ARGS = ("--scenario", "conditional_dependence", "--n", "2000", "--labels", "6",
+                 "--noise", "0.1", "--seed", "0")
+TRAJECTORY_ARGS = ("trajectory", *SCENARIO_ARGS, "--checkpoints", "1,2,4,8,16,32,50")
+TUNE_ARGS = (
+    "tune", "--labels", "6", "--loss", "example-wise-logistic", "--head", "multi",
+    "--shrinkage-grid", "0.3,0.5", "--l2-grid", "0,1,4", "--rules-grid", "10,20",
 )
 SUBCOMMANDS = ("train", "predict", "evaluate", "tune", "synth", "trajectory")
 DECODERS = ("sign", "known-vectors")
@@ -160,14 +168,16 @@ def _test_file_variants(test: Path) -> tuple[Path, Path]:
 
 
 def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
-    """Each tree's ``--help`` texts and piped ``predict`` outputs, by command line."""
+    """Each tree's ``--help`` texts, piped ``predict`` and ``tune`` outputs, by command line."""
     with tempfile.TemporaryDirectory() as work:
         data, model = Path(work) / "data", Path(work) / "model.json"
+        tune_data = Path(work) / "tune"
         for args in (
             ("synth", "--scenario", "marginal_dependence", "--n", str(N_EXAMPLES),
              "--labels", str(N_LABELS), "--out", str(data)),
             ("train", "--data", str(data / "train.arff"), "--labels", str(N_LABELS),
              "--loss", "example-wise-logistic", "--rules", str(N_RULES), "--model", str(model)),
+            ("synth", *SCENARIO_ARGS, "--out", str(tune_data)),
         ):
             status, _, stderr = _cli(parent_src, *args)
             if status != 0:
@@ -181,8 +191,15 @@ def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
             commands[f"predict --decode {method} --data {test.name}"] = (
                 "predict", "--decode", method, "--data", str(test), "--labels", str(N_LABELS),
                 "--model", str(model))
-        return tuple({name: _cli(src, *args) for name, args in commands.items()}
-                     for src in (parent_src, change_src))
+        outputs = []
+        for tree, src in enumerate((parent_src, change_src)):
+            outputs.append({name: _cli(src, *args) for name, args in commands.items()})
+            report = Path(work) / f"tune-{tree}.json"
+            status, stdout, stderr = _cli(src, *TUNE_ARGS, "--data", str(tune_data / "train.arff"),
+                                          "--json", str(report))
+            outputs[-1]["tune --json"] = (status, stdout, stderr,
+                                          report.read_bytes() if report.exists() else None)
+        return tuple(outputs)
 
 
 def _bodies_and_heads(model: str):
