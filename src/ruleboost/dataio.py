@@ -21,12 +21,13 @@ line number, the earliest one first, whichever tokenizer read it.
 from __future__ import annotations
 
 import csv
+import io
 from itertools import repeat
 
 import numpy as np
 
 from .dataset import MISSING_CODE, NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, read_text
 
 _NUMERIC_TYPES = {"numeric", "real", "integer"}
 
@@ -252,8 +253,7 @@ def _nominal_column(attr: Attribute, cells, numbers) -> np.ndarray:
 def _read_arff(path):
     """Attributes and one converted column per attribute of an ARFF file."""
     attributes: list[Attribute] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
+    lines = read_text(path).split("\n")
     data_line = None
     for line_number, raw in enumerate(lines, start=1):
         stripped = raw.strip()
@@ -407,22 +407,21 @@ def load_csv(path, labels) -> Dataset:
     it parses as a float, nominal otherwise (values in first-seen order).
     ``labels`` is a list of column names or a trailing-count integer.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file; a header row is required") from None
-        header = [h.strip() for h in header]
-        raw_rows = []
-        for line_number, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row has {len(row)} values, expected {len(header)}", line=line_number
-                )
-            raw_rows.append((line_number, [c.strip() for c in row]))
+    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file; a header row is required") from None
+    header = [h.strip() for h in header]
+    raw_rows = []
+    for line_number, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(
+                f"row has {len(row)} values, expected {len(header)}", line=line_number
+            )
+        raw_rows.append((line_number, [c.strip() for c in row]))
     if not raw_rows:
         raise ParseError(f"{path}: no data rows")
 

@@ -81,6 +81,10 @@ class Dataset:
             column.setflags(write=False)
         if self.labels.shape[1] != len(self.label_names):
             raise SchemaError("label matrix width does not match label names")
+        if len(set(self.label_names)) != len(self.label_names):
+            twice = next(name for k, name in enumerate(self.label_names)
+                         if name in self.label_names[:k])
+            raise SchemaError(f"label {twice!r} is named twice")
         if not np.all(np.abs(self.labels) == 1):
             raise SchemaError("label entries must be -1 or +1")
         self.labels.setflags(write=False)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the number checks of configs."""
+"""Exception types shared across the package, the number checks of configs, and text reading."""
 
 import math
 from numbers import Integral
@@ -67,3 +67,15 @@ class ParseError(RuleBoostError):
 
 class UnsupportedVersionError(ParseError):
     """A serialized document declares a format version we do not support."""
+
+
+def read_text(path, newline=None) -> str:
+    """The whole of a UTF-8 text file; one that is not UTF-8 raises ParseError naming it.
+
+    ``newline`` is passed to ``open``.
+    """
+    with open(path, "r", encoding="utf-8", newline=newline) as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

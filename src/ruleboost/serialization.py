@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema
-from .errors import ParseError, SchemaError, UnsupportedVersionError
+from .errors import ParseError, SchemaError, UnsupportedVersionError, read_text
 from .losses import LOSSES
 from .rules import NOMINAL_OPS, NUMERIC_OPS, Body, Condition, Ensemble, EnsembleMeta, Head, Rule
 
@@ -240,5 +240,4 @@ def save(ensemble: Ensemble, path) -> None:
 
 
 def load(path) -> Ensemble:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+    return loads(read_text(path))

@@ -72,8 +72,6 @@ def run_trajectory(
     shrinkage: float = 0.3,
     l2_weight: float = 0.0,
     seed: int = 0,
-    bagging: bool = True,
-    feature_sampling: bool = True,
 ) -> dict[str, list[TrajectoryPoint]]:
     """Per-variant (rules, hamming, subset01) series at the checkpoints, in the order given."""
     checkpoints = list(checkpoints)
@@ -92,12 +90,12 @@ def run_trajectory(
             shrinkage=shrinkage,
             l2_weight=l2_weight,
             head_mode=variant.head_mode,
-            bagging=bagging,
-            feature_sampling=feature_sampling,
             seed=seed,
         )
         for variant in variants
     ]
+    for config in configs:  # before any variant trains or forks
+        config.validate()
     work = partial(_variant_points, train_data=train_data, test_data=test_data,
                    checkpoints=checkpoints)
     all_points = map_configs(work, configs)
@@ -188,7 +186,7 @@ def _map_in_forks(work, configs, shares) -> list:
         if not payload or code != 0:
             ended = f"exit code {code}" if code >= 0 else f"signal {-code}"
             raise RuleBoostError(
-                f"a trajectory worker exited before returning its series ({ended})"
+                f"a training worker exited before returning its results ({ended})"
             )
         kind, value = pickle.loads(payload)
         if kind == "error":
@@ -216,7 +214,7 @@ def _run_child(work, configs, share, write_end) -> None:
                 pickle.loads(payload)
             except Exception:
                 payload = pickle.dumps(("error", RuleBoostError(
-                    f"a trajectory worker raised {type(exc).__name__}: {exc}")))
+                    f"a training worker raised {type(exc).__name__}: {exc}")))
         with open(write_end, "wb") as pipe:
             pipe.write(payload)
         status = 0

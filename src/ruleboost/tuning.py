@@ -2,8 +2,9 @@
 
 Tuning is a trajectory over grid cells: one training run per (shrinkage,
 l2) cell at the largest rule count gives every smaller count exactly, as
-in ``trajectory``, and the cells go through the same ``map_configs``.  A
-cell that raises a RuleBoostError is recorded and does not abort the sweep.
+in ``trajectory``, and the cells go through the same ``map_configs``.
+Every cell's settings are checked before any cell trains; a cell that
+then raises a RuleBoostError is recorded and does not abort the sweep.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .choices import (DEFAULT_L2_WEIGHTS, DEFAULT_RULE_COUNTS, DEFAULT_SHRINKAGES, HEAD_MULTI,
-                      HEAD_SINGLE, METRICS)
+                      METRICS)
 from .dataset import Dataset
 from .errors import ConfigError, RuleBoostError, check_finite, check_integer
-from .losses import LOSSES
 from .training import TrainConfig, train
 from .trajectory import checkpoint_points, map_configs
 
@@ -33,16 +33,11 @@ class GridSearchConfig:
     validation_fraction: float = 1.0 / 3.0
     metric: str = "subset01"
     seed: int = 0
-    bagging: bool = True
-    feature_sampling: bool = True
 
     def validate(self):
-        check_integer(self, "rule_counts", "seed")
+        """Check the grids, then each cell's settings (loss, head mode, seed) as training does."""
+        check_integer(self, "rule_counts")
         check_finite(self, "shrinkages", "l2_weights", "validation_fraction")
-        if self.loss not in LOSSES:
-            raise ConfigError(f"unknown loss {self.loss!r}")
-        if self.head_mode not in (HEAD_SINGLE, HEAD_MULTI):
-            raise ConfigError(f"unknown head mode {self.head_mode!r}")
         if not self.shrinkages or not self.l2_weights or not self.rule_counts:
             raise ConfigError("every grid must be non-empty")
         if not (0.0 < self.validation_fraction < 1.0):
@@ -51,8 +46,15 @@ class GridSearchConfig:
             raise ConfigError(f"unknown metric {self.metric!r}; expected one of {sorted(METRICS)}")
         if any(t < 1 for t in self.rule_counts):
             raise ConfigError("rule counts must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        for cell in self.cells():
+            cell.validate()
+
+    def cells(self) -> list[TrainConfig]:
+        """One ``TrainConfig`` per (shrinkage, l2) cell in grid order, to the largest rule count."""
+        base = TrainConfig(loss=self.loss, n_rules=max(self.rule_counts),
+                           head_mode=self.head_mode, seed=self.seed)
+        return [replace(base, shrinkage=shrinkage, l2_weight=l2_weight)
+                for shrinkage in self.shrinkages for l2_weight in self.l2_weights]
 
 
 @dataclass(frozen=True)
@@ -109,16 +111,7 @@ def grid_search(dataset: Dataset, config: GridSearchConfig) -> tuple[TrainConfig
         n_train=train_split.n_examples,
         n_validation=val_split.n_examples,
     )
-    base = TrainConfig(
-        loss=config.loss,
-        n_rules=max(config.rule_counts),
-        head_mode=config.head_mode,
-        bagging=config.bagging,
-        feature_sampling=config.feature_sampling,
-        seed=config.seed,
-    )
-    cells = [replace(base, shrinkage=shrinkage, l2_weight=l2_weight)
-             for shrinkage in config.shrinkages for l2_weight in config.l2_weights]
+    cells = config.cells()
 
     def cell_points(cell):
         """The cell's validation points, or the message of the RuleBoostError it raised."""
@@ -135,9 +128,11 @@ def grid_search(dataset: Dataset, config: GridSearchConfig) -> tuple[TrainConfig
                                       getattr(point, config.metric)) for point in outcome]
 
     if not report.cells:
-        raise RuleBoostError("every grid point failed; see the report failures")
+        first = report.failures[0]
+        raise RuleBoostError(f"every grid point failed; the first (shrinkage {first.shrinkage}, "
+                             f"l2 {first.l2_weight}) with: {first.error}")
     best = _select_best(report.cells)
     best_config = replace(
-        base, n_rules=best.n_rules, shrinkage=best.shrinkage, l2_weight=best.l2_weight
+        cells[0], n_rules=best.n_rules, shrinkage=best.shrinkage, l2_weight=best.l2_weight
     )
     return best_config, report

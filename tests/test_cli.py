@@ -455,6 +455,54 @@ class TestErrorPaths:
         assert capsys.readouterr().err == "error: seed must be nonnegative\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["model", "data"])
+    def test_non_utf8_file_is_named(self, synth_dir, model_path, tmp_path, capsys, bad):
+        paths = {"model": model_path, "data": synth_dir / "test.arff"}
+        paths[bad] = tmp_path / f"bad_{bad}"
+        paths[bad].write_bytes(b"\xff\xfe not text")
+        code = main(["predict", "--data", str(paths["data"]), "--labels", "3",
+                     "--model", str(paths["model"]), "--output", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {paths[bad]}: not UTF-8 text (invalid start byte)\n")
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("grid,message", [
+        (["--shrinkage-grid", "0.3,2"], "shrinkage must be in (0, 1]"),
+        (["--l2-grid", "1,-1"], "l2_weight must be nonnegative"),
+    ])
+    def test_tune_rejects_a_bad_cell_before_training(self, synth_dir, tmp_path, capsys,
+                                                     monkeypatch, grid, message):
+        from ruleboost import tuning
+
+        def no_training(data, config):
+            raise AssertionError("a grid cell was trained")
+
+        monkeypatch.setattr(tuning, "train", no_training)
+        report = tmp_path / "report.json"
+        assert main(["tune", "--data", str(synth_dir / "train.arff"), "--labels", "3",
+                     "--rules-grid", "2", *grid, "--json", str(report)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not report.exists()
+
+    def test_tune_with_every_cell_failing_names_the_first(self, synth_dir, tmp_path, capsys,
+                                                          monkeypatch):
+        from ruleboost import tuning
+        from ruleboost.errors import SolverError
+
+        def fail(data, config):
+            raise SolverError(f"shrinkage {config.shrinkage} is singular")
+
+        monkeypatch.setattr(tuning, "train", fail)
+        report = tmp_path / "report.json"
+        assert main(["tune", "--data", str(synth_dir / "train.arff"), "--labels", "3",
+                     "--shrinkage-grid", "0.5,0.3", "--l2-grid", "1,0", "--rules-grid", "2",
+                     "--json", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            "error: every grid point failed; the first (shrinkage 0.5, l2 1.0) "
+            "with: shrinkage 0.5 is singular\n")
+        assert not report.exists()
+
     def test_data_with_swapped_attributes(self, synth_dir, model_path, tmp_path, capsys):
         text = (synth_dir / "test.arff").read_text()
         assert "@attribute x1 numeric\n@attribute x2 numeric\n" in text

@@ -1,5 +1,6 @@
 """ARFF and CSV ingestion, export round trips."""
 
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -150,6 +151,18 @@ class TestLoadArffErrors:
         path.write_text("@relation r\n@attribute a numeric\n")
         with pytest.raises(ParseError):
             load_arff(path, 1)
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.arff"
+        path.write_bytes(DENSE_ARFF.replace("red", "r\xe9d").encode("latin-1"))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_arff(path, 1)
+
+    def test_label_named_twice(self, tmp_path):
+        path = tmp_path / "toy.arff"
+        path.write_text(DENSE_ARFF)
+        with pytest.raises(SchemaError, match="^label 'label1' is named twice$"):
+            load_arff(path, ["label1", "label1"])
 
 
 class TestArffRoundTrip:
@@ -465,6 +478,18 @@ class TestLoadCsv:
         path.write_text("a,label1\n1.5,1\n")
         with pytest.raises(SchemaError):
             load_csv(path, ["nope"])
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,label1\n1.5,1\n\xff,0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_csv(path, ["label1"])
+
+    def test_label_named_twice(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_text("a,l1,l2\n1.5,1,0\n2.5,0,1\n")
+        with pytest.raises(SchemaError, match="^label 'l1' is named twice$"):
+            load_csv(path, ["l1", "l2", "l1"])
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "empty.csv"

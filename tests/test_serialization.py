@@ -136,6 +136,12 @@ class TestMalformedDocuments:
         with pytest.raises(ParseError):
             loads(json.dumps(document))
 
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff" + json.dumps(_two_rule_document()).encode())
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load(path)
+
 
 def _two_rule_document():
     schema = AttributeSchema((Attribute("x", NUMERIC), Attribute("c", NOMINAL, ("a", "b"))))

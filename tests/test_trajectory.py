@@ -43,6 +43,27 @@ class TestRunTrajectory:
         with pytest.raises(ConfigError):
             run_trajectory(train_data, test_data, [variant], [0, 2])
 
+    @pytest.mark.parametrize("setting,message", [
+        ({"shrinkage": 2.0}, r"shrinkage must be in \(0, 1\]"),
+        ({"l2_weight": -1.0}, "l2_weight must be nonnegative"),
+        ({"seed": -1}, "seed must be nonnegative"),
+    ])
+    def test_bad_setting_raises_before_any_fork(self, small_data, monkeypatch, setting,
+                                                message):
+        train_data, test_data = small_data
+        use_cpus(monkeypatch, {0, 1})
+
+        def no_forks():
+            raise AssertionError("a child process was forked")
+
+        def no_training(data, config):
+            raise AssertionError("a variant was trained")
+
+        monkeypatch.setattr(os, "fork", no_forks, raising=False)
+        monkeypatch.setattr(trajectory, "train", no_training)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2], **setting)
+
     def test_series_shape_and_names(self, small_data):
         train_data, test_data = small_data
         series = run_trajectory(
@@ -209,8 +230,8 @@ class TestParallelTraining:
         train_data, test_data = small_data
         use_cpus(monkeypatch, {0, 1})
         check_before_training(monkeypatch, for_exwlog_multi(die))
-        with pytest.raises(RuleBoostError, match="a trajectory worker exited before returning "
-                                                 "its series " + ended):
+        with pytest.raises(RuleBoostError, match="a training worker exited before returning "
+                                                 "its results " + ended):
             run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2])
         assert no_child_left()
 
@@ -241,7 +262,7 @@ class TestParallelTraining:
 
         check_before_training(monkeypatch, for_exwlog_multi(raise_local_error))
         with pytest.raises(RuleBoostError,
-                           match="a trajectory worker raised LocalError: not picklable"):
+                           match="a training worker raised LocalError: not picklable"):
             run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2])
         assert no_child_left()
 

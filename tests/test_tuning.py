@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ruleboost import tuning
-from ruleboost.errors import ConfigError, SolverError
+from ruleboost.errors import ConfigError, RuleBoostError, SolverError
 from ruleboost.synthetic import SyntheticConfig, generate
 from ruleboost.tuning import (
     GridCell,
@@ -154,6 +154,41 @@ class TestSelection:
         with pytest.raises(ConfigError, match="^unknown head mode 'both'$"):
             grid_search(dataset, GridSearchConfig(head_mode="both", rule_counts=(2,)))
 
+    @pytest.mark.parametrize("setting,message", [
+        ({"loss": "hinge"}, "unknown loss 'hinge'"),
+        ({"shrinkages": (0.3, 2.0)}, r"shrinkage must be in \(0, 1\]"),
+        ({"shrinkages": (0.0,)}, r"shrinkage must be in \(0, 1\]"),
+        ({"l2_weights": (1.0, -1.0)}, "l2_weight must be nonnegative"),
+    ])
+    def test_bad_cell_setting_rejected_before_training(self, dataset, monkeypatch, setting,
+                                                      message):
+        """Each cell's settings are checked as training checks them, before any cell trains."""
+        use_cpus(monkeypatch, {0, 1})
+
+        def no_training(data, config):
+            raise AssertionError("a grid cell was trained")
+
+        def no_forks():
+            raise AssertionError("a child process was forked")
+
+        monkeypatch.setattr(tuning, "train", no_training)
+        monkeypatch.setattr(os, "fork", no_forks, raising=False)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            grid_search(dataset, GridSearchConfig(rule_counts=(2,), **setting))
+
+    def test_every_cell_failing_names_the_first(self, dataset, monkeypatch):
+        use_cpus(monkeypatch, {0})
+
+        def fail(data, config):
+            raise SolverError(f"l2 {config.l2_weight} is singular")
+
+        monkeypatch.setattr(tuning, "train", fail)
+        config = GridSearchConfig(shrinkages=(0.3, 0.5), l2_weights=(0.0, 1.0), rule_counts=(2,))
+        with pytest.raises(RuleBoostError) as caught:
+            grid_search(dataset, config)
+        assert str(caught.value) == ("every grid point failed; the first (shrinkage 0.3, l2 0.0) "
+                                     "with: l2 0.0 is singular")
+
 
 @needs_fork
 class TestParallelCells:
@@ -197,4 +232,22 @@ class TestParallelCells:
         assert report.failures == [GridFailure(0.3, 0.0, "l2 0.0 is singular")]
         assert [(c.l2_weight, c.n_rules) for c in report.cells] == [(1.0, 2), (1.0, 3)]
         assert (best.l2_weight, best.n_rules) in {(1.0, 2), (1.0, 3)}
+        assert no_child_left()
+
+    def test_cell_whose_child_dies_raises_rule_boost_error(self, dataset, monkeypatch):
+        use_cpus(monkeypatch, {0, 1})
+        caller = os.getpid()
+        real_train = tuning.train
+
+        def die_in_child(data, config):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real_train(data, config)
+
+        monkeypatch.setattr(tuning, "train", die_in_child)
+        config = GridSearchConfig(shrinkages=(0.3,), l2_weights=(0.0, 1.0), rule_counts=(3, 2),
+                                  seed=1)
+        with pytest.raises(RuleBoostError, match=r"^a training worker exited before returning "
+                                                 r"its results \(exit code 3\)$"):
+            grid_search(dataset, config)
         assert no_child_left()
