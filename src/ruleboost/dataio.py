@@ -9,20 +9,26 @@ they must be nominal with domain {0, 1} and are mapped to -1/+1.
 Sparse rows follow ARFF semantics: unspecified numeric entries are 0 and
 unspecified nominal entries are the first value of their domain.
 
-The data block is converted one column at a time, from one of two
-tokenizers.  A plain dense block (no quotes, braces or '%', and one comma
-fewer than attributes on every line) is split in one pass into a flat
-list of cells, of which column j is every width-th cell from cell j.
-Any other block is tokenized line by line, with sparse rows expanded.
-Both feed the same column converters, so a bad cell is reported with its
-line number, the earliest one first, whichever tokenizer read it.
+Reading is two steps: ``read_arff_block`` reads the header and keeps the
+file's lines, and ``load_arff`` converts a range of its data lines, the
+whole block or one share of it (``ArffBlock.split``), into a dataset.
+The range is read into one flat list of cells, row after row, of which
+column j is every width-th cell from cell j.  Runs of plain dense lines
+(no quotes, braces or '%', and one comma fewer than attributes) are
+split in one pass; every other line, such as a comment, a sparse row, a
+quoted value or a row of the wrong width, is tokenized on its own, with
+sparse rows expanded.  The columns are then converted one at a time, and
+a bad cell is reported with its line number in the file, the earliest
+one first, whichever way its line was read.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from itertools import repeat
+from bisect import bisect_right
+from dataclasses import dataclass, replace
+from itertools import accumulate, compress, repeat
 
 import numpy as np
 
@@ -134,64 +140,123 @@ def _sparse_tokens(text: str, defaults: list, line: int) -> list:
     return row
 
 
-def _bulk_columns(lines, data_line: int, width: int):
-    """Cells by column and their line numbers of a plain dense data block, else None.
+@dataclass(frozen=True)
+class ArffBlock:
+    """An ARFF file read once: its attributes, its lines and a range of its data lines.
 
-    Blank lines at the block's start and end are dropped.  The rest is
-    plain when it holds no quote, brace or '%' and each of its lines has
-    ``width - 1`` commas.  Its cells are then the per-line tokenizer's,
-    except that a line's first and last cell keep the whitespace around
-    the line, which every conversion strips, so one split of the joined
-    lines reads them all.
+    The range is ``lines[start:stop]``.  ``read_arff_block`` gives the
+    whole data block and ``split`` shares of it; ``load_arff`` converts
+    one, naming each bad line by its number in the file.
     """
-    first, end = data_line, len(lines)
-    while first < end and not lines[first].strip():
-        first += 1
-    while end > first and not lines[end - 1].strip():
-        end -= 1
-    block = lines[first:end]
-    # One attribute needs no comma, so a blank line inside the block would pass.
-    if width < 2 or not block:
-        return None
-    if list(map(str.count, block, repeat(","))).count(width - 1) != len(block):
-        return None
-    joined = ",".join(block)
-    if any(mark in joined for mark in ("'", '"', "{", "%")):
-        return None
-    cells = joined.split(",")
-    return [cells[j::width] for j in range(width)], range(first + 1, end + 1)
+
+    attributes: tuple
+    lines: list
+    start: int
+    stop: int
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def split(self, n_shares: int) -> list[ArffBlock]:
+        """``n_shares`` consecutive shares of whole lines, of about equal size."""
+        bounds = [self.start + len(self) * k // n_shares for k in range(n_shares + 1)]
+        return [replace(self, start=start, stop=stop) for start, stop in zip(bounds, bounds[1:])]
 
 
-def _tokenize_data(lines, data_line: int, attributes):
-    """Token rows after the @data line, their line numbers and the first row error.
+def _tokenize_line(raw: str, number: int, defaults: list, width: int):
+    """One data line's tokens, one per attribute, or None for a blank or comment line."""
+    stripped = raw.strip()
+    if not stripped or stripped[0] == "%":
+        return None
+    if stripped[0] == "{":
+        if not stripped.endswith("}"):
+            raise ParseError("unterminated sparse row", line=number)
+        tokens = _sparse_tokens(stripped, defaults, number)
+    elif "'" in stripped or '"' in stripped:
+        tokens = _split_csv_like(stripped, number)
+    else:
+        tokens = stripped.split(",")
+    if len(tokens) != width:
+        raise ParseError(f"row has {len(tokens)} values, expected {width}", line=number)
+    return tokens
 
-    Reading stops at a row that cannot be split into one token per
-    attribute; its error is returned rather than raised, so that a bad
-    value in an earlier row is still reported first.
+
+# A line holding one of these is a comment, a sparse row or has quoted values.
+_MARKS = ("'", '"', "{", "%")
+
+
+def _special_lines(lines, joined: str, width: int) -> list[int]:
+    """Positions of the lines that one split of ``joined`` would not read as the tokenizer does.
+
+    ``joined`` is ``",".join(lines)``.  A line is plain when it holds no
+    quote, brace or '%' and has ``width - 1`` commas; its cells are then
+    the per-line tokenizer's, except that its first and last cell keep
+    the whitespace around the line, which every conversion strips.  Every
+    other line, blank ones included, is special.  With one attribute a
+    blank line needs no comma either, so every line is special.
     """
-    width = len(attributes)
-    defaults = ["0" if a.is_numeric else _SPARSE_DEFAULT for a in attributes]
-    rows, numbers = [], []
-    for number, raw in enumerate(lines[data_line:], start=data_line + 1):
-        stripped = raw.strip()
-        if not stripped or stripped[0] == "%":
+    if width < 2:
+        return list(range(len(lines)))
+    counts = list(map(str.count, lines, repeat(",")))
+    special = set()
+    if counts.count(width - 1) != len(counts):
+        special.update(compress(range(len(lines)), map((width - 1).__ne__, counts)))
+    ends = None
+    for mark in _MARKS:
+        found = joined.find(mark)
+        if found < 0:
             continue
+        if ends is None:  # ends[i] is where line i + 1 starts in ``joined``
+            ends = list(accumulate(len(line) + 1 for line in lines))
+        while found >= 0:
+            i = bisect_right(ends, found)
+            special.add(i)
+            found = joined.find(mark, ends[i])
+    return sorted(special)
+
+
+def _data_cells(block: ArffBlock):
+    """The block's cells row after row, each row's line number, and the first row error.
+
+    Blank lines at either end of the block hold no row and are dropped.
+    Runs of plain lines (see ``_special_lines``) are split in one pass, and
+    every other line is read by ``_tokenize_line``.  Reading stops at a
+    row that cannot be split into one token per attribute; its error is
+    returned rather than raised, so that a bad value in an earlier row is
+    still reported first.
+    """
+    first, end = block.start, block.stop
+    while first < end and not block.lines[first].strip():
+        first += 1
+    while end > first and not block.lines[end - 1].strip():
+        end -= 1
+    width = len(block.attributes)
+    lines = block.lines[first:end]
+    joined = ",".join(lines)
+    special = _special_lines(lines, joined, width)
+    if lines and not special:
+        return joined.split(","), range(first + 1, end + 1), None
+    defaults = ["0" if a.is_numeric else _SPARSE_DEFAULT for a in block.attributes]
+    cells, numbers = [], []
+
+    def plain(start, stop):
+        if start < stop:
+            cells.extend(",".join(lines[start:stop]).split(","))
+            numbers.extend(range(first + start + 1, first + stop + 1))
+
+    start = 0
+    for i in special:
+        plain(start, i)
         try:
-            if stripped[0] == "{":
-                if not stripped.endswith("}"):
-                    raise ParseError("unterminated sparse row", line=number)
-                tokens = _sparse_tokens(stripped, defaults, number)
-            elif "'" in stripped or '"' in stripped:
-                tokens = _split_csv_like(stripped, number)
-            else:
-                tokens = stripped.split(",")
-            if len(tokens) != width:
-                raise ParseError(f"row has {len(tokens)} values, expected {width}", line=number)
+            tokens = _tokenize_line(lines[i], first + i + 1, defaults, width)
         except ParseError as error:
-            return rows, numbers, error
-        rows.append(tokens)
-        numbers.append(number)
-    return rows, numbers, None
+            return cells, numbers, error
+        if tokens is not None:
+            cells.extend(tokens)
+            numbers.append(first + i + 1)
+        start = i + 1
+    plain(start, len(lines))
+    return cells, numbers, None
 
 
 def _numeric_column(attr: Attribute, cells, numbers) -> np.ndarray:
@@ -250,11 +315,10 @@ def _nominal_column(attr: Attribute, cells, numbers) -> np.ndarray:
     ))
 
 
-def _read_arff(path):
-    """Attributes and one converted column per attribute of an ARFF file."""
+def read_arff_block(path) -> ArffBlock:
+    """An ARFF file's attributes and its whole data block; a bad header line raises ParseError."""
     attributes: list[Attribute] = []
     lines = read_text(path).split("\n")
-    data_line = None
     for line_number, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
@@ -268,33 +332,28 @@ def _read_arff(path):
         if lowered.startswith("@data"):
             if not attributes:
                 raise ParseError("@data before any @attribute", line=line_number)
-            data_line = line_number
-            break
+            # The data block starts on the line after @data, at index line_number.
+            return ArffBlock(tuple(attributes), lines, line_number, len(lines))
         raise ParseError(f"unexpected header line {stripped!r}", line=line_number)
-    if data_line is None:
-        raise ParseError(f"{path}: no @data section found")
+    raise ParseError(f"{path}: no @data section found")
 
-    bulk = _bulk_columns(lines, data_line, len(attributes))
-    if bulk is not None:
-        (cells_by_column, numbers), row_error = bulk, None
-    else:
-        rows, numbers, row_error = _tokenize_data(lines, data_line, attributes)
-        cells_by_column = list(zip(*rows)) if rows else [() for _ in attributes]
-    # Freed before the columns are built, which lowers the peak RSS of the
-    # process that goes on to decode.
-    del lines
+
+def _columns(block: ArffBlock) -> list[np.ndarray]:
+    """One converted column per attribute of the block's rows; the earliest bad line raises."""
+    cells, numbers, row_error = _data_cells(block)
+    width = len(block.attributes)
     columns, cell_errors = [], []
-    for j, (attr, cells) in enumerate(zip(attributes, cells_by_column)):
+    for j, attr in enumerate(block.attributes):
         convert = _numeric_column if attr.is_numeric else _nominal_column
         try:
-            columns.append(convert(attr, cells, numbers))
+            columns.append(convert(attr, cells[j::width], numbers))
         except _CellError as bad:
             cell_errors.append((bad.row, j, bad.error))
     if cell_errors:
         raise min(cell_errors)[2]
     if row_error is not None:
         raise row_error
-    return attributes, columns
+    return columns
 
 
 def _label_indices(attributes, labels) -> list[int]:
@@ -346,12 +405,18 @@ def _assemble(attributes, columns, labels) -> Dataset:
     )
 
 
-def load_arff(path, labels) -> Dataset:
-    """Load an ARFF file; ``labels`` is a trailing count or a name list."""
-    attributes, columns = _read_arff(path)
+def load_arff(path, labels, block: ArffBlock | None = None) -> Dataset:
+    """Load an ARFF file; ``labels`` is a trailing count or a name list.
+
+    ``block``, the file's ``read_arff_block`` or a share of it, loads only
+    its lines, without reading the file again.
+    """
+    if block is None:
+        block = read_arff_block(path)
+    columns = _columns(block)
     if len(columns[0]) == 0:
         raise ParseError(f"{path}: no data rows")
-    return _assemble(attributes, columns, labels)
+    return _assemble(block.attributes, columns, labels)
 
 
 def _needs_quoting(value: str) -> bool:

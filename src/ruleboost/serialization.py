@@ -208,6 +208,8 @@ def ensemble_from_dict(document: dict) -> Ensemble:
     label_names = _field(document, "label_names", "", list, "an array")
     for i, name in enumerate(label_names):
         _typed(name, str, f"label_names[{i}]", "a string")
+        if name in label_names[:i]:
+            raise ParseError(f"label_names[{i}]: label {name!r} is named twice")
     rules = [
         _rule(entry, f"rules[{i}]", schema, len(label_names))
         for i, entry in enumerate(_field(document, "rules", "", list, "an array"))

@@ -2,7 +2,8 @@
 
 Tuning is a trajectory over grid cells: one training run per (shrinkage,
 l2) cell at the largest rule count gives every smaller count exactly, as
-in ``trajectory``, and the cells go through the same ``map_configs``.
+in ``trajectory``, and the cells go through the same worker map,
+``workers.map_configs``, in grid order.
 Every cell's settings are checked before any cell trains; a cell that
 then raises a RuleBoostError is recorded and does not abort the sweep.
 """
@@ -18,7 +19,8 @@ from .choices import (DEFAULT_L2_WEIGHTS, DEFAULT_RULE_COUNTS, DEFAULT_SHRINKAGE
 from .dataset import Dataset
 from .errors import ConfigError, RuleBoostError, check_finite, check_integer
 from .training import TrainConfig, train
-from .trajectory import checkpoint_points, map_configs
+from .trajectory import checkpoint_points
+from .workers import map_configs
 
 _STREAM_SPLIT = 200
 

@@ -4,13 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import ruleboost
+from ruleboost import cli
 from ruleboost.cli import main
 from ruleboost.serialization import load
+
+from test_trajectory import needs_fork, no_child_left, use_cpus
 
 
 @pytest.fixture(scope="module")
@@ -537,3 +541,153 @@ class TestErrorPaths:
         assert len(lines) == 1
         assert lines[0].startswith("error:")
         assert message in lines[0]
+
+
+def _faulty_copy(source: Path, target: Path, faults: dict) -> Path:
+    """``source`` with data row i replaced by ``faults[i](cells)``, joined back with commas."""
+    head, data = source.read_text().split("@data\n")
+    rows = data.splitlines()
+    for i, fault in faults.items():
+        rows[i] = ",".join(fault(rows[i].split(",")))
+    target.write_text(head + "@data\n" + "\n".join(rows) + "\n")
+    return target
+
+
+def _cell(j, value):
+    def fault(cells):
+        cells[j] = value
+        return cells
+    return fault
+
+
+def _short_row(cells):
+    return cells[:-1]
+
+
+def _counting_forks(monkeypatch) -> list:
+    """Patch ``os.fork`` to record the pid of each child it makes."""
+    children = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return children
+
+
+@needs_fork
+class TestParallelPredict:
+    """``predict`` parses, scores and decodes shares of the data block in forked workers."""
+
+    @pytest.fixture(autouse=True)
+    def small_shares(self, monkeypatch):
+        # The 200-row test file splits into two shares of about 100 lines.
+        monkeypatch.setattr(cli, "_MIN_SHARE_LINES", 50)
+
+    def _predict(self, data, model, *extra):
+        argv = ["predict", "--data", str(data), "--labels", "3", "--model", str(model),
+                *map(str, extra)]
+        return main(argv)
+
+    @pytest.mark.parametrize("decode", ["sign", "known-vectors"])
+    def test_two_cpus_write_the_one_cpu_bytes(self, synth_dir, model_path, tmp_path,
+                                              monkeypatch, capsys, decode):
+        outputs = {}
+        for cpus in ({0}, {0, 1}):
+            use_cpus(monkeypatch, cpus)
+            children = _counting_forks(monkeypatch)
+            out = tmp_path / "predictions.csv"
+            assert self._predict(synth_dir / "test.arff", model_path, "--decode", decode,
+                                 "--output", out) == 0
+            assert self._predict(synth_dir / "test.arff", model_path, "--decode", decode) == 0
+            captured = capsys.readouterr()
+            outputs[len(cpus)] = (out.read_bytes(), captured.out, captured.err)
+            assert len(children) == len(cpus) - 1 + len(cpus) - 1
+        assert outputs[1] == outputs[2]
+        written, printed, _ = outputs[2]
+        assert printed == f"wrote 200 predictions ({decode} decoding) to {out}\n" + written.decode()
+        assert no_child_left()
+
+    @pytest.mark.parametrize("faults,message", [
+        ({150: _cell(0, "abc")},
+         "line 160: expected a number for attribute 'x1', got 'abc'"),
+        ({160: _cell(3, "2")},
+         "line 170: value '2' is not in the domain of attribute 'label2'"),
+        ({170: _short_row}, "line 180: row has 4 values, expected 5"),
+        ({180: _cell(2, "?")}, "example 180: missing label value for 'label1'"),
+        ({20: _cell(1, "x"), 150: _cell(0, "abc")},
+         "line 30: expected a number for attribute 'x2', got 'x'"),
+        ({30: _short_row, 110: _cell(4, "?")}, "line 40: row has 4 values, expected 5"),
+    ], ids=["number", "label", "short-row", "missing-label", "both-shares", "both-shares-rows"])
+    def test_a_bad_share_reports_the_one_cpu_error(self, synth_dir, model_path, tmp_path,
+                                                   monkeypatch, capsys, faults, message):
+        data = _faulty_copy(synth_dir / "test.arff", tmp_path / "faulty.arff", faults)
+        reported = {}
+        for cpus in ({0}, {0, 1}):
+            use_cpus(monkeypatch, cpus)
+            children = _counting_forks(monkeypatch)
+            out = tmp_path / "p.csv"
+            code = self._predict(data, model_path, "--output", out)
+            reported[len(cpus)] = (code, capsys.readouterr().err)
+            assert len(children) == len(cpus) - 1
+            assert not out.exists()
+        assert reported[1] == reported[2] == (1, f"error: {message}\n")
+        assert no_child_left()
+
+    def test_a_worker_that_dies_is_an_error(self, synth_dir, model_path, tmp_path,
+                                            monkeypatch, capsys):
+        use_cpus(monkeypatch, {0, 1})
+        caller = os.getpid()
+        rows = cli._predicted_rows
+
+        def die_in_child(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return rows(*args)
+
+        monkeypatch.setattr(cli, "_predicted_rows", die_in_child)
+        out = tmp_path / "p.csv"
+        assert self._predict(synth_dir / "test.arff", model_path, "--output", out) == 1
+        assert capsys.readouterr().err == (
+            "error: a worker exited before returning its results (exit code 3)\n")
+        assert not out.exists()
+        assert no_child_left()
+
+    def test_no_fork_with_another_thread_alive(self, synth_dir, model_path, tmp_path,
+                                               monkeypatch):
+        use_cpus(monkeypatch, {0, 1})
+        children = _counting_forks(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            assert self._predict(synth_dir / "test.arff", model_path,
+                                 "--output", tmp_path / "threaded.csv") == 0
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert children == []
+        use_cpus(monkeypatch, {0})
+        assert self._predict(synth_dir / "test.arff", model_path,
+                             "--output", tmp_path / "serial.csv") == 0
+        assert (tmp_path / "threaded.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_no_fork_for_a_small_file_or_a_csv_file(self, synth_dir, model_path, tmp_path,
+                                                    monkeypatch):
+        use_cpus(monkeypatch, {0, 1})
+        children = _counting_forks(monkeypatch)
+        head, data = (synth_dir / "test.arff").read_text().split("@data\n")
+        names = [line.split()[1] for line in head.splitlines() if line.startswith("@attribute")]
+        csv_data = tmp_path / "test.csv"
+        csv_data.write_text(",".join(names) + "\n" + data)
+        assert self._predict(csv_data, model_path, "--output", tmp_path / "csv.csv") == 0
+        monkeypatch.setattr(cli, "_MIN_SHARE_LINES", 101)
+        assert self._predict(synth_dir / "test.arff", model_path,
+                             "--output", tmp_path / "small.csv") == 0
+        assert children == []
+        assert (tmp_path / "csv.csv").read_bytes() == (tmp_path / "small.csv").read_bytes()

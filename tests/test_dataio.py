@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ruleboost import dataio
 from ruleboost.dataio import load_arff, load_csv, save_arff
+from ruleboost.dataset import NUMERIC, Attribute
 from ruleboost.errors import ParseError, RuleBoostError, SchemaError
 
 from reference import row_values
@@ -369,6 +370,17 @@ def dense_arff_files(draw):
     lines = [",".join(draw(pad) + cell + draw(pad) for cell in row) for row in rows]
     blank = st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2)
     lines = draw(blank) + lines + draw(blank)
+    # Lines that the per-line tokenizer reads, anywhere in the block: comments,
+    # blank lines, a sparse row of defaults, a row with quoted cells, and a row
+    # whose first two cells are one quoted value, which has a plain row's commas.
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        quote = draw(st.sampled_from(["'", '"']))
+        special = draw(st.sampled_from([
+            "% a comment, with, commas", "%", "", " \t", "{}", ",".join(f"'{c}'" for c in row),
+            quote + ",".join(row[:2]) + quote + "".join("," + c for c in row[2:]),
+        ]))
+        lines.insert(draw(st.integers(0, len(lines))), special)
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     text = eol.join(["@relation r", *header, "@data", *lines])
     return text + draw(st.sampled_from(["", eol])), n_labels, fault
@@ -388,8 +400,19 @@ def tokenizer_unused(*args):
     raise AssertionError("the per-line tokenizer read a plain block")
 
 
+def every_line_special(lines, joined, width):
+    """Stands for ``_special_lines``: every line goes through the per-line tokenizer."""
+    return list(range(len(lines)))
+
+
+def is_plain(line, width):
+    """Whether one split of the block reads ``line`` as the per-line tokenizer does."""
+    return (bool(line.strip()) and line.count(",") == width - 1
+            and not any(mark in line for mark in "'\"{%"))
+
+
 class TestBulkDataBlock:
-    """A plain dense block is split in one pass; it must load as the per-line tokenizer loads it."""
+    """Runs of plain dense lines are split in one pass; they load as the per-line tokenizer reads them."""
 
     @settings(max_examples=200, deadline=None)
     @given(dense_arff_files())
@@ -398,15 +421,13 @@ class TestBulkDataBlock:
         with tempfile.TemporaryDirectory() as work:
             path = Path(work) / "data.arff"
             path.write_bytes(text.encode("utf-8"))
-            with mock.patch.object(dataio, "_bulk_columns", return_value=None):
+            with mock.patch.object(dataio, "_special_lines", every_line_special):
                 expected = outcome(path, n_labels)
-            # Only a row of the wrong width sends the block to the tokenizer.
-            if fault in WIDTH_FAULTS:
+            with mock.patch.object(dataio, "_tokenize_line", wraps=dataio._tokenize_line) as spy:
                 actual = outcome(path, n_labels)
-            else:
-                with mock.patch.object(dataio, "_tokenize_data", tokenizer_unused):
-                    actual = outcome(path, n_labels)
         assert actual == expected
+        # Only the lines that are not plain, the row of a wrong width among them, are tokenized.
+        assert not any(is_plain(call.args[0], call.args[3]) for call in spy.call_args_list)
         if fault is not None:
             assert isinstance(expected[0], type) and issubclass(expected[0], RuleBoostError)
 
@@ -414,7 +435,7 @@ class TestBulkDataBlock:
         path = tmp_path / "plain.arff"
         path.write_text(DENSE_ARFF.replace("% toy dataset\n", "").replace("?", "3.5")
                         .replace("@data\n", "@data\n\n  \n") + "\n\n")
-        monkeypatch.setattr(dataio, "_tokenize_data", tokenizer_unused)
+        monkeypatch.setattr(dataio, "_tokenize_line", tokenizer_unused)
         dataset = load_arff(path, 1)
         assert dataset.columns[0].tolist() == [1.5, 2.5, 3.5]
         assert dataset.columns[1].tolist() == [0, 2, 1]
@@ -427,13 +448,57 @@ class TestBulkDataBlock:
     def test_other_blocks_use_the_line_tokenizer(self, tmp_path, row, n_examples):
         path = tmp_path / "other.arff"
         path.write_text(DENSE_ARFF.replace("2.5, blue, 0\n", f"2.5, blue, 0\n{row}\n"))
-        with mock.patch.object(dataio, "_tokenize_data", wraps=dataio._tokenize_data) as spy:
+        with mock.patch.object(dataio, "_tokenize_line", wraps=dataio._tokenize_line) as spy:
             if n_examples is None:
                 with pytest.raises(ParseError, match="line 11: row has 4 values, expected 3"):
                     load_arff(path, 1)
             else:
                 assert load_arff(path, 1).n_examples == n_examples
-        assert spy.call_count == 1
+        assert [call.args[0] for call in spy.call_args_list] == [row]
+
+    @pytest.mark.parametrize("n_shares", [1, 2, 3, 7])
+    def test_shares_load_the_whole_blocks_rows_with_their_line_numbers(self, tmp_path, n_shares):
+        rows = [f"{i}.5, {'red' if i % 3 else 'blue'}, {i % 2}" for i in range(20)]
+        rows[9] = "% a comment"
+        rows[14] = "{0 7.5, 2 1}"
+        path = tmp_path / "shares.arff"
+        path.write_text(DENSE_ARFF.split("@data")[0] + "@data\n" + "\n".join(rows) + "\n")
+        whole = load_arff(path, 1)
+        shares = dataio.read_arff_block(path).split(n_shares)
+        assert sum(map(len, shares)) == len(rows) + 1
+        parts = [load_arff(path, 1, share) for share in shares]
+        for column, parts_columns in zip(whole.columns, zip(*(p.columns for p in parts))):
+            assert np.concatenate(parts_columns).tobytes() == column.tobytes()
+        assert np.concatenate([p.labels for p in parts]).tobytes() == whole.labels.tobytes()
+        bad = path.read_text().replace("18.5, blue", "18.5, pink")
+        path.write_text(bad)
+        last = dataio.read_arff_block(path).split(n_shares)[-1]
+        with pytest.raises(SchemaError, match="^line 27: value 'pink' is not in the domain"):
+            load_arff(path, 1, last)
+
+
+# Cells that float reads or rejects in ways a numeric column must follow exactly.
+FLOAT_CASES = ["1_0", " 1.5\r", "nan", "-Infinity", "1e999", "\u0661", "0x10", "1e-400", "-0"]
+
+
+class TestNumericCells:
+    @pytest.mark.parametrize("cell", FLOAT_CASES)
+    def test_a_cell_converts_as_float_does(self, cell):
+        attr = Attribute("x", NUMERIC)
+        try:
+            expected = np.array([float(cell)]).tobytes()
+        except ValueError:
+            with pytest.raises(dataio._CellError) as caught:
+                dataio._numeric_column(attr, [cell], [5])
+            assert str(caught.value.error) == (
+                f"line 5: expected a number for attribute 'x', got {cell.strip()!r}")
+        else:
+            assert dataio._numeric_column(attr, [cell], [5]).tobytes() == expected
+
+    def test_a_column_of_valid_cells_converts_as_float_does(self):
+        cells = [cell for cell in FLOAT_CASES if cell not in ("0x10",)]
+        column = dataio._numeric_column(Attribute("x", NUMERIC), cells, range(len(cells)))
+        assert column.tobytes() == np.array([float(cell) for cell in cells]).tobytes()
 
 
 CSV_TEXT = """width,color,label1

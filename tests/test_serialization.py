@@ -200,6 +200,7 @@ class TestInvalidFieldsNameTheirPath:
         (lambda d: d["schema"][1], _delete("values"), "schema[1].values"),
         (lambda d: d["schema"][0], _set("name", 3), "schema[0].name"),
         (lambda d: d["label_names"], _set(0, None), "label_names[0]"),
+        (lambda d: d["label_names"], _set(1, "l0"), "label_names[1]"),
         (lambda d: d["label_vectors"], _set(0, [1, 0]), "label_vectors[0]"),
         (lambda d: d["label_vectors"], _set(0, [1, -1, 1]), "label_vectors[0]"),
         (lambda d: d, _set("seed", "0"), "seed"),

@@ -230,7 +230,7 @@ class TestParallelTraining:
         train_data, test_data = small_data
         use_cpus(monkeypatch, {0, 1})
         check_before_training(monkeypatch, for_exwlog_multi(die))
-        with pytest.raises(RuleBoostError, match="a training worker exited before returning "
+        with pytest.raises(RuleBoostError, match="a worker exited before returning "
                                                  "its results " + ended):
             run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2])
         assert no_child_left()
@@ -262,7 +262,7 @@ class TestParallelTraining:
 
         check_before_training(monkeypatch, for_exwlog_multi(raise_local_error))
         with pytest.raises(RuleBoostError,
-                           match="a training worker raised LocalError: not picklable"):
+                           match="a worker raised LocalError: not picklable"):
             run_trajectory(train_data, test_data, ALL_VARIANTS, [1, 2])
         assert no_child_left()
 
@@ -275,7 +275,8 @@ class TestParallelTraining:
             return [TrajectoryPoint(t, 1.0 / t, config.head_mode == "multi") for t in checkpoints]
 
         monkeypatch.setattr(trajectory, "_variant_points", many_points)
-        checkpoints = list(range(1, 5001))
+        # About 1.4 MB of pickled points: more than a pipe holds, even one grown to 1 MiB.
+        checkpoints = list(range(1, 50001))
 
         def timed_out(signum, frame):
             raise AssertionError("the trajectory map did not return within 60 s")

@@ -247,7 +247,7 @@ class TestParallelCells:
         monkeypatch.setattr(tuning, "train", die_in_child)
         config = GridSearchConfig(shrinkages=(0.3,), l2_weights=(0.0, 1.0), rule_counts=(3, 2),
                                   seed=1)
-        with pytest.raises(RuleBoostError, match=r"^a training worker exited before returning "
+        with pytest.raises(RuleBoostError, match=r"^a worker exited before returning "
                                                  r"its results \(exit code 3\)$"):
             grid_search(dataset, config)
         assert no_child_left()

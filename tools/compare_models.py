@@ -30,9 +30,13 @@ of the program and of every subcommand, and ``predict`` on one model
 ``predict`` runs with both decoders on the test file, once on a tie-heavy
 rewrite of it (features rounded to one decimal, 5% of them '?', which
 sends numeric columns through the per-cell converter) and once on the
-test file with a '%' comment line in its data block, which is read by
-the per-line tokenizer rather than in one split.  The script compares
-their stdout, stderr and exit codes byte for byte.  Each tree also runs
+test file with a '%' comment line in its data block, whose comment line
+is read by the per-line tokenizer and the rest in one split.  It also
+runs with both decoders on the test file's rows repeated to 25,000 rows,
+which ``predict`` splits into shares that forked workers parse, score
+and decode where two CPUs are usable, and once more on that file with a
+bad cell in its last quarter.  The script compares their stdout, stderr
+and exit codes byte for byte.  Each tree also runs
 ``ruleboost tune --json`` (example-wise loss, all-label heads, shrinkages
 0.3 and 0.5 x l2 weights 0, 1 and 4, rules 10 and 20) on a file with the
 ``trajectory-4v`` settings above, and the script compares its report
@@ -74,6 +78,9 @@ TUNE_ARGS = (
     "--shrinkage-grid", "0.3,0.5", "--l2-grid", "0,1,4", "--rules-grid", "10,20",
 )
 SUBCOMMANDS = ("train", "predict", "evaluate", "tune", "synth", "trajectory")
+# Rows of the repeated test file: the serve-25k workload's size, several
+# times the smallest pair of shares that predict splits a file into.
+SPLIT_ROWS = 25_000
 DECODERS = ("sign", "known-vectors")
 
 
@@ -149,8 +156,12 @@ def _cli(src: str, *args: str) -> tuple[int, bytes, bytes]:
     return completed.returncode, completed.stdout, completed.stderr
 
 
-def _test_file_variants(test: Path) -> tuple[Path, Path]:
-    """The test file rewritten tie-heavy, and with a comment line in its data block."""
+def _test_file_variants(test: Path) -> tuple[Path, Path, Path, Path]:
+    """The test file rewritten tie-heavy, with a comment line in its data block, and large.
+
+    The large file repeats the test rows to ``SPLIT_ROWS`` rows; its last
+    variant has one bad numeric cell in the last quarter of them.
+    """
     head, data = test.read_text(encoding="utf-8").split("@data\n")
     rows = data.splitlines()
     rng = random.Random(7)
@@ -161,8 +172,13 @@ def _test_file_variants(test: Path) -> tuple[Path, Path]:
                              for c in cells[:-N_LABELS]]
         tie_rows.append(",".join(cells))
     commented_rows = rows[:5] + ["% a comment line inside the data block"] + rows[5:]
-    paths = test.with_name("test_tie_heavy.arff"), test.with_name("test_commented.arff")
-    for path, lines in zip(paths, (tie_rows, commented_rows)):
+    large_rows = (rows * (SPLIT_ROWS // len(rows) + 1))[:SPLIT_ROWS]
+    bad_rows = list(large_rows)
+    bad = SPLIT_ROWS * 7 // 8
+    bad_rows[bad] = "1.2.3" + bad_rows[bad][bad_rows[bad].index(","):]
+    paths = tuple(test.with_name(f"test_{name}.arff")
+                  for name in ("tie_heavy", "commented", "large", "large_bad_cell"))
+    for path, lines in zip(paths, (tie_rows, commented_rows, large_rows, bad_rows)):
         path.write_text(head + "@data\n" + "\n".join(lines) + "\n", encoding="utf-8")
     return paths
 
@@ -183,11 +199,12 @@ def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
             if status != 0:
                 raise SystemExit(f"ruleboost {args[0]} under {parent_src} failed:\n"
                                  f"{stderr.decode(errors='replace')}")
-        tie_heavy, commented = _test_file_variants(data / "test.arff")
+        tie_heavy, commented, large, large_bad = _test_file_variants(data / "test.arff")
         commands = {" ".join(args): args
                     for args in [("--help",)] + [(command, "--help") for command in SUBCOMMANDS]}
-        for method, test in [(method, data / "test.arff") for method in DECODERS] + [
-                ("sign", tie_heavy), ("known-vectors", commented)]:
+        for method, test in [(method, test) for test in (data / "test.arff", large)
+                             for method in DECODERS] + [
+                ("sign", tie_heavy), ("known-vectors", commented), ("sign", large_bad)]:
             commands[f"predict --decode {method} --data {test.name}"] = (
                 "predict", "--decode", method, "--data", str(test), "--labels", str(N_LABELS),
                 "--model", str(model))
