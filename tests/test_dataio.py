@@ -567,3 +567,81 @@ class TestLoadCsv:
         path.write_text("c,label1\nzebra,1\napple,0\nzebra,1\n")
         dataset = load_csv(path, ["label1"])
         assert dataset.schema[0].values == ("zebra", "apple")
+
+
+def load_csv_text(tmp_path, text, labels=1):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return load_csv(path, labels)
+
+
+class TestCsvCells:
+    """What the CSV reader makes of quotes, line ends, blank rows and missing cells."""
+
+    def test_a_quoted_comma_is_part_of_its_value(self, tmp_path):
+        dataset = load_csv_text(tmp_path, 'c,l\n"a,b",1\nc,0\n"a,b",1\n')
+        assert dataset.schema[0].values == ("a,b", "c")
+        assert dataset.columns[0].tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_a_quoted_value_spanning_lines_keeps_its_line_ends(self, tmp_path, eol):
+        dataset = load_csv_text(tmp_path, f'c,l{eol}"a{eol}b",1{eol}c,0{eol}')
+        assert dataset.schema[0].values == (f"a{eol}b", "c")
+        assert dataset.labels.ravel().tolist() == [1, -1]
+
+    def test_rows_of_only_blank_cells_are_skipped(self, tmp_path):
+        dataset = load_csv_text(tmp_path, 'x,c,l\n1,a,1\n,,\n \t, ,\n\n   \n""\n"",\t,"  "\n2,b,0\n')
+        assert dataset.columns[0].tolist() == [1.0, 2.0]
+        assert dataset.labels.ravel().tolist() == [1, -1]
+
+    def test_cells_and_names_are_stripped(self, tmp_path):
+        dataset = load_csv_text(tmp_path, ' x , c ,l \n 1.5 , red ,  1\n2,  red,0 \n3," red ", 1\n')
+        assert [a.name for a in dataset.schema.attributes] == ["x", "c"]
+        assert dataset.label_names == ["l"]
+        assert dataset.columns[0].tolist() == [1.5, 2.0, 3.0]
+        assert dataset.schema[1].values == ("red",)
+        assert dataset.labels.ravel().tolist() == [1, -1, 1]
+
+    def test_empty_and_question_mark_cells_are_missing(self, tmp_path):
+        dataset = load_csv_text(tmp_path, 'x,c,l\n"",?,1\n ? ,"",0\n1.5,red,1\n,?,0\n')
+        assert [row_values(dataset, i) for i in range(4)] == [
+            (None, None), (None, None), (1.5, "red"), (None, None)]
+        assert dataset.schema[0].is_numeric and dataset.schema[1].values == ("red",)
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"])
+    def test_crlf_and_lone_cr_line_ends(self, tmp_path, eol):
+        text = "x,c,l\n1.5,red,1\n2.5,blue,0\n?,red,1\n"
+        expected = load_csv_text(tmp_path, text)
+        dataset = load_csv_text(tmp_path, text.replace("\n", eol))
+        assert dataset.schema == expected.schema
+        assert dataset.labels.tobytes() == expected.labels.tobytes()
+        assert [c.tobytes() for c in dataset.columns] == [c.tobytes() for c in expected.columns]
+        with pytest.raises(ParseError, match="^line 4: column 'x' is numeric but got 'oops'$"):
+            load_csv_text(tmp_path, text.replace("?", "oops").replace("\n", eol))
+
+
+class TestCsvErrorPrecedence:
+    """Which of several faults a CSV file reports."""
+
+    @pytest.mark.parametrize("text,labels,error,message", [
+        ("", 1, ParseError, r".*data\.csv: empty file; a header row is required"),
+        ("x,l\noops,1\n1,2,0\n", 1, ParseError, "line 3: row has 3 values, expected 2"),
+        ("x,l\n1\n\n", ["nope"], ParseError, "line 2: row has 1 values, expected 2"),
+        ("x,l\n\n,\n", ["nope"], ParseError, r".*data\.csv: no data rows"),
+        ("x,l\noops,2\n", ["nope"], SchemaError,
+         re.escape("label columns not found in header: ['nope']")),
+        ("x,l\noops,2\n", 2, SchemaError, "label count 2 invalid for 2 columns"),
+        ("x,l\n1,2\noops,0\n", 1, ParseError, "line 3: column 'x' is numeric but got 'oops'"),
+        ("x,y,l\n1,?,2\n,,0\n", 1, SchemaError, "column 'y' has no values at all"),
+        ("y,x,l\n?,1,1\n,oops,0\n", 1, SchemaError, "column 'y' has no values at all"),
+        ("x,y,l\n1,?,1\noops,,0\n", 1, ParseError,
+         "line 3: column 'x' is numeric but got 'oops'"),
+        ("x,x,l\n1,2,5\n", 1, SchemaError, "attribute names are not unique"),
+        ("x,l,m\n1,0,5\n2,7,1\n", ["m", "l"], SchemaError,
+         "line 2: label 'm' has value '5', expected 0 or 1"),
+        ("x,l,m\n1,0,1\n2,7,1\n", ["m", "l", "m"], SchemaError,
+         "line 3: label 'l' has value '7', expected 0 or 1"),
+    ])
+    def test_the_first_fault_in_order_is_reported(self, tmp_path, text, labels, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            load_csv_text(tmp_path, text, labels)
