@@ -1,11 +1,11 @@
 """Command line interface: train, predict, evaluate, tune, synth, trajectory.
 
-``predict`` splits an ARFF data block into one share of whole lines per
-usable CPU (``_data_shares``) and maps ``_predicted_rows`` over them with
-``workers.map_configs``: each share is parsed, scored, decoded and
-formatted as CSV rows in a forked worker or in this process, and the
-rows are written in share order.  If any share raises, the whole file is
-predicted here, which raises the error a serial run reports.
+``predict`` reads the data block and maps ``_predicted_rows`` over its
+shares (``_data_shares``) with ``workers.map_configs``: each share is
+parsed, scored, decoded and formatted as CSV rows in a forked worker or
+in this process, and the rows are written in share order.  If any share
+raises, the whole block is predicted here, which raises the error a
+serial run reports.
 
 Importing this module loads the argument parser, the model's in-memory
 types and the worker map, and no command's file handling or training
@@ -95,18 +95,25 @@ def _parse_labels(spec: str):
         return [name.strip() for name in spec.split(",") if name.strip()]
 
 
-def _load_dataset(path: str, labels_spec: str) -> Dataset:
-    labels = _parse_labels(labels_spec)
-    (load,) = _deferred("load_csv" if Path(path).suffix.lower() == ".csv" else "load_arff")
-    return load(path, labels)
+def _data_format(path) -> tuple:
+    """The block reader and the loader of a data file: CSV for a ``.csv`` suffix, else ARFF."""
+    kind = "csv" if Path(path).suffix.lower() == ".csv" else "arff"
+    dataio, load = _deferred("dataio", f"load_{kind}")
+    return getattr(dataio, f"read_{kind}_block"), load
 
 
-def _float_list(spec: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in spec.split(",") if x.strip())
+def _load_dataset(path: str, labels_spec: str, block=None) -> Dataset:
+    return _data_format(path)[1](path, _parse_labels(labels_spec), block)
 
 
-def _int_list(spec: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in spec.split(",") if x.strip())
+def _list_of(kind):
+    """An argparse type: comma-separated ``kind`` values, as a tuple; a bad one is a usage error."""
+
+    def parse(spec: str) -> tuple:
+        return tuple(map(kind, filter(str.strip, spec.split(","))))
+
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
 
 
 def _add_data_arguments(parser):
@@ -171,33 +178,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _data_shares(path) -> list:
-    """What ``predict`` maps over: shares of an ARFF data block, or [None] for the whole file.
+def _data_shares(block) -> list:
+    """One share of whole lines per usable CPU, each of at least ``_MIN_SHARE_LINES`` lines.
 
-    There is one share of whole lines per usable CPU, each of at least
-    ``_MIN_SHARE_LINES`` lines.  With a CSV file, or one usable CPU, the
-    loader reads the file in one piece, without splitting it into lines
-    here first.
+    A CSV block stays whole: a cut between lines could fall inside a quoted value.
     """
-    slots = parallel_slots()
-    if slots == 1 or Path(path).suffix.lower() == ".csv":
-        return [None]
-    (dataio,) = _deferred("dataio")
-    block = dataio.read_arff_block(path)
-    n_shares = min(slots, len(block) // _MIN_SHARE_LINES)
+    n_shares = 1 if block.csv else min(parallel_slots(), len(block) // _MIN_SHARE_LINES)
     return block.split(n_shares) if n_shares > 1 else [block]
 
 
 def _predicted_rows(args, ensemble: Ensemble, share) -> tuple[str, int, str]:
-    """The decode method, the row count and the CSV rows of the predictions for one data share.
-
-    ``share`` is an ``ArffBlock`` of the data file, or None for the whole file.
-    """
-    if share is None:
-        dataset = _load_dataset(args.data, args.labels)
-    else:
-        (load_arff,) = _deferred("load_arff")
-        dataset = load_arff(args.data, _parse_labels(args.labels), share)
+    """The decode method, row count and CSV rows of the predictions for one ``DataBlock`` share."""
+    dataset = _load_dataset(args.data, args.labels, share)
     predicted, method = _decode_predictions(ensemble, dataset, args.decode)
     # Each row is "d,d,...,d\n": digits at even offsets, a separator after each.
     rows = np.full((len(predicted), 2 * predicted.shape[1]), ord(","), dtype=np.uint8)
@@ -217,14 +209,15 @@ def _predicted_rows_or_none(args, ensemble: Ensemble, share):
 def _cmd_predict(args) -> int:
     (serialization,) = _deferred("serialization")
     ensemble = serialization.load(args.model)
-    shares = _data_shares(args.data)
+    block = _data_format(args.data)[0](args.data)
+    shares = _data_shares(block)
     parts = [None]
     if len(shares) > 1:
         parts = map_configs(partial(_predicted_rows_or_none, args, ensemble), shares)
     if None in parts:
-        # One share runs here.  If one of several raised, the whole file runs
+        # One share runs here.  If one of several raised, the whole block runs
         # here and raises the error a serial run reports, earliest line first.
-        parts = [_predicted_rows(args, ensemble, shares[0] if len(shares) == 1 else None)]
+        parts = [_predicted_rows(args, ensemble, block)]
     method = parts[0][0]
     text = ",".join(ensemble.label_names) + "\n" + "".join(rows for _, _, rows in parts)
     if args.output:
@@ -260,9 +253,9 @@ def _cmd_tune(args) -> int:
     config = GridSearchConfig(
         loss=args.loss,
         head_mode=args.head,
-        shrinkages=_float_list(args.shrinkage_grid),
-        l2_weights=_float_list(args.l2_grid),
-        rule_counts=_int_list(args.rules_grid),
+        shrinkages=args.shrinkage_grid,
+        l2_weights=args.l2_grid,
+        rule_counts=args.rules_grid,
         validation_fraction=args.val_fraction,
         metric=args.metric,
         seed=args.seed,
@@ -320,12 +313,11 @@ def _cmd_trajectory(args) -> int:
             f"unknown variants {sorted(unknown)}; "
             f"choose from {[v.name for v in ALL_VARIANTS]}"
         )
-    checkpoints = _int_list(args.checkpoints)
     series = run_trajectory(
         train_data,
         test_data,
         variants,
-        checkpoints,
+        args.checkpoints,
         shrinkage=args.shrinkage,
         l2_weight=args.l2,
         seed=args.seed,
@@ -379,13 +371,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_data_arguments(p_tune)
     p_tune.add_argument("--loss", choices=LOSS_CHOICES, default=LABEL_WISE_LOGISTIC)
     p_tune.add_argument("--head", choices=HEAD_CHOICES, default=HEAD_MULTI)
-    p_tune.add_argument(
-        "--shrinkage-grid", default=",".join(str(x) for x in DEFAULT_SHRINKAGES)
-    )
-    p_tune.add_argument("--l2-grid", default=",".join(str(x) for x in DEFAULT_L2_WEIGHTS))
-    p_tune.add_argument(
-        "--rules-grid", default=",".join(str(x) for x in DEFAULT_RULE_COUNTS)
-    )
+    p_tune.add_argument("--shrinkage-grid", type=_list_of(float),
+                        default=",".join(str(x) for x in DEFAULT_SHRINKAGES))
+    p_tune.add_argument("--l2-grid", type=_list_of(float),
+                        default=",".join(str(x) for x in DEFAULT_L2_WEIGHTS))
+    p_tune.add_argument("--rules-grid", type=_list_of(int),
+                        default=",".join(str(x) for x in DEFAULT_RULE_COUNTS))
     p_tune.add_argument("--val-fraction", type=float, default=1.0 / 3.0)
     p_tune.add_argument("--metric", choices=METRICS, default="subset01")
     p_tune.add_argument("--seed", type=int, default=0)
@@ -406,9 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(v.name for v in ALL_VARIANTS),
         help="comma-separated variant names",
     )
-    p_traj.add_argument(
-        "--checkpoints", default=",".join(str(t) for t in DEFAULT_CHECKPOINTS)
-    )
+    p_traj.add_argument("--checkpoints", type=_list_of(int),
+                        default=",".join(str(t) for t in DEFAULT_CHECKPOINTS))
     p_traj.add_argument("--shrinkage", type=float, default=0.3)
     p_traj.add_argument("--l2", type=float, default=0.0)
     p_traj.add_argument("--out", required=True, help="output directory")

@@ -1,4 +1,4 @@
-"""Dataset ingestion: an ARFF subset and simple CSV, plus an ARFF writer.
+"""Dataset ingestion: an ARFF subset and headered CSV, plus an ARFF writer.
 
 The ARFF reader supports @relation, numeric and nominal @attribute
 declarations, dense and sparse @data rows, quoted values and '?' missing
@@ -9,17 +9,21 @@ they must be nominal with domain {0, 1} and are mapped to -1/+1.
 Sparse rows follow ARFF semantics: unspecified numeric entries are 0 and
 unspecified nominal entries are the first value of their domain.
 
-Reading is two steps: ``read_arff_block`` reads the header and keeps the
-file's lines, and ``load_arff`` converts a range of its data lines, the
-whole block or one share of it (``ArffBlock.split``), into a dataset.
-The range is read into one flat list of cells, row after row, of which
-column j is every width-th cell from cell j.  Runs of plain dense lines
-(no quotes, braces or '%', and one comma fewer than attributes) are
-split in one pass; every other line, such as a comment, a sparse row, a
-quoted value or a row of the wrong width, is tokenized on its own, with
-sparse rows expanded.  The columns are then converted one at a time, and
-a bad cell is reported with its line number in the file, the earliest
-one first, whichever way its line was read.
+A CSV file has a header row and the csv module's quoting; cells are
+stripped, blank rows skipped, and an empty or '?' cell is missing.  A
+column's first non-missing cell makes it numeric (if it is a float) or
+nominal (values in first-seen order).  Labels are exactly 0 or 1.
+
+Each format is read in two steps: ``read_arff_block`` or
+``read_csv_block`` reads the header and keeps the lines, and
+``load_arff`` or ``load_csv`` converts a range of the data lines, the
+whole block or a share of it (``DataBlock.split``), as one flat list of
+cells, row after row.  Runs of plain lines (see ``_special_lines``) are
+split in one pass, and every other line by the ARFF line tokenizer, or
+the csv module, whose record may span lines.  The columns are then
+converted one at a time.  A bad cell is reported with its line in the
+file: in ARFF the earliest first, in CSV a row of the wrong width, then
+the columns in header order.
 """
 
 from __future__ import annotations
@@ -141,23 +145,24 @@ def _sparse_tokens(text: str, defaults: list, line: int) -> list:
 
 
 @dataclass(frozen=True)
-class ArffBlock:
-    """An ARFF file read once: its attributes, its lines and a range of its data lines.
+class DataBlock:
+    """A data file read once: its header, its lines and a range of its data lines.
 
-    The range is ``lines[start:stop]``.  ``read_arff_block`` gives the
-    whole data block and ``split`` shares of it; ``load_arff`` converts
-    one, naming each bad line by its number in the file.
+    The header is an ARFF file's attributes or, with ``csv`` set, a CSV
+    file's column names; a CSV file's lines keep their line ends.  The
+    range is ``lines[start:stop]``; ``split`` gives shares of it.
     """
 
-    attributes: tuple
+    header: tuple
     lines: list
     start: int
     stop: int
+    csv: bool = False
 
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def split(self, n_shares: int) -> list[ArffBlock]:
+    def split(self, n_shares: int) -> list[DataBlock]:
         """``n_shares`` consecutive shares of whole lines, of about equal size."""
         bounds = [self.start + len(self) * k // n_shares for k in range(n_shares + 1)]
         return [replace(self, start=start, stop=stop) for start, stop in zip(bounds, bounds[1:])]
@@ -181,19 +186,14 @@ def _tokenize_line(raw: str, number: int, defaults: list, width: int):
     return tokens
 
 
-# A line holding one of these is a comment, a sparse row or has quoted values.
-_MARKS = ("'", '"', "{", "%")
+def _special_lines(lines, joined: str, width: int, in_csv: bool) -> list[int]:
+    """Positions of the lines that one split of ``joined``, ``",".join(lines)``, would misread.
 
-
-def _special_lines(lines, joined: str, width: int) -> list[int]:
-    """Positions of the lines that one split of ``joined`` would not read as the tokenizer does.
-
-    ``joined`` is ``",".join(lines)``.  A line is plain when it holds no
-    quote, brace or '%' and has ``width - 1`` commas; its cells are then
-    the per-line tokenizer's, except that its first and last cell keep
-    the whitespace around the line, which every conversion strips.  Every
-    other line, blank ones included, is special.  With one attribute a
-    blank line needs no comma either, so every line is special.
+    A line is plain when it has ``width - 1`` commas and no quote, nor in
+    ARFF a brace or '%', nor in CSV only blank cells or more characters
+    than the csv module's field size limit.  Its cells are then its
+    reader's but for the whitespace and line end around them, which every
+    conversion strips.  With one column every line is special.
     """
     if width < 2:
         return list(range(len(lines)))
@@ -201,8 +201,13 @@ def _special_lines(lines, joined: str, width: int) -> list[int]:
     special = set()
     if counts.count(width - 1) != len(counts):
         special.update(compress(range(len(lines)), map((width - 1).__ne__, counts)))
+    if in_csv:
+        blank = map(str.isspace, map(str.replace, lines, repeat(","), repeat(" ")))
+        special.update(compress(range(len(lines)), blank))
+        too_long = map(csv.field_size_limit().__lt__, map(len, lines))
+        special.update(compress(range(len(lines)), too_long))
     ends = None
-    for mark in _MARKS:
+    for mark in ('"',) if in_csv else ("'", '"', "{", "%"):
         found = joined.find(mark)
         if found < 0:
             continue
@@ -215,28 +220,67 @@ def _special_lines(lines, joined: str, width: int) -> list[int]:
     return sorted(special)
 
 
-def _data_cells(block: ArffBlock):
+def _csv_reader(lines, first: int):
+    """A function of i: the CSV record that starts at ``lines[i]`` (None past the last line)
+    and the position after it.  A field over the size limit raises ParseError naming its
+    line, ``first + i + 1``.  One csv reader reads each record from where ``i`` points.
+    """
+    at = 0
+
+    def source():
+        nonlocal at
+        while at < len(lines):
+            at += 1
+            yield lines[at - 1]
+
+    reader = csv.reader(source())
+
+    def read(i):
+        nonlocal at
+        at = i
+        try:
+            return next(reader, None), at
+        except csv.Error as error:
+            raise ParseError(str(error), line=first + i + 1) from None
+
+    return read
+
+
+def _data_cells(block: DataBlock):
     """The block's cells row after row, each row's line number, and the first row error.
 
-    Blank lines at either end of the block hold no row and are dropped.
-    Runs of plain lines (see ``_special_lines``) are split in one pass, and
-    every other line is read by ``_tokenize_line``.  Reading stops at a
-    row that cannot be split into one token per attribute; its error is
-    returned rather than raised, so that a bad value in an earlier row is
-    still reported first.
+    Runs of plain lines (see ``_special_lines``) are split in one pass;
+    every other line is read by ``_tokenize_line`` or the csv module.
+    Reading stops at a row that is not one token per column; its error is
+    returned, so that a bad value in an earlier ARFF row is reported first.
     """
     first, end = block.start, block.stop
-    while first < end and not block.lines[first].strip():
+    while not block.csv and first < end and not block.lines[first].strip():
         first += 1
-    while end > first and not block.lines[end - 1].strip():
+    while not block.csv and end > first and not block.lines[end - 1].strip():
         end -= 1
-    width = len(block.attributes)
+    width = len(block.header)
     lines = block.lines[first:end]
     joined = ",".join(lines)
-    special = _special_lines(lines, joined, width)
+    special = _special_lines(lines, joined, width, block.csv)
     if lines and not special:
         return joined.split(","), range(first + 1, end + 1), None
-    defaults = ["0" if a.is_numeric else _SPARSE_DEFAULT for a in block.attributes]
+    if block.csv:
+        record = _csv_reader(lines, first)
+
+        def read(i):
+            row, stop = record(i)
+            if not any(map(str.strip, row)):
+                return None, stop  # a row of only blank cells
+            if len(row) != width:
+                raise ParseError(f"row has {len(row)} values, expected {width}", line=first + i + 1)
+            return row, stop
+    else:
+        defaults = ["0" if a.is_numeric else _SPARSE_DEFAULT for a in block.header]
+
+        def read(i):
+            return _tokenize_line(lines[i], first + i + 1, defaults, width), i + 1
+
     cells, numbers = [], []
 
     def plain(start, stop):
@@ -246,20 +290,22 @@ def _data_cells(block: ArffBlock):
 
     start = 0
     for i in special:
+        if i < start:
+            continue  # a line of a CSV record that began above
         plain(start, i)
         try:
-            tokens = _tokenize_line(lines[i], first + i + 1, defaults, width)
+            tokens, start = read(i)
         except ParseError as error:
             return cells, numbers, error
         if tokens is not None:
             cells.extend(tokens)
             numbers.append(first + i + 1)
-        start = i + 1
     plain(start, len(lines))
     return cells, numbers, None
 
 
-def _numeric_column(attr: Attribute, cells, numbers) -> np.ndarray:
+def _floats(cells, token_of, missing, error) -> np.ndarray:
+    """The cells as floats, NaN where ``token_of`` is ``missing``; else ``error(row, token)``."""
     try:
         # numpy calls float on each str, so this accepts exactly what float does.
         return np.array(cells, dtype=np.float64)
@@ -269,53 +315,50 @@ def _numeric_column(attr: Attribute, cells, numbers) -> np.ndarray:
     for i, cell in enumerate(cells):
         try:
             column[i] = float(cell)
-            continue
         except ValueError:
-            token = _unquote(cell)
-        if token == "?":
-            column[i] = np.nan
-            continue
-        try:
-            column[i] = float(token)
-        except ValueError:
-            raise _CellError(i, ParseError(
-                f"expected a number for attribute {attr.name!r}, got {token!r}", line=numbers[i]
-            )) from None
+            token = token_of(cell)
+            try:
+                column[i] = np.nan if token in missing else float(token)
+            except ValueError:
+                raise error(i, token) from None
     return column
 
 
-class _NominalCodes(dict):
-    """Value code of each raw token of one nominal attribute, filled on first sight."""
+def _numeric_column(attr: Attribute, cells, numbers) -> np.ndarray:
+    return _floats(cells, _unquote, ("?",), lambda i, token: _CellError(i, ParseError(
+        f"expected a number for attribute {attr.name!r}, got {token!r}", line=numbers[i])))
 
-    def __init__(self, attr: Attribute):
-        self.code_of = {v: c for c, v in enumerate(attr.values)}
-        super().__init__({_SPARSE_DEFAULT: self.code_of[attr.values[0]]})
-        self.code_of.setdefault("?", MISSING_CODE)
+
+class _Codes(dict):
+    """The code of each distinct raw cell, ``code_of`` its stripped text, found on first sight."""
+
+    def __init__(self, code_of, known=()):
+        super().__init__(known)
+        self.code_of = code_of
 
     def __missing__(self, cell):
-        token = cell.strip()
-        try:
-            code = MISSING_CODE if token == "?" else self.code_of[_unquote(token)]
-        except KeyError:
-            raise KeyError(cell) from None
-        self[cell] = code
+        code = self[cell] = self.code_of(cell.strip())
         return code
+
+    def column(self, cells, error=None, dtype=np.int64) -> np.ndarray:
+        """The cells' codes; the first that ``code_of`` has none for raises ``error(its row)``."""
+        try:
+            return np.fromiter(map(self.__getitem__, cells), dtype=dtype, count=len(cells))
+        except KeyError:
+            raise error(next(i for i, cell in enumerate(cells) if cell not in self)) from None
 
 
 def _nominal_column(attr: Attribute, cells, numbers) -> np.ndarray:
-    try:
-        return np.fromiter(map(_NominalCodes(attr).__getitem__, cells), dtype=np.int64,
-                           count=len(cells))
-    except KeyError as unknown:
-        cell = unknown.args[0]
-        i = cells.index(cell)
-    raise _CellError(i, SchemaError(
-        f"line {numbers[i]}: value {_unquote(cell)!r} is not in the domain "
-        f"of attribute {attr.name!r}"
-    ))
+    code_of = {v: c for c, v in enumerate(attr.values)}
+    known = {_SPARSE_DEFAULT: code_of[attr.values[0]]}
+    code_of.setdefault("?", MISSING_CODE)
+    codes = _Codes(lambda token: MISSING_CODE if token == "?" else code_of[_unquote(token)], known)
+    return codes.column(cells, lambda i: _CellError(i, SchemaError(
+        f"line {numbers[i]}: value {_unquote(cells[i])!r} is not in the domain "
+        f"of attribute {attr.name!r}")))
 
 
-def read_arff_block(path) -> ArffBlock:
+def read_arff_block(path) -> DataBlock:
     """An ARFF file's attributes and its whole data block; a bad header line raises ParseError."""
     attributes: list[Attribute] = []
     lines = read_text(path).split("\n")
@@ -333,17 +376,17 @@ def read_arff_block(path) -> ArffBlock:
             if not attributes:
                 raise ParseError("@data before any @attribute", line=line_number)
             # The data block starts on the line after @data, at index line_number.
-            return ArffBlock(tuple(attributes), lines, line_number, len(lines))
+            return DataBlock(tuple(attributes), lines, line_number, len(lines))
         raise ParseError(f"unexpected header line {stripped!r}", line=line_number)
     raise ParseError(f"{path}: no @data section found")
 
 
-def _columns(block: ArffBlock) -> list[np.ndarray]:
+def _columns(block: DataBlock) -> list[np.ndarray]:
     """One converted column per attribute of the block's rows; the earliest bad line raises."""
     cells, numbers, row_error = _data_cells(block)
-    width = len(block.attributes)
+    width = len(block.header)
     columns, cell_errors = [], []
-    for j, attr in enumerate(block.attributes):
+    for j, attr in enumerate(block.header):
         convert = _numeric_column if attr.is_numeric else _nominal_column
         try:
             columns.append(convert(attr, cells[j::width], numbers))
@@ -405,7 +448,7 @@ def _assemble(attributes, columns, labels) -> Dataset:
     )
 
 
-def load_arff(path, labels, block: ArffBlock | None = None) -> Dataset:
+def load_arff(path, labels, block: DataBlock | None = None) -> Dataset:
     """Load an ARFF file; ``labels`` is a trailing count or a name list.
 
     ``block``, the file's ``read_arff_block`` or a share of it, loads only
@@ -416,7 +459,7 @@ def load_arff(path, labels, block: ArffBlock | None = None) -> Dataset:
     columns = _columns(block)
     if len(columns[0]) == 0:
         raise ParseError(f"{path}: no data rows")
-    return _assemble(block.attributes, columns, labels)
+    return _assemble(block.header, columns, labels)
 
 
 def _needs_quoting(value: str) -> bool:
@@ -461,99 +504,65 @@ def save_arff(dataset: Dataset, path, relation: str = "ruleboost") -> None:
         handle.write("\n")
 
 
-def _is_missing(token: str) -> bool:
-    return token.strip() in ("", "?")
+def read_csv_block(path) -> DataBlock:
+    """A CSV file's column names and its whole data block; an empty file raises ParseError.
 
-
-def load_csv(path, labels) -> Dataset:
-    """Load a CSV file with a header row.
-
-    Column types are inferred from the first non-missing entry: numeric if
-    it parses as a float, nominal otherwise (values in first-seen order).
-    ``labels`` is a list of column names or a trailing-count integer.
+    The lines are split as the csv module splits them and keep their ends.
     """
-    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+    lines = io.StringIO(read_text(path, newline=""), newline="").readlines()
+    header, start = _csv_reader(lines, 0)(0)
+    if header is None:
+        raise ParseError(f"{path}: empty file; a header row is required")
+    return DataBlock(tuple(map(str.strip, header)), lines, start, len(lines), True)
+
+
+_CSV_MISSING = ("", "?")
+
+
+def _csv_column(name: str, cells, numbers) -> tuple[Attribute, np.ndarray]:
+    """A CSV feature column's attribute and values; its first non-missing cell decides its kind."""
+    first = next((t for t in map(str.strip, cells) if t not in _CSV_MISSING), "")
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file; a header row is required") from None
-    header = [h.strip() for h in header]
-    raw_rows = []
-    for line_number, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"row has {len(row)} values, expected {len(header)}", line=line_number
-            )
-        raw_rows.append((line_number, [c.strip() for c in row]))
-    if not raw_rows:
+        float(first)
+    except ValueError:
+        values = {}
+        column = _Codes(lambda token: MISSING_CODE if token in _CSV_MISSING
+                        else values.setdefault(token, len(values))).column(cells)
+        if not values:
+            raise SchemaError(f"column {name!r} has no values at all") from None
+        return Attribute(name, NOMINAL, tuple(values)), column
+    return Attribute(name, NUMERIC), _floats(cells, str.strip, _CSV_MISSING, lambda i, token: (
+        ParseError(f"column {name!r} is numeric but got {token!r}", line=numbers[i])))
+
+
+def load_csv(path, labels, block: DataBlock | None = None) -> Dataset:
+    """Load a CSV file with a header row; ``labels`` is a trailing count or a name list.
+
+    ``block``, the file's ``read_csv_block``, loads without reading the file again.
+    """
+    if block is None:
+        block = read_csv_block(path)
+    cells, numbers, row_error = _data_cells(block)
+    if row_error is not None:
+        raise row_error
+    if not numbers:
         raise ParseError(f"{path}: no data rows")
-
-    if isinstance(labels, int):
-        if not 0 < labels < len(header):
-            raise SchemaError(f"label count {labels} invalid for {len(header)} columns")
-        label_names = header[-labels:]
-    else:
-        label_names = list(labels)
+    header = block.header
+    if isinstance(labels, int) and not 0 < labels < len(header):
+        raise SchemaError(f"label count {labels} invalid for {len(header)} columns")
+    label_names = list(header[-labels:] if isinstance(labels, int) else labels)
     label_set = set(label_names)
-    missing_labels = label_set - set(header)
-    if missing_labels:
-        raise SchemaError(f"label columns not found in header: {sorted(missing_labels)}")
-
-    attributes = []
-    columns = []
-    for j, name in enumerate(header):
-        if name in label_set:
-            continue
-        tokens = [(line, row[j]) for line, row in raw_rows]
-        first = next((t for _, t in tokens if not _is_missing(t)), None)
-        numeric = False
-        if first is not None:
-            try:
-                float(first)
-                numeric = True
-            except ValueError:
-                numeric = False
-        if numeric:
-            column = np.empty(len(tokens), dtype=np.float64)
-            for i, (line, token) in enumerate(tokens):
-                if _is_missing(token):
-                    column[i] = np.nan
-                else:
-                    try:
-                        column[i] = float(token)
-                    except ValueError:
-                        raise ParseError(
-                            f"column {name!r} is numeric but got {token!r}", line=line
-                        ) from None
-            attributes.append(Attribute(name, NUMERIC))
-        else:
-            code_of: dict[str, int] = {}
-            column = np.empty(len(tokens), dtype=np.int64)
-            for i, (_, token) in enumerate(tokens):
-                if _is_missing(token):
-                    column[i] = MISSING_CODE
-                else:
-                    column[i] = code_of.setdefault(token, len(code_of))
-            if not code_of:
-                raise SchemaError(f"column {name!r} has no values at all")
-            attributes.append(Attribute(name, NOMINAL, tuple(code_of)))
-        columns.append(column)
-
-    schema = AttributeSchema(tuple(attributes))
-    n = len(raw_rows)
-    label_matrix = np.empty((n, len(label_names)), dtype=np.int8)
+    if label_set - set(header):
+        raise SchemaError(f"label columns not found in header: {sorted(label_set - set(header))}")
+    width = len(header)
+    features = [_csv_column(name, cells[j::width], numbers)
+                for j, name in enumerate(header) if name not in label_set]
+    schema = AttributeSchema(tuple(attr for attr, _ in features))
+    label_matrix = np.empty((len(numbers), len(label_names)), dtype=np.int8)
     for k, name in enumerate(label_names):
-        j = header.index(name)
-        for i, (line, row) in enumerate(raw_rows):
-            token = row[j]
-            if token == "1":
-                label_matrix[i, k] = 1
-            elif token == "0":
-                label_matrix[i, k] = -1
-            else:
-                raise SchemaError(
-                    f"line {line}: label {name!r} has value {token!r}, expected 0 or 1"
-                )
-    return Dataset(schema, columns, label_matrix, label_names)
+        column = cells[header.index(name)::width]
+        signs = _Codes({"0": -1, "1": 1}.__getitem__)
+        label_matrix[:, k] = signs.column(column, lambda i: SchemaError(
+            f"line {numbers[i]}: label {name!r} has value {column[i].strip()!r}, expected 0 or 1"
+        ), np.int8)
+    return Dataset(schema, [column for _, column in features], label_matrix, label_names)

@@ -1,5 +1,6 @@
 """End-to-end command line runs on temporary files."""
 
+import csv
 import json
 import os
 import subprocess
@@ -366,7 +367,55 @@ class TestTrajectoryCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestListOptions:
+    """A bad entry in a list option is a usage error that names the option, before any input."""
+
+    @pytest.mark.parametrize("command,option,value,message", [
+        ("tune", "--rules-grid", "5,x", "invalid int list value: '5,x'"),
+        ("tune", "--shrinkage-grid", "0.3,abc", "invalid float list value: '0.3,abc'"),
+        ("tune", "--l2-grid", "1,x", "invalid float list value: '1,x'"),
+        ("trajectory", "--checkpoints", "1,x", "invalid int list value: '1,x'"),
+    ])
+    def test_a_bad_entry_exits_2_naming_the_option(self, tmp_path, capsys, command, option,
+                                                    value, message):
+        inputs = (["--data", str(tmp_path / "absent.arff"), "--labels", "1"] if command == "tune"
+                  else ["--scenario", "marginal_independence", "--out", str(tmp_path / "out")])
+        with pytest.raises(SystemExit) as exit_:
+            main([command, *inputs, option, value])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: ruleboost {command} ")
+        assert err.endswith(f"error: argument {option}: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_the_defaults_parse(self):
+        from ruleboost.choices import (DEFAULT_CHECKPOINTS, DEFAULT_L2_WEIGHTS,
+                                       DEFAULT_RULE_COUNTS, DEFAULT_SHRINKAGES)
+
+        parser = cli._build_parser()
+        tune = parser.parse_args(["tune", "--data", "d.arff", "--labels", "1"])
+        assert tune.shrinkage_grid == DEFAULT_SHRINKAGES
+        assert tune.l2_grid == DEFAULT_L2_WEIGHTS
+        assert tune.rules_grid == DEFAULT_RULE_COUNTS
+        trajectory = parser.parse_args(["trajectory", "--scenario", "marginal_independence",
+                                        "--out", "o"])
+        assert trajectory.checkpoints == DEFAULT_CHECKPOINTS
+        assert parser.parse_args(["tune", "--data", "d", "--labels", "1",
+                                  "--rules-grid", " 2, ,4,"]).rules_grid == (2, 4)
+
+
 class TestErrorPaths:
+    def test_a_csv_field_over_the_size_limit_exits_1_with_one_error_line(self, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text("x,l\n1,0\n" + "7" * 200_000 + ",1\n")
+        result = _run_cli("train", "--data", big, "--labels", "1", "--rules", "2",
+                          "--model", tmp_path / "m.json")
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr.decode().splitlines() == [
+            f"error: line 3: field larger than field limit ({csv.field_size_limit()})"]
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_file_exit_code(self, capsys):
         code = main(
             ["train", "--data", "/nonexistent.arff", "--labels", "2",

@@ -1,5 +1,7 @@
 """ARFF and CSV ingestion, export round trips."""
 
+import csv
+import io
 import re
 import tempfile
 from pathlib import Path
@@ -386,10 +388,10 @@ def dense_arff_files(draw):
     return text + draw(st.sampled_from(["", eol])), n_labels, fault
 
 
-def outcome(path, labels):
+def outcome(path, labels, load=load_arff):
     """What loading gives: the dataset's schema, labels and column bytes, or the error."""
     try:
-        dataset = load_arff(path, labels)
+        dataset = load(path, labels)
     except RuleBoostError as exc:
         return type(exc), str(exc)
     return (dataset.schema, dataset.label_names, dataset.labels.tobytes(),
@@ -400,7 +402,7 @@ def tokenizer_unused(*args):
     raise AssertionError("the per-line tokenizer read a plain block")
 
 
-def every_line_special(lines, joined, width):
+def every_line_special(lines, *rest):
     """Stands for ``_special_lines``: every line goes through the per-line tokenizer."""
     return list(range(len(lines)))
 
@@ -590,7 +592,8 @@ class TestCsvCells:
         assert dataset.labels.ravel().tolist() == [1, -1]
 
     def test_rows_of_only_blank_cells_are_skipped(self, tmp_path):
-        dataset = load_csv_text(tmp_path, 'x,c,l\n1,a,1\n,,\n \t, ,\n\n   \n""\n"",\t,"  "\n2,b,0\n')
+        text = 'x,c,l\n1,a,1\n,,\n \t, ,\n\n   \n""\n"",\t,"  "\n2,b,0\n'
+        dataset = load_csv_text(tmp_path, text)
         assert dataset.columns[0].tolist() == [1.0, 2.0]
         assert dataset.labels.ravel().tolist() == [1, -1]
 
@@ -645,3 +648,132 @@ class TestCsvErrorPrecedence:
     def test_the_first_fault_in_order_is_reported(self, tmp_path, text, labels, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             load_csv_text(tmp_path, text, labels)
+
+
+FIELD_LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
+
+
+class TestCsvLineNumbers:
+    """A CSV error names the first line of its record in the file, as an ARFF error does."""
+
+    @pytest.mark.parametrize("text,error,message", [
+        ('x,c,l\n1,"a\nb",1\noops,c,0\n', ParseError,
+         "line 4: column 'x' is numeric but got 'oops'"),
+        ('"x\r\ny",l\r\n1,1\r\n2,5\r\n', SchemaError,
+         "line 4: label 'l' has value '5', expected 0 or 1"),
+        ('x,l\n"1\n\n",1\n1,1,1\n', ParseError, "line 5: row has 3 values, expected 2"),
+    ])
+    def test_lines_after_a_value_spanning_lines_keep_their_numbers(self, tmp_path, text, error,
+                                                                    message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load_csv_text(tmp_path, text)
+
+    @pytest.mark.parametrize("text,line", [
+        ("x" * 200_000 + ",l\n1,1\n", 1),
+        ("x,l\n1,1\n" + "1" * 200_000 + ",0\n", 3),
+        ('x,l\n1,1\n"' + "1" * 200_000 + '",0\n', 3),
+        ('x,l\n"a\nb",1\n1,"' + "1\n" * 100_000 + '"\n', 4),
+    ], ids=["header", "plain-row", "quoted-row", "row-after-a-value-spanning-lines"])
+    def test_a_field_over_the_csv_size_limit_names_its_line(self, tmp_path, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: {re.escape(FIELD_LIMIT)}$"):
+            load_csv_text(tmp_path, text)
+
+
+# Quoted values may span lines, with inner lines that look like plain rows.
+CSV_NOMINAL_CELLS = st.sampled_from(["a", "b", "?", "", '"a,b"', '"a\nb"', '"c\r\nd"', '""',
+                                     '"a\n,\nb"', '"a\n,,\nb"', '"a\n,,,\nb"'])
+CSV_FAULTS = (None, "short", "long", "number", "label")
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV text with quoted cells, blank rows and values spanning lines, and its label count."""
+    numeric = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    n_labels = draw(st.integers(1, 2))
+    names = [f"x{j}" for j in range(len(numeric))] + [f"l{k}" for k in range(n_labels)]
+    if draw(st.booleans()):
+        names[0] = draw(st.sampled_from(['"x\n0"', '" x0 "', '"x,0"']))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        row = [draw(NUMBER_CELLS | st.just("")) if is_numeric else draw(CSV_NOMINAL_CELLS)
+               for is_numeric in numeric]
+        rows.append(row + [draw(st.sampled_from(["0", "1", '"1"', " 0 "]))
+                           for _ in range(n_labels)])
+    fault = draw(st.sampled_from(CSV_FAULTS))
+    i = draw(st.integers(0, len(rows) - 1))
+    if fault == "short":
+        rows[i].pop()
+    elif fault == "long":
+        rows[i].append("1")
+    elif fault == "label":
+        rows[i][-1] = "2"
+    elif fault == "number" and any(numeric):
+        rows[i][numeric.index(True)] = "1.2.3"
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = [",".join(draw(pad) + cell + draw(pad) if not cell.startswith('"') else cell
+                      for cell in row) for row in rows]
+    # Lines the csv module reads: blank ones, rows of only blank cells, and fully quoted rows.
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        quoted = ",".join(f'"{cell.strip(chr(34))}"' for cell in row)
+        special = draw(st.sampled_from(["", "  ", ",".join(" " for _ in row), '""', quoted]))
+        lines.insert(draw(st.integers(0, len(lines))), special)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join([",".join(names), *lines]) + draw(st.sampled_from(["", eol])), n_labels
+
+
+def is_plain_csv(line, width):
+    """Whether one split of the block reads ``line`` as the csv module does."""
+    return (width > 1 and '"' not in line and line.count(",") == width - 1
+            and not line.replace(",", " ").isspace())
+
+
+def recording_starts(starts):
+    """Stands for ``_csv_reader``, whose reads append the line number of each record they start."""
+    reader = dataio._csv_reader
+
+    def recording(lines, first):
+        read = reader(lines, first)
+
+        def recorded(i):
+            starts.append(first + i + 1)
+            return read(i)
+
+        return recorded
+
+    return recording
+
+
+class TestCsvBlock:
+    """CSV runs of plain lines are split in one pass; they load as the csv module reads them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_files())
+    def test_same_dataset_or_error_as_the_csv_module(self, case):
+        text, n_labels = case
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.object(dataio, "_special_lines", every_line_special):
+                expected = outcome(path, n_labels, load_csv)
+            starts = []
+            with mock.patch.object(dataio, "_csv_reader", recording_starts(starts)):
+                actual = outcome(path, n_labels, load_csv)
+        assert actual == expected
+        records = list(csv.reader(io.StringIO(text, newline="")))[1:]
+        if not isinstance(actual[0], type):
+            assert len(actual[2]) == n_labels * sum(any(map(str.strip, r)) for r in records)
+        # The first record read is the header; no other starts on a plain line.
+        lines = io.StringIO(text, newline="").readlines()
+        width = len(next(csv.reader(lines)))
+        assert starts[0] == 1
+        assert not any(is_plain_csv(lines[number - 1], width) for number in starts[1:])
+
+    def test_a_plain_block_does_not_use_the_csv_module(self, tmp_path, monkeypatch):
+        path = tmp_path / "plain.csv"
+        path.write_text("x,c,l\n1.5, red,1\n 2.5,blue ,0\n")
+        block = dataio.read_csv_block(path)
+        monkeypatch.setattr(dataio, "_csv_reader", tokenizer_unused)
+        dataset = load_csv(path, 1, block)
+        assert dataset.columns[0].tolist() == [1.5, 2.5]
+        assert dataset.schema[1].values == ("red", "blue")

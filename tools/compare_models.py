@@ -42,14 +42,39 @@ and exit codes byte for byte.  Each tree also runs
 ``trajectory-4v`` settings above, and the script compares its report
 bytes with its stdout, stderr and exit code.
 
-It exits 1 when any model, series or command line output differs.
+The test file is also written as CSV twice: plain, and with every cell
+quoted and a header name that spans two lines inside its quotes.  On
+each, both trees run ``train`` (the script compares the model bytes and
+stdout, with the time masked), ``predict`` with both decoders and
+``evaluate``, with a model the parent tree trained on that file's rows
+(the ARFF one for the plain CSV), and once ``predict`` on the plain CSV
+with a bad cell.
+
+Last, a differential loader check: ``CSV_TEXTS`` mutations of two small
+CSV texts, made with the tokens of ``tests/test_fuzz.py``'s text
+mutations plus an empty quoted value, a quoted line end, rows of only
+blank cells and, rarely, a field over the csv module's size limit.
+Each tree loads every text in one subprocess and prints one digest per
+text: a hash of the dataset, or the error's type and message.  Two
+differences are sorted out as the known changes of the one CSV reader:
+an error whose line number was the record's number at the parent and is
+its first physical line in the change, and a raw ``csv.Error`` that the
+change raises as a ``ParseError``.  Every other difference is listed.
+
+It exits 1 when any model, series or command line output differs, or
+when a loaded CSV text differs other than in those two ways.
 """
 
 from __future__ import annotations
 
+import ast
+import csv
+import hashlib
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -82,6 +107,16 @@ SUBCOMMANDS = ("train", "predict", "evaluate", "tune", "synth", "trajectory")
 # times the smallest pair of shares that predict splits a file into.
 SPLIT_ROWS = 25_000
 DECODERS = ("sign", "known-vectors")
+# Mutated texts of the differential CSV loader check, and their bases.
+CSV_TEXTS = 8192
+CSV_BASES = (
+    'x,c,y,l0,l1\n1.5,red,-2,1,0\n,blue,3e-5,0,1\n-0.0,"r,ed",?,1,1\n2,red,1,0,0\n',
+    '"x\r\nwide","c",y,"l0",l1\r\n" 1.5","red ",-2,"1",0\r\n"","a\nb","3e-5",0,"1"\r\n',
+)
+# What the check inserts besides the fuzz tokens: an empty quoted value,
+# line ends inside quotes and rows of only blank cells.
+CSV_TOKENS = ('""', '"\r\n"', '"a\r\nb"', '"\n"', ",,,,\n", " , ,\t, ,\r\n", '"",,"  ",,\n')
+FUZZ_FILE = Path(__file__).resolve().parent.parent / "tests" / "test_fuzz.py"
 
 
 def _tie_heavy(dataset, seed):
@@ -125,6 +160,111 @@ def emit_trajectory(src: str, out: str) -> int:
     from ruleboost.cli import main as cli_main
 
     return cli_main([*TRAJECTORY_ARGS, "--out", out])
+
+
+def emit_csv_digests(src: str, texts: str) -> None:
+    """Load every CSV text in ``texts`` with the package in ``src``; print one digest each."""
+    sys.path.insert(0, src)
+    from ruleboost.dataio import load_csv
+
+    directory = Path(texts)
+    for k, labels in enumerate(json.loads((directory / "labels.json").read_text())):
+        try:
+            dataset = load_csv(directory / f"{k}.csv", labels)
+        except Exception as error:  # every outcome is compared, a raw traceback too
+            kind = type(error)
+            print(json.dumps([f"{kind.__module__}.{kind.__qualname__}", str(error)]))
+            continue
+        digest = hashlib.sha256(repr((dataset.schema, dataset.label_names)).encode())
+        for array in (dataset.labels, *dataset.columns):
+            digest.update(array.dtype.str.encode() + array.tobytes())
+        print(json.dumps(["dataset", digest.hexdigest()]))
+
+
+def _sampled(name: str) -> list:
+    """The list that ``tests/test_fuzz.py`` samples its ``name`` strategy from."""
+    for node in ast.parse(FUZZ_FILE.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == name:
+            return ast.literal_eval(node.value.args[0])
+    raise SystemExit(f"{FUZZ_FILE} has no {name}")
+
+
+def _csv_texts() -> list[tuple[str, object]]:
+    """``CSV_TEXTS`` mutated CSV texts, each with a label spec, the same on every run."""
+    tokens = _sampled("TOKENS") + list(CSV_TOKENS)
+    label_specs = _sampled("CSV_LABELS")
+    rng = random.Random(16)
+    cases = []
+    for k in range(CSV_TEXTS):
+        text = CSV_BASES[k % 2]
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randint(0, len(text))
+            action = rng.choice(["insert", "insert", "delete", "repeat"])
+            if action == "insert":
+                token = "9" * 140_000 if rng.random() < 0.002 else rng.choice(tokens)
+                text = text[:at] + token + text[at:]
+            elif action == "delete":
+                text = text[:at] + text[at + rng.randint(1, 12):]
+            else:
+                start = text.rfind("\n", 0, at) + 1
+                end = text.find("\n", at)
+                line = text[start:] if end < 0 else text[start:end + 1]
+                text = text[:start] + line + text[start:]
+        cases.append((text, rng.choice(label_specs)))
+    return cases
+
+
+def _record_starts(text: str) -> list[int]:
+    """The first line of each CSV record of ``text``, by the record's number (the header is 1)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    starts, read = [0], 0
+    try:
+        for _ in reader:
+            starts.append(read + 1)
+            read = reader.line_num
+    except csv.Error:
+        pass
+    return starts
+
+
+def _csv_difference(text: str, parent: list, change: list) -> str | None:
+    """The known change that explains two differing digests of ``text``, or None."""
+    numbered = re.compile(r"(?:line (\d+): )(.*)", re.S)
+    before, after = numbered.search(parent[1]), numbered.search(change[1])
+    if parent[0] == change[0] and before and after and before.group(2) == after.group(2):
+        record = int(before.group(1))
+        starts = _record_starts(text)
+        if (parent[1][:before.start()] == change[1][:after.start()] and record < len(starts)
+                and starts[record] == int(after.group(1))):
+            return "line numbers: the record's first line, not its number"
+    if (parent[0] == "_csv.Error" and change[0] == "ruleboost.errors.ParseError"
+            and change[1].endswith(f": {parent[1]}")):
+        return "csv.Error raised as a ParseError"
+    return None
+
+
+def _csv_digests(parent_src: str, change_src: str) -> tuple[dict, list]:
+    """Counts of identical and explained digests, and a line for each other difference."""
+    with tempfile.TemporaryDirectory() as work:
+        cases = _csv_texts()
+        for k, (text, _) in enumerate(cases):
+            (Path(work) / f"{k}.csv").write_bytes(text.encode("utf-8"))
+        (Path(work) / "labels.json").write_text(json.dumps([labels for _, labels in cases]))
+        with ThreadPoolExecutor(2) as pool:
+            parent, change = pool.map(lambda src: _run(src, "--csv", src, work).splitlines(),
+                                      (parent_src, change_src))
+    if len(parent) != len(cases) or len(change) != len(cases):
+        raise SystemExit("a tree did not load every CSV text")
+    counts = {"identical": 0}
+    unexplained = []
+    for k, ((text, labels), before, after) in enumerate(zip(cases, parent, change)):
+        before, after = json.loads(before), json.loads(after)
+        kind = "identical" if before == after else _csv_difference(text, before, after)
+        if kind is None:
+            unexplained.append(f"text {k} (labels {labels!r}): {before} -> {after}: {text!r:.300}")
+        else:
+            counts[kind] = counts.get(kind, 0) + 1
+    return counts, unexplained
 
 
 def _run(src: str, *args: str) -> str:
@@ -183,31 +323,64 @@ def _test_file_variants(test: Path) -> tuple[Path, Path, Path, Path]:
     return paths
 
 
+def _csv_test_files(test: Path) -> tuple[Path, Path, Path]:
+    """The test file as plain CSV, fully quoted with a header name spanning lines, and with a
+    bad cell in the plain CSV's row 50."""
+    head, data = test.read_text(encoding="utf-8").split("@data\n")
+    names = [line.split()[1] for line in head.splitlines() if line.startswith("@attribute")]
+    rows = [row.split(",") for row in data.splitlines()]
+    quoted_names = [f"{names[0]}\r\nspans a line"] + names[1:]
+    bad_rows = [list(row) for row in rows]
+    bad_rows[49][0] = "1.2.3"
+    paths = tuple(test.with_name(f"test_{name}.csv") for name in ("plain", "quoted", "bad_cell"))
+    for path, text in zip(paths, (
+            "\n".join(",".join(row) for row in [names] + rows),
+            "\r\n".join(",".join(f'"{cell}"' for cell in row) for row in [quoted_names] + rows),
+            "\n".join(",".join(row) for row in [names] + bad_rows))):
+        path.write_bytes((text + "\n").encode("utf-8"))
+    return paths
+
+
 def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
-    """Each tree's ``--help`` texts, piped ``predict`` and ``tune`` outputs, by command line."""
+    """Each tree's ``--help`` texts, ``predict``, ``evaluate``, ``train`` and ``tune`` outputs,
+    by command line."""
+
+    def parent_run(*args):
+        status, _, stderr = _cli(parent_src, *args)
+        if status != 0:
+            raise SystemExit(f"ruleboost {args[0]} under {parent_src} failed:\n"
+                             f"{stderr.decode(errors='replace')}")
+
     with tempfile.TemporaryDirectory() as work:
         data, model = Path(work) / "data", Path(work) / "model.json"
-        tune_data = Path(work) / "tune"
-        for args in (
-            ("synth", "--scenario", "marginal_dependence", "--n", str(N_EXAMPLES),
-             "--labels", str(N_LABELS), "--out", str(data)),
-            ("train", "--data", str(data / "train.arff"), "--labels", str(N_LABELS),
-             "--loss", "example-wise-logistic", "--rules", str(N_RULES), "--model", str(model)),
-            ("synth", *SCENARIO_ARGS, "--out", str(tune_data)),
-        ):
-            status, _, stderr = _cli(parent_src, *args)
-            if status != 0:
-                raise SystemExit(f"ruleboost {args[0]} under {parent_src} failed:\n"
-                                 f"{stderr.decode(errors='replace')}")
+        tune_data, quoted_model = Path(work) / "tune", Path(work) / "quoted_model.json"
+        parent_run("synth", "--scenario", "marginal_dependence", "--n", str(N_EXAMPLES),
+                   "--labels", str(N_LABELS), "--out", str(data))
+        parent_run("train", "--data", str(data / "train.arff"), "--labels", str(N_LABELS),
+                   "--loss", "example-wise-logistic", "--rules", str(N_RULES),
+                   "--model", str(model))
+        parent_run("synth", *SCENARIO_ARGS, "--out", str(tune_data))
         tie_heavy, commented, large, large_bad = _test_file_variants(data / "test.arff")
+        plain, quoted, bad_cell = _csv_test_files(data / "test.arff")
+        parent_run("train", "--data", str(quoted), "--labels", str(N_LABELS),
+                   "--rules", str(N_RULES), "--model", str(quoted_model))
         commands = {" ".join(args): args
                     for args in [("--help",)] + [(command, "--help") for command in SUBCOMMANDS]}
-        for method, test in [(method, test) for test in (data / "test.arff", large)
-                             for method in DECODERS] + [
-                ("sign", tie_heavy), ("known-vectors", commented), ("sign", large_bad)]:
-            commands[f"predict --decode {method} --data {test.name}"] = (
-                "predict", "--decode", method, "--data", str(test), "--labels", str(N_LABELS),
-                "--model", str(model))
+        runs = [("predict", method, test, model) for test in (data / "test.arff", large)
+                for method in DECODERS]
+        runs += [("predict", "sign", tie_heavy, model),
+                 ("predict", "known-vectors", commented, model),
+                 ("predict", "sign", large_bad, model)]
+        runs += [(command, method, test, test_model)
+                 for test, test_model in ((plain, model), (quoted, quoted_model))
+                 for command, method in [("predict", method) for method in DECODERS]
+                 + [("evaluate", "sign")]]
+        runs.append(("predict", "sign", bad_cell, model))
+        for command, method, test, test_model in runs:
+            commands[f"{command} --decode {method} --data {test.name}"] = (
+                command, "--decode", method, "--data", str(test), "--labels", str(N_LABELS),
+                "--model", str(test_model))
+        trained = Path(work) / "trained.json"
         outputs = []
         for tree, src in enumerate((parent_src, change_src)):
             outputs.append({name: _cli(src, *args) for name, args in commands.items()})
@@ -216,6 +389,15 @@ def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
                                           "--json", str(report))
             outputs[-1]["tune --json"] = (status, stdout, stderr,
                                           report.read_bytes() if report.exists() else None)
+            for test in (plain, quoted):
+                # The model, and stdout without the training time, which varies between runs.
+                status, stdout, stderr = _cli(src, "train", "--data", str(test),
+                                              "--labels", str(N_LABELS), "--rules", "20",
+                                              "--model", str(trained))
+                outputs[-1][f"train --data {test.name}"] = (
+                    status, re.sub(rb" in [0-9.]+s\n", b"\n", stdout), stderr,
+                    trained.read_bytes() if trained.exists() else None)
+                trained.unlink(missing_ok=True)
         return tuple(outputs)
 
 
@@ -282,8 +464,15 @@ def compare(parent_src: str, change_src: str) -> int:
     for name in parent_cli:
         if name not in same_cli:
             print(f"  ruleboost {name} differs")
+    counts, unexplained = _csv_digests(parent_src, change_src)
+    print(f"CSV texts loaded: {CSV_TEXTS}")
+    for kind, count in counts.items():
+        print(f"  {kind}: {count}")
+    print(f"  other differences: {len(unexplained)}")
+    for line in unexplained:
+        print(f"    {line}")
     same = (identical == total, len(same_series) == len(parent_series),
-            len(same_cli) == len(parent_cli))
+            len(same_cli) == len(parent_cli), not unexplained)
     return 0 if all(same) else 1
 
 
@@ -294,6 +483,9 @@ def main(argv=None) -> int:
         return 0
     if len(argv) == 3 and argv[0] == "--trajectory":
         return emit_trajectory(argv[1], argv[2])
+    if len(argv) == 3 and argv[0] == "--csv":
+        emit_csv_digests(argv[1], argv[2])
+        return 0
     if len(argv) != 2:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
         return 2
