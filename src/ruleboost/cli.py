@@ -1,11 +1,13 @@
 """Command line interface: train, predict, evaluate, tune, synth, trajectory.
 
-``predict`` reads the data block and maps ``_predicted_rows`` over its
-shares (``_data_shares``) with ``workers.map_configs``: each share is
-parsed, scored, decoded and formatted as CSV rows in a forked worker or
-in this process, and the rows are written in share order.  If any share
-raises, the whole block is predicted here, which raises the error a
-serial run reports.
+``predict`` and ``evaluate`` both serve through ``_serve``: it reads the
+data block and maps ``_served_share`` over its shares (``_data_shares``)
+with ``workers.map_configs``.  Each share is parsed, label-checked
+(``evaluate`` only), scored and decoded in a forked worker or in this
+process.  The caller joins the shares' predictions and true labels in
+order; ``predict`` writes them as CSV rows, ``evaluate`` reduces them to
+its metrics once.  If any share raises, the whole block is served here,
+which raises the error a serial run reports.
 
 Importing this module loads the argument parser, the model's in-memory
 types and the worker map, and no command's file handling or training
@@ -15,8 +17,8 @@ access (PEP 562): the file readers and writers (``dataio``,
 ``serialization``) as well as training, tuning, synthesis and
 trajectories.  The commands read them as attributes of this module when
 they are called, so wrappers installed on it by profilers or tracers are
-the ones called; in ``predict`` they are called for the share this
-process runs.  ``json`` is imported by the commands that write it.
+the ones called; in ``predict`` and ``evaluate`` they are called for the
+share this process runs.  ``json`` is imported by the commands that write it.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _deferred(*names: str) -> list:
 
 # The errors that ``main`` reports as one "error:" line and exit status 1.
 _REPORTED = (RuleBoostError, OSError, ValueError)
-# The smallest share of an ARFF data block, in lines, that ``predict`` forks
+# The smallest share of an ARFF data block, in lines, that ``_serve`` forks
 # a worker for.  A fork, its pipe and the wait for the child cost a few ms,
 # and a row about 3 us to parse, score and decode.  On a 2-CPU host, two
 # shares saved 2-3 ms of a predict of 10,000 rows and lost 6-8 ms at 2,000.
@@ -107,22 +109,31 @@ def _load_dataset(path: str, labels_spec: str, block=None) -> Dataset:
 
 
 def _list_of(kind):
-    """An argparse type: comma-separated ``kind`` values, as a tuple; a bad one is a usage error."""
+    """An argparse type: comma-separated ``kind`` values, at least one, as a tuple."""
 
     def parse(spec: str) -> tuple:
-        return tuple(map(kind, filter(str.strip, spec.split(","))))
+        values = tuple(map(kind, filter(str.strip, spec.split(","))))
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return values
 
     parse.__name__ = f"{kind.__name__} list"
     return parse
 
 
+def _variant(name: str):
+    """The trajectory variant called ``name``; an unknown name is a usage error."""
+    for known in ALL_VARIANTS:
+        if known.name == name.strip():
+            return known
+    raise argparse.ArgumentTypeError(
+        f"unknown variant {name.strip()!r}; choose from {[v.name for v in ALL_VARIANTS]}")
+
+
 def _add_data_arguments(parser):
     parser.add_argument("--data", required=True, help="dataset file (.arff or .csv)")
-    parser.add_argument(
-        "--labels",
-        required=True,
-        help="label columns: a trailing count (e.g. 6) or comma-separated names",
-    )
+    parser.add_argument("--labels", required=True,
+                        help="label columns: a trailing count (e.g. 6) or comma-separated names")
 
 
 def _add_scenario_arguments(parser):
@@ -145,15 +156,6 @@ def _synthetic_config(args):
         boundary_angle_spread=args.spread,
         seed=args.seed,
     )
-
-
-def _decode_predictions(ensemble: Ensemble, dataset: Dataset, method: str | None):
-    if method is None:
-        method = default_decode_method(ensemble.meta.loss)
-    if method == DECODE_KNOWN_VECTORS and ensemble.label_vectors is None:
-        raise ConfigError("model carries no training label vectors; use --decode sign")
-    scores = ensemble_scores(ensemble, dataset)
-    return decode_scores(scores, method, ensemble.label_vectors), method
 
 
 def _cmd_train(args) -> int:
@@ -187,57 +189,66 @@ def _data_shares(block) -> list:
     return block.split(n_shares) if n_shares > 1 else [block]
 
 
-def _predicted_rows(args, ensemble: Ensemble, share) -> tuple[str, int, str]:
-    """The decode method, row count and CSV rows of the predictions for one ``DataBlock`` share."""
+def _served_share(args, ensemble: Ensemble, check_labels: bool, share) -> tuple:
+    """The decode method, predictions and true labels of one ``DataBlock`` share.
+
+    With ``check_labels``, label names that differ from the model's are an error.
+    """
     dataset = _load_dataset(args.data, args.labels, share)
-    predicted, method = _decode_predictions(ensemble, dataset, args.decode)
-    # Each row is "d,d,...,d\n": digits at even offsets, a separator after each.
-    rows = np.full((len(predicted), 2 * predicted.shape[1]), ord(","), dtype=np.uint8)
-    rows[:, 0::2] = np.where(predicted == 1, ord("1"), ord("0"))
-    rows[:, -1] = ord("\n")
-    return method, len(predicted), rows.tobytes().decode("ascii")
+    if check_labels:
+        check_label_names(ensemble, dataset)
+    method = args.decode or default_decode_method(ensemble.meta.loss)
+    if method == DECODE_KNOWN_VECTORS and ensemble.label_vectors is None:
+        raise ConfigError("model carries no training label vectors; use --decode sign")
+    scores = ensemble_scores(ensemble, dataset)
+    return method, decode_scores(scores, method, ensemble.label_vectors), dataset.labels
 
 
-def _predicted_rows_or_none(args, ensemble: Ensemble, share):
-    """``_predicted_rows``, or None where it raises an error that ``main`` reports."""
+def _served_share_or_none(*arguments):
+    """``_served_share``, or None where it raises an error that ``main`` reports."""
     try:
-        return _predicted_rows(args, ensemble, share)
+        return _served_share(*arguments)
     except _REPORTED:
         return None
 
 
-def _cmd_predict(args) -> int:
+def _serve(args, check_labels: bool = False) -> tuple:
+    """The model, decode method, predictions and true labels of ``args.data``, share by share."""
     (serialization,) = _deferred("serialization")
     ensemble = serialization.load(args.model)
     block = _data_format(args.data)[0](args.data)
     shares = _data_shares(block)
     parts = [None]
     if len(shares) > 1:
-        parts = map_configs(partial(_predicted_rows_or_none, args, ensemble), shares)
+        parts = map_configs(partial(_served_share_or_none, args, ensemble, check_labels), shares)
     if None in parts:
         # One share runs here.  If one of several raised, the whole block runs
         # here and raises the error a serial run reports, earliest line first.
-        parts = [_predicted_rows(args, ensemble, block)]
-    method = parts[0][0]
-    text = ",".join(ensemble.label_names) + "\n" + "".join(rows for _, _, rows in parts)
+        parts = [_served_share(args, ensemble, check_labels, block)]
+    methods, predicted, labels = zip(*parts)
+    return ensemble, methods[0], np.concatenate(predicted), np.concatenate(labels)
+
+
+def _cmd_predict(args) -> int:
+    ensemble, method, predicted, _ = _serve(args)
+    # Each row is "d,d,...,d\n": digits at even offsets, a separator after each.
+    rows = np.full((len(predicted), 2 * predicted.shape[1]), ord(","), dtype=np.uint8)
+    rows[:, 0::2] = np.where(predicted == 1, ord("1"), ord("0"))
+    rows[:, -1] = ord("\n")
+    text = ",".join(ensemble.label_names) + "\n" + rows.tobytes().decode("ascii")
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
-        n_rows = sum(n for _, n, _ in parts)
-        print(f"wrote {n_rows} predictions ({method} decoding) to {args.output}")
+        print(f"wrote {len(predicted)} predictions ({method} decoding) to {args.output}")
     else:
         sys.stdout.write(text)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    (serialization,) = _deferred("serialization")
-    ensemble = serialization.load(args.model)
-    dataset = _load_dataset(args.data, args.labels)
-    check_label_names(ensemble, dataset)
-    predicted, method = _decode_predictions(ensemble, dataset, args.decode)
-    report = evaluate_predictions(dataset.labels, predicted)
+    _, method, predicted, labels = _serve(args, check_labels=True)
+    report = evaluate_predictions(labels, predicted)
     report["decode"] = method
-    report["n_examples"] = dataset.n_examples
+    report["n_examples"] = len(labels)
     for key, value in report.items():
         print(f"{key}={value}")
     if args.json:
@@ -305,23 +316,9 @@ def _cmd_trajectory(args) -> int:
     generate, run_trajectory = _deferred("generate", "run_trajectory")
     config = _synthetic_config(args)
     train_data, test_data = generate(config)
-    wanted = {v.strip() for v in args.variants.split(",") if v.strip()}
-    variants = [v for v in ALL_VARIANTS if v.name in wanted]
-    unknown = wanted - {v.name for v in ALL_VARIANTS}
-    if unknown:
-        raise ConfigError(
-            f"unknown variants {sorted(unknown)}; "
-            f"choose from {[v.name for v in ALL_VARIANTS]}"
-        )
-    series = run_trajectory(
-        train_data,
-        test_data,
-        variants,
-        args.checkpoints,
-        shrinkage=args.shrinkage,
-        l2_weight=args.l2,
-        seed=args.seed,
-    )
+    variants = [v for v in ALL_VARIANTS if v in args.variants]
+    series = run_trajectory(train_data, test_data, variants, args.checkpoints,
+                            shrinkage=args.shrinkage, l2_weight=args.l2, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, points in series.items():
@@ -392,11 +389,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "trajectory", help="loss trajectories of the four variants on synthetic data"
     )
     _add_scenario_arguments(p_traj)
-    p_traj.add_argument(
-        "--variants",
-        default=",".join(v.name for v in ALL_VARIANTS),
-        help="comma-separated variant names",
-    )
+    p_traj.add_argument("--variants", type=_list_of(_variant),
+                        default=",".join(v.name for v in ALL_VARIANTS),
+                        help="comma-separated variant names")
     p_traj.add_argument("--checkpoints", type=_list_of(int),
                         default=",".join(str(t) for t in DEFAULT_CHECKPOINTS))
     p_traj.add_argument("--shrinkage", type=float, default=0.3)

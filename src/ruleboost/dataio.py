@@ -29,7 +29,6 @@ the columns in header order.
 from __future__ import annotations
 
 import csv
-import io
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate, compress, repeat
@@ -509,7 +508,7 @@ def read_csv_block(path) -> DataBlock:
 
     The lines are split as the csv module splits them and keep their ends.
     """
-    lines = io.StringIO(read_text(path, newline=""), newline="").readlines()
+    lines = read_text(path, lines=True)
     header, start = _csv_reader(lines, 0)(0)
     if header is None:
         raise ParseError(f"{path}: empty file; a header row is required")

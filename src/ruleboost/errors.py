@@ -69,13 +69,14 @@ class UnsupportedVersionError(ParseError):
     """A serialized document declares a format version we do not support."""
 
 
-def read_text(path, newline=None) -> str:
+def read_text(path, lines: bool = False) -> str | list[str]:
     """The whole of a UTF-8 text file; one that is not UTF-8 raises ParseError naming it.
 
-    ``newline`` is passed to ``open``.
+    With ``lines``, its lines instead, each split after a ``\\r\\n``, ``\\r`` or ``\\n``, which
+    it keeps.
     """
-    with open(path, "r", encoding="utf-8", newline=newline) as handle:
+    with open(path, "r", encoding="utf-8", newline="" if lines else None) as handle:
         try:
-            return handle.read()
+            return handle.readlines() if lines else handle.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -13,7 +13,7 @@ import pytest
 import ruleboost
 from ruleboost import cli
 from ruleboost.cli import main
-from ruleboost.serialization import load
+from ruleboost.serialization import load, save
 
 from test_trajectory import needs_fork, no_child_left, use_cpus
 
@@ -354,16 +354,17 @@ class TestTrajectoryCommand:
             assert len(lines) == 4
 
     def test_unknown_variant_fails_cleanly(self, tmp_path, capsys):
-        code = main(
-            [
-                "trajectory",
-                "--scenario", "marginal_dependence",
-                "--n", "50",
-                "--variants", "nonsense",
-                "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert code == 1
+        with pytest.raises(SystemExit) as exit_:
+            main(
+                [
+                    "trajectory",
+                    "--scenario", "marginal_dependence",
+                    "--n", "50",
+                    "--variants", "nonsense",
+                    "--out", str(tmp_path / "x"),
+                ]
+            )
+        assert exit_.value.code == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -375,13 +376,24 @@ class TestListOptions:
         ("tune", "--shrinkage-grid", "0.3,abc", "invalid float list value: '0.3,abc'"),
         ("tune", "--l2-grid", "1,x", "invalid float list value: '1,x'"),
         ("trajectory", "--checkpoints", "1,x", "invalid int list value: '1,x'"),
+        ("trajectory", "--variants", "lwlog-single,bogus",
+         "unknown variant 'bogus'; choose from "
+         "['lwlog-single', 'lwlog-multi', 'exwlog-single', 'exwlog-multi']"),
+        *[(command, option, value, "expected at least one value")
+          for command, option in [("tune", "--rules-grid"), ("tune", "--shrinkage-grid"),
+                                  ("tune", "--l2-grid"), ("trajectory", "--checkpoints"),
+                                  ("trajectory", "--variants")]
+          for value in ["", ",", " , "]],
     ])
-    def test_a_bad_entry_exits_2_naming_the_option(self, tmp_path, capsys, command, option,
-                                                    value, message):
+    def test_a_bad_entry_exits_2_naming_the_option(self, tmp_path, capsys, monkeypatch,
+                                                    command, option, value, message):
         inputs = (["--data", str(tmp_path / "absent.arff"), "--labels", "1"] if command == "tune"
                   else ["--scenario", "marginal_independence", "--out", str(tmp_path / "out")])
+        for name in ("generate", "load_arff"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("input was made or read"),
+                                raising=False)
         with pytest.raises(SystemExit) as exit_:
-            main([command, *inputs, option, value])
+            main([command, *inputs, f"{option}={value}"])
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: ruleboost {command} ")
@@ -389,7 +401,7 @@ class TestListOptions:
         assert not (tmp_path / "out").exists()
 
     def test_the_defaults_parse(self):
-        from ruleboost.choices import (DEFAULT_CHECKPOINTS, DEFAULT_L2_WEIGHTS,
+        from ruleboost.choices import (ALL_VARIANTS, DEFAULT_CHECKPOINTS, DEFAULT_L2_WEIGHTS,
                                        DEFAULT_RULE_COUNTS, DEFAULT_SHRINKAGES)
 
         parser = cli._build_parser()
@@ -400,6 +412,10 @@ class TestListOptions:
         trajectory = parser.parse_args(["trajectory", "--scenario", "marginal_independence",
                                         "--out", "o"])
         assert trajectory.checkpoints == DEFAULT_CHECKPOINTS
+        assert trajectory.variants == ALL_VARIANTS
+        assert parser.parse_args(["trajectory", "--scenario", "marginal_independence", "--out",
+                                  "o", "--variants", " exwlog-multi ,lwlog-single"]
+                                 ).variants == (ALL_VARIANTS[3], ALL_VARIANTS[0])
         assert parser.parse_args(["tune", "--data", "d", "--labels", "1",
                                   "--rules-grid", " 2, ,4,"]).rules_grid == (2, 4)
 
@@ -629,36 +645,46 @@ def _counting_forks(monkeypatch) -> list:
 
 
 @needs_fork
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
 class TestParallelPredict:
-    """``predict`` parses, scores and decodes shares of the data block in forked workers."""
+    """``predict`` and ``evaluate`` parse, score and decode shares of the data block in forked
+    workers."""
 
     @pytest.fixture(autouse=True)
     def small_shares(self, monkeypatch):
         # The 200-row test file splits into two shares of about 100 lines.
         monkeypatch.setattr(cli, "_MIN_SHARE_LINES", 50)
 
-    def _predict(self, data, model, *extra):
-        argv = ["predict", "--data", str(data), "--labels", "3", "--model", str(model),
-                *map(str, extra)]
-        return main(argv)
+    def _serve(self, command, data, model, out=None, *extra):
+        """Run ``command``, writing its CSV (``predict``) or JSON report (``evaluate``) to ``out``."""
+        written = [] if out is None else ["--output" if command == "predict" else "--json", out]
+        argv = [command, "--data", data, "--labels", "3", "--model", model, *written, *extra]
+        return main(list(map(str, argv)))
 
     @pytest.mark.parametrize("decode", ["sign", "known-vectors"])
     def test_two_cpus_write_the_one_cpu_bytes(self, synth_dir, model_path, tmp_path,
-                                              monkeypatch, capsys, decode):
+                                              monkeypatch, capsys, command, decode):
         outputs = {}
         for cpus in ({0}, {0, 1}):
             use_cpus(monkeypatch, cpus)
             children = _counting_forks(monkeypatch)
-            out = tmp_path / "predictions.csv"
-            assert self._predict(synth_dir / "test.arff", model_path, "--decode", decode,
-                                 "--output", out) == 0
-            assert self._predict(synth_dir / "test.arff", model_path, "--decode", decode) == 0
+            out = tmp_path / "written"
+            assert self._serve(command, synth_dir / "test.arff", model_path, out,
+                               "--decode", decode) == 0
+            assert self._serve(command, synth_dir / "test.arff", model_path, None,
+                               "--decode", decode) == 0
             captured = capsys.readouterr()
             outputs[len(cpus)] = (out.read_bytes(), captured.out, captured.err)
             assert len(children) == len(cpus) - 1 + len(cpus) - 1
         assert outputs[1] == outputs[2]
         written, printed, _ = outputs[2]
-        assert printed == f"wrote 200 predictions ({decode} decoding) to {out}\n" + written.decode()
+        if command == "predict":
+            assert printed == (f"wrote 200 predictions ({decode} decoding) to {out}\n"
+                               + written.decode())
+        else:
+            report = json.loads(written)
+            assert (report["decode"], report["n_examples"]) == (decode, 200)
+            assert printed == "".join(f"{key}={value}\n" for key, value in report.items()) * 2
         assert no_child_left()
 
     @pytest.mark.parametrize("faults,message", [
@@ -673,70 +699,107 @@ class TestParallelPredict:
         ({30: _short_row, 110: _cell(4, "?")}, "line 40: row has 4 values, expected 5"),
     ], ids=["number", "label", "short-row", "missing-label", "both-shares", "both-shares-rows"])
     def test_a_bad_share_reports_the_one_cpu_error(self, synth_dir, model_path, tmp_path,
-                                                   monkeypatch, capsys, faults, message):
+                                                   monkeypatch, capsys, command, faults, message):
         data = _faulty_copy(synth_dir / "test.arff", tmp_path / "faulty.arff", faults)
         reported = {}
         for cpus in ({0}, {0, 1}):
             use_cpus(monkeypatch, cpus)
             children = _counting_forks(monkeypatch)
-            out = tmp_path / "p.csv"
-            code = self._predict(data, model_path, "--output", out)
+            out = tmp_path / "written"
+            code = self._serve(command, data, model_path, out)
             reported[len(cpus)] = (code, capsys.readouterr().err)
             assert len(children) == len(cpus) - 1
             assert not out.exists()
         assert reported[1] == reported[2] == (1, f"error: {message}\n")
         assert no_child_left()
 
+    @pytest.mark.parametrize("renamed,stripped", [(True, False), (False, True), (True, True)],
+                             ids=["renamed-labels", "no-vectors", "both"])
+    def test_a_model_mismatch_reports_the_one_cpu_error(self, synth_dir, model_path, tmp_path,
+                                                        monkeypatch, capsys, command, renamed,
+                                                        stripped):
+        data, model = synth_dir / "test.arff", model_path
+        if renamed:
+            text = data.read_text()
+            data = tmp_path / "renamed.arff"
+            data.write_text(text.replace("@attribute label1 ", "@attribute zzz "))
+        if stripped:
+            ensemble = load(model_path)
+            ensemble.label_vectors = None
+            model = tmp_path / "stripped.json"
+            save(ensemble, model)
+        reported = {}
+        for cpus in ({0}, {0, 1}):
+            use_cpus(monkeypatch, cpus)
+            children = _counting_forks(monkeypatch)
+            out = tmp_path / "written"
+            code = self._serve(command, data, model, out, "--decode", "known-vectors")
+            reported[len(cpus)] = (code, capsys.readouterr().err,
+                                   out.read_bytes() if out.exists() else None)
+            out.unlink(missing_ok=True)
+            assert len(children) == len(cpus) - 1
+        # Label names are checked before the decode method, which predict does not check.
+        if renamed and command == "evaluate":
+            expected = (1, "error: the data does not match the model's labels: "
+                           "label 1 is 'label1' in the model but 'zzz' in the data\n", None)
+        elif stripped:
+            expected = (1, "error: model carries no training label vectors; "
+                           "use --decode sign\n", None)
+        else:
+            expected = reported[1]
+            assert expected[0] == 0
+        assert reported[1] == reported[2] == expected
+        assert no_child_left()
+
     def test_a_worker_that_dies_is_an_error(self, synth_dir, model_path, tmp_path,
-                                            monkeypatch, capsys):
+                                            monkeypatch, capsys, command):
         use_cpus(monkeypatch, {0, 1})
         caller = os.getpid()
-        rows = cli._predicted_rows
+        served = cli._served_share
 
         def die_in_child(*args):
             if os.getpid() != caller:
                 os._exit(3)
-            return rows(*args)
+            return served(*args)
 
-        monkeypatch.setattr(cli, "_predicted_rows", die_in_child)
-        out = tmp_path / "p.csv"
-        assert self._predict(synth_dir / "test.arff", model_path, "--output", out) == 1
+        monkeypatch.setattr(cli, "_served_share", die_in_child)
+        out = tmp_path / "written"
+        assert self._serve(command, synth_dir / "test.arff", model_path, out) == 1
         assert capsys.readouterr().err == (
             "error: a worker exited before returning its results (exit code 3)\n")
         assert not out.exists()
         assert no_child_left()
 
     def test_no_fork_with_another_thread_alive(self, synth_dir, model_path, tmp_path,
-                                               monkeypatch):
+                                               monkeypatch, command):
         use_cpus(monkeypatch, {0, 1})
         children = _counting_forks(monkeypatch)
         release = threading.Event()
         thread = threading.Thread(target=release.wait, args=(60,))
         thread.start()
         try:
-            assert self._predict(synth_dir / "test.arff", model_path,
-                                 "--output", tmp_path / "threaded.csv") == 0
+            assert self._serve(command, synth_dir / "test.arff", model_path,
+                               tmp_path / "threaded") == 0
         finally:
             release.set()
             thread.join(60)
         assert not thread.is_alive()
         assert children == []
         use_cpus(monkeypatch, {0})
-        assert self._predict(synth_dir / "test.arff", model_path,
-                             "--output", tmp_path / "serial.csv") == 0
-        assert (tmp_path / "threaded.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert self._serve(command, synth_dir / "test.arff", model_path,
+                           tmp_path / "serial") == 0
+        assert (tmp_path / "threaded").read_bytes() == (tmp_path / "serial").read_bytes()
 
     def test_no_fork_for_a_small_file_or_a_csv_file(self, synth_dir, model_path, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch, command):
         use_cpus(monkeypatch, {0, 1})
         children = _counting_forks(monkeypatch)
         head, data = (synth_dir / "test.arff").read_text().split("@data\n")
         names = [line.split()[1] for line in head.splitlines() if line.startswith("@attribute")]
         csv_data = tmp_path / "test.csv"
         csv_data.write_text(",".join(names) + "\n" + data)
-        assert self._predict(csv_data, model_path, "--output", tmp_path / "csv.csv") == 0
+        assert self._serve(command, csv_data, model_path, tmp_path / "from_csv") == 0
         monkeypatch.setattr(cli, "_MIN_SHARE_LINES", 101)
-        assert self._predict(synth_dir / "test.arff", model_path,
-                             "--output", tmp_path / "small.csv") == 0
+        assert self._serve(command, synth_dir / "test.arff", model_path, tmp_path / "small") == 0
         assert children == []
-        assert (tmp_path / "csv.csv").read_bytes() == (tmp_path / "small.csv").read_bytes()
+        assert (tmp_path / "from_csv").read_bytes() == (tmp_path / "small").read_bytes()

@@ -777,3 +777,16 @@ class TestCsvBlock:
         dataset = load_csv(path, 1, block)
         assert dataset.columns[0].tolist() == [1.5, 2.5]
         assert dataset.schema[1].values == ("red", "blue")
+
+    @pytest.mark.parametrize("boundary", [8192, 16384])
+    def test_a_crlf_across_an_8_kib_read_is_one_line_end(self, tmp_path, boundary):
+        # The file is read in 8 KiB pieces: "\r" ends one piece and "\n" starts the next.
+        header, last = "x,l\r\n", "2.5,0\r\n"
+        first = "1." + "5" * (boundary - len(header) - len("1.,1\r")) + ",1\r\n"
+        path = tmp_path / "wide.csv"
+        path.write_bytes((header + first + last).encode("ascii"))
+        assert path.read_bytes()[boundary - 1:boundary + 1] == b"\r\n"
+        block = dataio.read_csv_block(path)
+        assert block.lines == [header, first, last]
+        assert (block.start, block.stop) == (1, 3)
+        assert load_csv(path, 1, block).labels.tolist() == [[1], [-1]]

@@ -35,8 +35,11 @@ is read by the per-line tokenizer and the rest in one split.  It also
 runs with both decoders on the test file's rows repeated to 25,000 rows,
 which ``predict`` splits into shares that forked workers parse, score
 and decode where two CPUs are usable, and once more on that file with a
-bad cell in its last quarter.  The script compares their stdout, stderr
-and exit codes byte for byte.  Each tree also runs
+bad cell in its last quarter.  ``evaluate --json``, which serves through
+the same shares, runs on those two files in the same way: with both
+decoders on the first and once on the second.  The script compares their
+stdout, stderr and exit codes byte for byte, and the ``evaluate``
+reports' bytes.  Each tree also runs
 ``ruleboost tune --json`` (example-wise loss, all-label heads, shrinkages
 0.3 and 0.5 x l2 weights 0, 1 and 4, rules 10 and 20) on a file with the
 ``trajectory-4v`` settings above, and the script compares its report
@@ -389,6 +392,14 @@ def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
                                           "--json", str(report))
             outputs[-1]["tune --json"] = (status, stdout, stderr,
                                           report.read_bytes() if report.exists() else None)
+            for method, test in [(method, large) for method in DECODERS] + [("sign", large_bad)]:
+                report = Path(work) / "evaluate.json"
+                status, stdout, stderr = _cli(src, "evaluate", "--decode", method,
+                                              "--data", str(test), "--labels", str(N_LABELS),
+                                              "--model", str(model), "--json", str(report))
+                outputs[-1][f"evaluate --json --decode {method} --data {test.name}"] = (
+                    status, stdout, stderr, report.read_bytes() if report.exists() else None)
+                report.unlink(missing_ok=True)
             for test in (plain, quoted):
                 # The model, and stdout without the training time, which varies between runs.
                 status, stdout, stderr = _cli(src, "train", "--data", str(test),
