@@ -235,7 +235,10 @@ def _cmd_predict(args) -> int:
     rows = np.full((len(predicted), 2 * predicted.shape[1]), ord(","), dtype=np.uint8)
     rows[:, 0::2] = np.where(predicted == 1, ord("1"), ord("0"))
     rows[:, -1] = ord("\n")
-    text = ",".join(ensemble.label_names) + "\n" + rows.tobytes().decode("ascii")
+    # A name holding a separator, a quote or a line end is quoted as the csv module quotes it.
+    names = ['"' + name.replace('"', '""') + '"' if set(',"\r\n') & set(name) else name
+             for name in ensemble.label_names]
+    text = ",".join(names) + "\n" + rows.tobytes().decode("ascii")
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {len(predicted)} predictions ({method} decoding) to {args.output}")

@@ -23,14 +23,13 @@ is not finite scores +inf on both paths.
 Statistics are sums of rows of the store's derivative table (gradients,
 then the Hessian diagonal or the packed upper triangle whose layout
 ``losses`` defines); a dense Hessian is unpacked only once summed, for
-``find_head``.  A ``ScanWorkspace`` lends the buffers that refinement
-gathers rows into and that the Cholesky scorer factors in, so a training
-run allocates them once rather than at every scan.
+``find_head``.  The store's ``ScanWorkspace`` lends the buffers that
+statistics gather rows into and that the Cholesky scorer factors in, so a
+training run allocates them once rather than at every scan.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,7 +38,7 @@ import numpy as np
 from .choices import HEAD_MULTI, HEAD_SINGLE
 from .dataset import Dataset
 from .errors import SolverError
-from .losses import GradHessStore, packed_indices, unpack_hessians
+from .losses import GradHessStore, ScanWorkspace, packed_indices, unpack_hessians
 from .rules import Body, Head, body_mask
 
 # A Cholesky pivot below this fraction of its diagonal entry marks a
@@ -77,32 +76,6 @@ class AggregatedStats:
         return cls(gradient, hessian, diagonal, int(count))
 
 
-class ScanWorkspace:
-    """Float buffers that one training run's refinement reuses instead of allocating.
-
-    ``array(name, shape)`` returns a C-contiguous view of the buffer kept
-    under ``name``.  The buffer grows with the shapes asked for and never
-    shrinks, so the memory it uses is that of the largest scan of the run;
-    its contents are whatever the last user left.  A view stays valid
-    until the next request under the same name.  ``train`` owns its
-    workspace and drops it on return; nothing caches one across runs.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        buffer = self._buffers.get(name)
-        if buffer is None or buffer.size < size:
-            # Room for twice the request: a run's later scans are often a
-            # little larger than its first ones, and regrowing for each of
-            # them doubles a 50-rule example-wise run's page faults.  Pages
-            # that no scan writes take no memory.
-            buffer = self._buffers[name] = np.empty(2 * size)
-        return buffer[:size].reshape(shape)
-
-
 def column_sums(table_rows: np.ndarray, n_labels: int) -> np.ndarray:
     """Column sums of rows of a derivative table, its gradient and Hessian parts summed apart.
 
@@ -116,26 +89,22 @@ def column_sums(table_rows: np.ndarray, n_labels: int) -> np.ndarray:
     return sums
 
 
-def stats_for_rows(store: GradHessStore, rows, workspace: ScanWorkspace | None = None
-                   ) -> AggregatedStats:
+def stats_for_rows(store: GradHessStore, rows) -> AggregatedStats:
     """Sum the store over an index array (repeated indices count repeatedly).
 
-    The rows' table entries are gathered into the workspace's ``"rows"``
-    buffer (a fresh workspace's when none is given) without a bounds
-    check, so the indices must be valid.
+    The rows' table entries are gathered into the store workspace's
+    ``"rows"`` buffer without a bounds check, so the indices must be valid.
     """
     rows = np.asarray(rows)
-    workspace = ScanWorkspace() if workspace is None else workspace
-    out = workspace.array("rows", (rows.shape[0], store.table.shape[1]))
+    out = store.workspace.array("rows", (rows.shape[0], store.table.shape[1]))
     gathered = np.take(store.table, rows, axis=0, out=out, mode="clip")
     return AggregatedStats.from_sums(column_sums(gathered, store.n_labels), store.n_labels,
                                      store.diagonal, rows.shape[0])
 
 
-def aggregate_stats(store: GradHessStore, body: Body, dataset: Dataset,
-                    workspace: ScanWorkspace | None = None) -> AggregatedStats:
+def aggregate_stats(store: GradHessStore, body: Body, dataset: Dataset) -> AggregatedStats:
     """Sum gradients/Hessians of the examples covered by a body, each once."""
-    return stats_for_rows(store, np.flatnonzero(body_mask(dataset, body)), workspace)
+    return stats_for_rows(store, np.flatnonzero(body_mask(dataset, body)))
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -21,16 +21,16 @@ order that many times, so it gets the sample in value order in O(n)
 instead of sorting it again.  A scan gathers those rows' table entries,
 prefix-sums them in place, takes the rows at the thresholds (the <=
 block) and subtracts them from the total (the > block): four numpy calls
-into the buffers of a ``ScanWorkspace`` that the training run owns, so
-steady-state scans allocate no table-sized array.  The winner is mapped
-back to the tie-break order in which <= of a threshold comes before > of
-the same threshold; only the winner's threshold is computed.
+into the buffers of the store's ``ScanWorkspace``, so steady-state scans
+allocate no table-sized array.  The winner is mapped back to the
+tie-break order in which <= of a threshold comes before > of the same
+threshold; only the winner's threshold is computed.
 
 Single-label rules pick their label freely while the first condition is
 chosen and keep it for every later refinement step; their candidates need
-only the Hessian diagonal, so the gradients and Hessian diagonal of an
-example-wise store are copied once per rule into the workspace and
-scanned as a label-wise-shaped table.
+only the Hessian diagonal, so ``GradHessStore.diagonal_store`` copies an
+example-wise store's gradients and Hessian diagonal once per rule into
+its workspace, to be scanned as a label-wise-shaped table.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .errors import InductionError, SolverError
 from .heads import (
     HEAD_SINGLE,
     AggregatedStats,
-    ScanWorkspace,
     column_sums,
     find_head,
     objective_value,
@@ -78,8 +77,6 @@ class RefinementContext:
     feature_sampling: bool = True
     # ``presort(dataset)``; derived from the dataset when left out.
     orders: list | None = None
-    # Buffers reused across steps and rules; a fresh one when left out.
-    workspace: ScanWorkspace | None = None
 
 
 def presort(dataset: Dataset) -> list:
@@ -191,14 +188,14 @@ def _nominal_candidates(attr, column, rows, table, n_labels):
 
 
 def _best_refinement(dataset, orders, rows, store, attributes, l2_weight, head_mode,
-                     fixed_label, incumbent_objective, workspace):
+                     fixed_label, incumbent_objective):
     """Best strict improvement over the given attributes, or None.
 
     Candidates are visited in tie-break order: attributes as given,
     thresholds ascending with <= before >, nominal values in schema order
     with == before !=.  The first candidate reaching the minimum wins.
     Returns its objective, condition, summed table row (as scored, copied
-    out of the workspace) and single-label label.
+    out of the store's workspace) and single-label label.
     """
     counts = np.bincount(rows, minlength=dataset.n_examples)
     n_labels = store.n_labels
@@ -209,14 +206,14 @@ def _best_refinement(dataset, orders, rows, store, attributes, l2_weight, head_m
         column = dataset.columns[attribute_index]
         if attr.is_numeric:
             scan = _numeric_candidates(column, orders[attribute_index], counts, store.table,
-                                       workspace)
+                                       store.workspace)
         else:
             scan = _nominal_candidates(attr, column, rows, store.table, n_labels)
         if scan is None:
             continue
         objectives, labels = score_heads(scan.sums[:, :n_labels], scan.sums[:, n_labels:],
                                          store.diagonal, l2_weight, head_mode, fixed_label,
-                                         workspace)
+                                         store.workspace)
         # Row j of the transposed blocks holds candidate j of every block,
         # so the flat argmin is the first minimum in tie-break order.
         blocks = objectives.reshape(scan.n_blocks, -1)
@@ -230,16 +227,6 @@ def _best_refinement(dataset, orders, rows, store, attributes, l2_weight, head_m
             best = (threshold, Condition(int(attribute_index), operator, value),
                     scan.sums[j].copy(), label)
     return best
-
-
-def _diagonal_store(store: GradHessStore, workspace: ScanWorkspace) -> GradHessStore:
-    """The gradients and Hessian diagonal of an example-wise store, copied into the workspace."""
-    n_labels = store.n_labels
-    rows, columns = packed_indices(n_labels)
-    keep = np.concatenate([np.arange(n_labels), n_labels + np.flatnonzero(rows == columns)])
-    table = np.take(store.table, keep, axis=1, mode="clip",
-                    out=workspace.array("diagonal", (store.n_examples, 2 * n_labels)))
-    return GradHessStore(table, n_labels, diagonal=True)
 
 
 def refine_rule_with_trace(
@@ -257,14 +244,13 @@ def refine_rule_with_trace(
     if rows.min() < 0 or rows.max() >= dataset.n_examples:
         raise InductionError("sample indices outside the dataset")
 
-    workspace = ScanWorkspace() if context.workspace is None else context.workspace
     if context.head_mode == HEAD_SINGLE and not store.diagonal:
         # Single-label candidates read only the Hessian diagonal.
-        store = _diagonal_store(store, workspace)
-    stats = stats_for_rows(store, rows, workspace)
+        store = store.diagonal_store()
+    stats = stats_for_rows(store, rows)
     empty_hessian = stats.hessian if store.diagonal else stats.hessian[packed_indices(store.n_labels)]
     objectives, _ = score_heads(stats.gradient[None], empty_hessian[None], store.diagonal,
-                                context.l2_weight, context.head_mode, workspace=workspace)
+                                context.l2_weight, context.head_mode, workspace=store.workspace)
     best_objective = float(objectives[0])
     if not math.isfinite(best_objective):
         # As in find_head, a bag without a usable head is an error: an
@@ -287,7 +273,7 @@ def refine_rule_with_trace(
             attributes = np.arange(n_attributes)
         best = _best_refinement(
             dataset, orders, rows, store, attributes, context.l2_weight, context.head_mode,
-            fixed_label, best_objective, workspace,
+            fixed_label, best_objective,
         )
         if best is None:
             break

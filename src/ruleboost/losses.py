@@ -19,13 +19,15 @@ row by row (``packed_indices``; w = l + l(l+1)/2).  ``derivative_table``
 is the one place a loss computes its derivatives: it writes the table
 rows of a batch in one pass, and ``gradient_batch`` and ``hessian_batch``
 are its two parts (a dense Hessian unpacked by ``unpack_hessians``).
-After each rule the store gathers the covered rows' labels and scores and
-writes their new table rows into buffers it keeps across rounds, then
-scatters those rows into the table.
+The store owns the training run's working memory, a ``ScanWorkspace``.
+After each rule the covered rows' labels, scores and new table rows are
+written into its buffers, then scattered into the table; refinement
+gathers and scans rows in the same workspace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -209,6 +211,30 @@ def make_loss(loss_id: str):
         ) from None
 
 
+class ScanWorkspace:
+    """Float buffers that one training run reuses instead of allocating.
+
+    ``array(name, shape)`` returns a C-contiguous view of the buffer kept
+    under ``name``, valid until the next request under that name, holding
+    what the last user left.  A buffer grows and never shrinks; the store
+    owns the run's workspace, and nothing caches one across runs.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            # Room for twice the request: a run's later scans are often a
+            # little larger than its first ones, and regrowing for each of
+            # them doubles a 50-rule example-wise run's page faults.  Pages
+            # that no scan writes take no memory.
+            buffer = self._buffers[name] = np.empty(2 * size)
+        return buffer[:size].reshape(shape)
+
+
 @dataclass
 class GradHessStore:
     """Per-example gradients and Hessians of a loss at the current scores, in one table.
@@ -217,13 +243,14 @@ class GradHessStore:
     then its Hessian diagonal when ``diagonal`` (the loss decomposes,
     w = 2l) or its packed upper triangle otherwise (w = l + l(l+1)/2).
     ``gradients`` and ``hessians`` are views of the two parts.
+    ``workspace`` holds the buffers of ``recompute`` and of refinement.
     """
 
     table: np.ndarray
     n_labels: int
     diagonal: bool
-    # (n, width) float buffers that ``recompute`` reuses across rounds, by name.
-    _buffers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    workspace: ScanWorkspace = field(default_factory=ScanWorkspace, init=False, repr=False,
+                                     compare=False)
 
     @property
     def n_examples(self) -> int:
@@ -240,24 +267,28 @@ class GradHessStore:
     def recompute(self, loss, labels: np.ndarray, scores: np.ndarray, rows=None):
         """Refresh gradients/Hessians of the given rows (all rows if None) at the given scores.
 
-        The rows' labels, scores and new table rows go into the store's
-        buffers, so a round allocates no table of its own.
+        The rows' labels, scores and new table rows go into the
+        workspace's buffers, so a round allocates no table of its own.
         """
         if rows is None:
             loss.derivative_table(labels, scores, out=self.table)
             return
-        y = self._rows("labels", self.n_labels, len(rows))
+        y = self.workspace.array("labels", (len(rows), self.n_labels))
         y[...] = labels[rows]
-        q = np.take(scores, rows, axis=0, out=self._rows("scores", self.n_labels, len(rows)))
+        q = np.take(scores, rows, axis=0, out=self.workspace.array("scores", y.shape))
         self.table[rows] = loss.derivative_table(
-            y, q, out=self._rows("table", self.table.shape[1], len(rows)))
+            y, q, out=self.workspace.array("table", (len(rows), self.table.shape[1])))
 
-    def _rows(self, name: str, width: int, n_rows: int) -> np.ndarray:
-        """The first ``n_rows`` rows of the (n, width) buffer kept under ``name``."""
-        buffer = self._buffers.get(name)
-        if buffer is None:
-            buffer = self._buffers[name] = np.empty((self.n_examples, width))
-        return buffer[:n_rows]
+    def diagonal_store(self) -> GradHessStore:
+        """The gradients and Hessian diagonal of a packed store, copied into its workspace."""
+        rows, columns = packed_indices(self.n_labels)
+        keep = np.concatenate([np.arange(self.n_labels),
+                               self.n_labels + np.flatnonzero(rows == columns)])
+        table = np.take(self.table, keep, axis=1, mode="clip", out=self.workspace.array(
+            "diagonal", (self.n_examples, 2 * self.n_labels)))
+        view = GradHessStore(table, self.n_labels, diagonal=True)
+        view.workspace = self.workspace
+        return view
 
 
 def init_store(loss, dataset: Dataset) -> GradHessStore:

@@ -175,7 +175,9 @@ def _rule(entry, path: str, schema: AttributeSchema, n_labels: int) -> Rule:
 def _label_vectors(raw, n_labels: int):
     if raw is None:
         return None
-    for i, row in enumerate(_typed(raw, list, "label_vectors", "an array or null")):
+    if not _typed(raw, list, "label_vectors", "an array or null"):
+        raise ParseError("label_vectors must be a non-empty array or null, not an empty array")
+    for i, row in enumerate(raw):
         _typed(row, list, f"label_vectors[{i}]", "an array")
         if len(row) != n_labels or any(isinstance(v, bool) or v not in (-1, 1) for v in row):
             raise ParseError(f"label_vectors[{i}] must hold {n_labels} entries of -1 or 1")

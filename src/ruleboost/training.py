@@ -5,6 +5,7 @@ Round 1 installs the default rule: empty body, full head over all labels
 the previous rule into the per-example scores and derivative store, draws
 a bootstrap sample of n examples, refines a rule on it, recomputes the
 head on the entire training set, and scales it by the shrinkage factor.
+The run's buffers belong to its derivative store, which is dropped on return.
 
 Randomness is organized as one stream per purpose and round: the bagging
 draw of round t and the feature-subset draws of round t come from
@@ -24,7 +25,6 @@ from .errors import ConfigError, check_finite, check_integer
 from .heads import (
     HEAD_MULTI,
     HEAD_SINGLE,
-    ScanWorkspace,
     aggregate_stats,
     find_head,
     solve_full_head,
@@ -95,11 +95,9 @@ def train_with_diagnostics(dataset: Dataset, config: TrainConfig) -> tuple[Ensem
     n = dataset.n_examples
     store = init_store(loss, dataset)
     scores = np.zeros((n, dataset.n_labels))
-    # Gather and scan buffers for the whole run, dropped when it returns.
-    workspace = ScanWorkspace()
 
     # The default rule covers everything and always scores every label.
-    default_stats = stats_for_rows(store, np.arange(n), workspace)
+    default_stats = stats_for_rows(store, np.arange(n))
     default_head = solve_full_head(default_stats, config.l2_weight)
     rules = [Rule(Body(), default_head)]
     prescale_heads = [default_head.scores]
@@ -119,10 +117,9 @@ def train_with_diagnostics(dataset: Dataset, config: TrainConfig) -> tuple[Ensem
             rng=_round_rng(config.seed, _STREAM_FEATURES, round_index),
             feature_sampling=config.feature_sampling,
             orders=orders,
-            workspace=workspace,
         )
         draft, trace = refine_rule_with_trace(dataset, store, context)
-        full_stats = aggregate_stats(store, draft.body, dataset, workspace=workspace)
+        full_stats = aggregate_stats(store, draft.body, dataset)
         head = find_head(full_stats, config.l2_weight, config.head_mode)
         prescale_heads.append(head.scores)
         rules.append(Rule(draft.body, head.scaled(config.shrinkage)))

@@ -119,6 +119,27 @@ class TestTrainPredictEvaluate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("name,text", [
+        ("quoted.arff", "@relation r\n@attribute x numeric\n@attribute 'a,b' {0,1}\n"
+                        "@attribute 'q\"t' {0,1}\n@attribute 'sp ace' {0,1}\n"
+                        "@attribute plain {0,1}\n@data\n"
+                        "1,0,1,0,1\n2,1,0,1,0\n3,0,1,1,1\n4,1,1,0,0\n"),
+        ("quoted.csv", 'x,"a,b","q""t","line\r\nend",plain\r\n'
+                       "1,0,1,0,1\r\n2,1,0,1,0\r\n3,0,1,1,1\r\n4,1,1,0,0\r\n"),
+    ], ids=["arff", "csv"])
+    def test_predict_header_reads_back_as_the_label_names(self, tmp_path, name, text):
+        data, model, out = tmp_path / name, tmp_path / "model.json", tmp_path / "p.csv"
+        data.write_bytes(text.encode())
+        assert main(["train", "--data", str(data), "--labels", "4", "--rules", "3",
+                     "--model", str(model)]) == 0
+        assert main(["predict", "--data", str(data), "--labels", "4", "--model", str(model),
+                     "--output", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == load(model).label_names
+        assert "a,b" in header and 'q"t' in header
+        assert [len(row) for row in rows] == [4] * 4
+
 
 # Serves with both decoders and evaluates, then prints the loaded modules
 # named by the prefixes after the file arguments: a package ("scipy") or a
@@ -431,6 +452,20 @@ class TestErrorPaths:
         assert result.stderr.decode().splitlines() == [
             f"error: line 3: field larger than field limit ({csv.field_size_limit()})"]
         assert not (tmp_path / "m.json").exists()
+
+    def test_a_model_with_empty_label_vectors_names_the_field(self, synth_dir, model_path,
+                                                              tmp_path, capsys):
+        document = json.loads(model_path.read_text())
+        document["label_vectors"] = []
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(document))
+        code = main(["predict", "--decode", "known-vectors", "--data",
+                     str(synth_dir / "test.arff"), "--labels", "3", "--model", str(broken),
+                     "--output", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: label_vectors must be a non-empty array or null, not an empty array"]
+        assert not (tmp_path / "p.csv").exists()
 
     def test_missing_file_exit_code(self, capsys):
         code = main(

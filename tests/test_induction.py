@@ -14,7 +14,6 @@ from ruleboost.dataset import MISSING_CODE, NOMINAL, NUMERIC, Attribute, Attribu
 from ruleboost.errors import InductionError, SolverError
 from ruleboost.heads import (
     HEAD_MULTI,
-    ScanWorkspace,
     find_head,
     objective_value,
     solve_heads,
@@ -31,7 +30,14 @@ from ruleboost.induction import (
     refine_rule,
     refine_rule_with_trace,
 )
-from ruleboost.losses import GradHessStore, init_store, make_loss, packed_indices, unpack_hessians
+from ruleboost.losses import (
+    GradHessStore,
+    ScanWorkspace,
+    init_store,
+    make_loss,
+    packed_indices,
+    unpack_hessians,
+)
 from ruleboost.rules import OP_GT, OP_LEQ, Body, Condition, Head, Rule, condition_mask
 
 from conftest import dataset_from_rows, random_dataset
@@ -364,7 +370,8 @@ class TestScoredRefinementAgainstLUOracle:
 
 
 class TestWorkspaceReuse:
-    """A workspace left over from other samples gives the rules a fresh one gives."""
+    """Refinement on a store whose workspace holds other samples' scans and other refreshes'
+    rows gives the rules that a fresh store on a copy of its table gives."""
 
     @pytest.mark.parametrize("loss_id", ["label-wise-logistic", "example-wise-logistic"])
     @pytest.mark.parametrize("head_mode", ["single", "multi"])
@@ -375,18 +382,20 @@ class TestWorkspaceReuse:
         assert any(np.isnan(column).any() for column in dataset.columns[:3])
         loss = make_loss(loss_id)
         store = init_store(loss, dataset)
-        workspace = ScanWorkspace()
         samples = [rng.integers(0, n, size=n), rng.integers(0, n, size=12),
                    rng.integers(0, n, size=2 * n)]
-        for trial, rows in enumerate(samples):
-            # New scores each time, so that nothing copied from the store may go stale.
-            store.recompute(loss, dataset.labels, rng.normal(0.0, 1.5, size=store.gradients.shape))
+        for trial, (rows, refreshed) in enumerate(zip(samples, (n // 4, 12, n))):
+            # New scores for some rows each time, written through the workspace's
+            # row buffers, so that nothing copied from the store may go stale.
+            store.recompute(loss, dataset.labels, rng.normal(0.0, 1.5, size=store.gradients.shape),
+                            rows=rng.choice(n, size=refreshed, replace=False))
             for feature_sampling in (False, True):
                 settings = dict(l2=0.25 * trial, feature_sampling=feature_sampling, seed=trial)
-                context = _context(rows, head_mode, **settings)
-                context.workspace = workspace
-                reused = refine_rule_with_trace(dataset, store, context)
-                fresh = refine_rule_with_trace(dataset, store, _context(rows, head_mode, **settings))
+                reused = refine_rule_with_trace(dataset, store, _context(rows, head_mode, **settings))
+                fresh_store = GradHessStore(store.table.copy(), store.n_labels, store.diagonal)
+                fresh = refine_rule_with_trace(dataset, fresh_store,
+                                               _context(rows, head_mode, **settings))
+                assert fresh_store.workspace is not store.workspace
                 assert reused == fresh
                 assert len(reused[0].body) > 0
 

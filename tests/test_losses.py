@@ -322,6 +322,18 @@ class TestStore:
         np.testing.assert_allclose(store.gradients[0], expected, rtol=0, atol=0)
         assert np.all(store.gradients[1:] == init_store(loss, dataset).gradients[1:])
 
+    def test_diagonal_store_copies_into_the_shared_workspace(self, rng):
+        loss = make_loss("example-wise-logistic")
+        dataset = _toy_dataset(rng.choice([-1, 1], size=(20, 3)).tolist())
+        store = init_store(loss, dataset)
+        store.recompute(loss, dataset.labels, rng.normal(size=(20, 3)))
+        view = store.diagonal_store()
+        on_diagonal = np.equal(*packed_indices(3))
+        np.testing.assert_array_equal(
+            view.table, np.hstack([store.gradients, store.hessians[:, on_diagonal]]))
+        assert view.diagonal and view.n_labels == 3 and view.table.flags.c_contiguous
+        assert view.workspace is store.workspace
+
 
 def _expected_table(loss, y, q):
     """The derivatives by their textbook formulas, a dense Hessian packed as its upper triangle.

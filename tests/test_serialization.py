@@ -203,6 +203,7 @@ class TestInvalidFieldsNameTheirPath:
         (lambda d: d["label_names"], _set(1, "l0"), "label_names[1]"),
         (lambda d: d["label_vectors"], _set(0, [1, 0]), "label_vectors[0]"),
         (lambda d: d["label_vectors"], _set(0, [1, -1, 1]), "label_vectors[0]"),
+        (lambda d: d, _set("label_vectors", []), "label_vectors must be a non-empty array"),
         (lambda d: d, _set("seed", "0"), "seed"),
         (lambda d: d, _set("seed", True), "seed"),
         (lambda d: d["rules"][1]["conditions"][0], _set("attribute", True),

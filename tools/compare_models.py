@@ -51,7 +51,11 @@ each, both trees run ``train`` (the script compares the model bytes and
 stdout, with the time masked), ``predict`` with both decoders and
 ``evaluate``, with a model the parent tree trained on that file's rows
 (the ARFF one for the plain CSV), and once ``predict`` on the plain CSV
-with a bad cell.
+with a bad cell.  Both trees also run ``train --no-bagging
+--no-feature-sampling --loss example-wise-logistic`` on the ARFF test
+file, compared in the same way: with both kinds of sampling off, every
+refinement gathers all n rows into the store's workspace and scans every
+attribute, which the models above, all trained with both on, never do.
 
 Last, a differential loader check: ``CSV_TEXTS`` mutations of two small
 CSV texts, made with the tokens of ``tests/test_fuzz.py``'s text
@@ -106,6 +110,8 @@ TUNE_ARGS = (
     "--shrinkage-grid", "0.3,0.5", "--l2-grid", "0,1,4", "--rules-grid", "10,20",
 )
 SUBCOMMANDS = ("train", "predict", "evaluate", "tune", "synth", "trajectory")
+# Training with every row and every attribute at each refinement step.
+NO_SAMPLING = ("--no-bagging", "--no-feature-sampling", "--loss", "example-wise-logistic")
 # Rows of the repeated test file: the serve-25k workload's size, several
 # times the smallest pair of shares that predict splits a file into.
 SPLIT_ROWS = 25_000
@@ -400,12 +406,12 @@ def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
                 outputs[-1][f"evaluate --json --decode {method} --data {test.name}"] = (
                     status, stdout, stderr, report.read_bytes() if report.exists() else None)
                 report.unlink(missing_ok=True)
-            for test in (plain, quoted):
+            for test, extra in ((plain, ()), (quoted, ()), (data / "test.arff", NO_SAMPLING)):
                 # The model, and stdout without the training time, which varies between runs.
-                status, stdout, stderr = _cli(src, "train", "--data", str(test),
+                status, stdout, stderr = _cli(src, "train", *extra, "--data", str(test),
                                               "--labels", str(N_LABELS), "--rules", "20",
                                               "--model", str(trained))
-                outputs[-1][f"train --data {test.name}"] = (
+                outputs[-1][" ".join(("train", *extra, "--data", test.name))] = (
                     status, re.sub(rb" in [0-9.]+s\n", b"\n", stdout), stderr,
                     trained.read_bytes() if trained.exists() else None)
                 trained.unlink(missing_ok=True)
