@@ -18,20 +18,19 @@ Each format is read in two steps: ``read_arff_block`` or
 ``read_csv_block`` reads the header and keeps the lines, and
 ``load_arff`` or ``load_csv`` converts a range of the data lines, the
 whole block or a share of it (``DataBlock.split``), as one flat list of
-cells, row after row.  Runs of plain lines (see ``_special_lines``) are
-split in one pass, and every other line by the ARFF line tokenizer, or
-the csv module, whose record may span lines.  The columns are then
-converted one at a time.  A bad cell is reported with its line in the
-file: in ARFF the earliest first, in CSV a row of the wrong width, then
-the columns in header order.
+cells, row after row.  A block whose every line is plain (see
+``_plain``) is split in one pass; any other has every row read by the
+ARFF line tokenizer or one csv reader, whose record may span lines.
+The columns are then converted one at a time.  A bad cell is reported
+with its line in the file: in ARFF the earliest first, in CSV a row of
+the wrong width, then the columns in header order.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import accumulate, compress, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -185,72 +184,49 @@ def _tokenize_line(raw: str, number: int, defaults: list, width: int):
     return tokens
 
 
-def _special_lines(lines, joined: str, width: int, in_csv: bool) -> list[int]:
-    """Positions of the lines that one split of ``joined``, ``",".join(lines)``, would misread.
+def _plain(lines, joined: str, width: int, in_csv: bool) -> bool:
+    """Whether one split of ``joined``, ``",".join(lines)``, reads every line as its reader does.
 
     A line is plain when it has ``width - 1`` commas and no quote, nor in
     ARFF a brace or '%', nor in CSV only blank cells or more characters
     than the csv module's field size limit.  Its cells are then its
     reader's but for the whitespace and line end around them, which every
-    conversion strips.  With one column every line is special.
+    conversion strips.  With one column no line is plain.
     """
-    if width < 2:
-        return list(range(len(lines)))
-    counts = list(map(str.count, lines, repeat(",")))
-    special = set()
-    if counts.count(width - 1) != len(counts):
-        special.update(compress(range(len(lines)), map((width - 1).__ne__, counts)))
-    if in_csv:
-        blank = map(str.isspace, map(str.replace, lines, repeat(","), repeat(" ")))
-        special.update(compress(range(len(lines)), blank))
-        too_long = map(csv.field_size_limit().__lt__, map(len, lines))
-        special.update(compress(range(len(lines)), too_long))
-    ends = None
-    for mark in ('"',) if in_csv else ("'", '"', "{", "%"):
-        found = joined.find(mark)
-        if found < 0:
-            continue
-        if ends is None:  # ends[i] is where line i + 1 starts in ``joined``
-            ends = list(accumulate(len(line) + 1 for line in lines))
-        while found >= 0:
-            i = bisect_right(ends, found)
-            special.add(i)
-            found = joined.find(mark, ends[i])
-    return sorted(special)
+    if width < 2 or list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
+        return False
+    if not in_csv:
+        return not any(mark in joined for mark in ("'", '"', "{", "%"))
+    blank = map(str.isspace, map(str.replace, lines, repeat(","), repeat(" ")))
+    return ('"' not in joined and not any(blank)
+            and max(map(len, lines)) <= csv.field_size_limit())
 
 
-def _csv_reader(lines, first: int):
-    """A function of i: the CSV record that starts at ``lines[i]`` (None past the last line)
-    and the position after it.  A field over the size limit raises ParseError naming its
-    line, ``first + i + 1``.  One csv reader reads each record from where ``i`` points.
+def _csv_rows(lines, first: int, width: int):
+    """Each CSV record of ``lines`` with the number of its first line in the file, None for a
+    record of only blank cells.  A record of the wrong width, or that the csv module refuses,
+    raises ParseError naming that line.
     """
-    at = 0
-
-    def source():
-        nonlocal at
-        while at < len(lines):
-            at += 1
-            yield lines[at - 1]
-
-    reader = csv.reader(source())
-
-    def read(i):
-        nonlocal at
-        at = i
-        try:
-            return next(reader, None), at
-        except csv.Error as error:
-            raise ParseError(str(error), line=first + i + 1) from None
-
-    return read
+    reader = csv.reader(lines)
+    number = first + 1
+    try:
+        for row in reader:
+            if not any(map(str.strip, row)):
+                row = None
+            elif len(row) != width:
+                raise ParseError(f"row has {len(row)} values, expected {width}", line=number)
+            yield number, row
+            number = first + reader.line_num + 1
+    except csv.Error as error:
+        raise ParseError(str(error), line=number) from None
 
 
 def _data_cells(block: DataBlock):
     """The block's cells row after row, each row's line number, and the first row error.
 
-    Runs of plain lines (see ``_special_lines``) are split in one pass;
-    every other line is read by ``_tokenize_line`` or the csv module.
-    Reading stops at a row that is not one token per column; its error is
+    A block of plain lines (see ``_plain``) is split in one pass; any other
+    has every row read by ``_tokenize_line`` or one csv reader.  Reading
+    stops at a row that is not one token per column; its error is
     returned, so that a bad value in an earlier ARFF row is reported first.
     """
     first, end = block.start, block.stop
@@ -261,45 +237,22 @@ def _data_cells(block: DataBlock):
     width = len(block.header)
     lines = block.lines[first:end]
     joined = ",".join(lines)
-    special = _special_lines(lines, joined, width, block.csv)
-    if lines and not special:
+    if lines and _plain(lines, joined, width, block.csv):
         return joined.split(","), range(first + 1, end + 1), None
     if block.csv:
-        record = _csv_reader(lines, first)
-
-        def read(i):
-            row, stop = record(i)
-            if not any(map(str.strip, row)):
-                return None, stop  # a row of only blank cells
-            if len(row) != width:
-                raise ParseError(f"row has {len(row)} values, expected {width}", line=first + i + 1)
-            return row, stop
+        rows = _csv_rows(lines, first, width)
     else:
         defaults = ["0" if a.is_numeric else _SPARSE_DEFAULT for a in block.header]
-
-        def read(i):
-            return _tokenize_line(lines[i], first + i + 1, defaults, width), i + 1
-
+        rows = ((number, _tokenize_line(line, number, defaults, width))
+                for number, line in enumerate(lines, first + 1))
     cells, numbers = [], []
-
-    def plain(start, stop):
-        if start < stop:
-            cells.extend(",".join(lines[start:stop]).split(","))
-            numbers.extend(range(first + start + 1, first + stop + 1))
-
-    start = 0
-    for i in special:
-        if i < start:
-            continue  # a line of a CSV record that began above
-        plain(start, i)
-        try:
-            tokens, start = read(i)
-        except ParseError as error:
-            return cells, numbers, error
-        if tokens is not None:
-            cells.extend(tokens)
-            numbers.append(first + i + 1)
-    plain(start, len(lines))
+    try:
+        for number, row in rows:
+            if row is not None:
+                cells.extend(row)
+                numbers.append(number)
+    except ParseError as error:
+        return cells, numbers, error
     return cells, numbers, None
 
 
@@ -509,10 +462,14 @@ def read_csv_block(path) -> DataBlock:
     The lines are split as the csv module splits them and keep their ends.
     """
     lines = read_text(path, lines=True)
-    header, start = _csv_reader(lines, 0)(0)
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+    except csv.Error as error:
+        raise ParseError(str(error), line=1) from None
     if header is None:
         raise ParseError(f"{path}: empty file; a header row is required")
-    return DataBlock(tuple(map(str.strip, header)), lines, start, len(lines), True)
+    return DataBlock(tuple(map(str.strip, header)), lines, reader.line_num, len(lines), True)
 
 
 _CSV_MISSING = ("", "?")

@@ -151,7 +151,8 @@ def condition_mask(dataset: Dataset, condition: Condition, rows=None) -> np.ndar
 
     With ``rows``, an index array that may repeat indices, the mask covers
     those rows in that order instead.  Missing values (NaN / missing code)
-    never satisfy a condition.
+    never satisfy a condition; a nominal value outside the data attribute's
+    domain is held by no row.
     """
     attr = dataset.schema[condition.attribute_index]
     column = dataset.columns[condition.attribute_index]
@@ -169,15 +170,13 @@ def condition_mask(dataset: Dataset, condition: Condition, rows=None) -> np.ndar
             return column > condition.threshold
     if attr.is_numeric:
         raise SchemaError(f"nominal condition applied to numeric attribute {attr.name!r}")
-    try:
-        code = attr.values.index(condition.threshold)
-    except ValueError:
-        raise SchemaError(
-            f"value {condition.threshold!r} is not in the domain of attribute {attr.name!r}"
-        ) from None
+    if condition.threshold in attr.values:
+        held = column == attr.values.index(condition.threshold)
+    else:  # the data's domain lacks the value, so no row holds it
+        held = np.zeros(column.shape, dtype=bool)
     if condition.operator == OP_EQ:
-        return column == code
-    return (column != code) & (column != MISSING_CODE)
+        return held
+    return ~held & (column != MISSING_CODE)
 
 
 def body_mask(dataset: Dataset, body: Body) -> np.ndarray:

@@ -119,6 +119,38 @@ class TestTrainPredictEvaluate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_served_data_may_lack_a_nominal_value(self, tmp_path, capsys, command):
+        colors = ["red", "blue", "green"]
+        rows = [(i / 60, colors[i % 3]) for i in range(60)]
+
+        def lines(selected):
+            return "".join(f"{x},{c},{int(c == 'red')},{int(c == 'green' or x > 0.5)}\n"
+                           for x, c in selected)
+
+        train_csv, model = tmp_path / "train.csv", tmp_path / "model.json"
+        train_csv.write_text("x,color,l0,l1\n" + lines(rows))
+        assert main(["train", "--data", str(train_csv), "--labels", "2", "--rules", "10",
+                     "--model", str(model)]) == 0
+        named = {condition.threshold for rule in load(model).rules
+                 for condition in rule.body.conditions if condition.attribute_index == 1}
+        assert named - {"blue"}  # the model names a value the served rows lack
+        blue = lines((x, c) for x, c in rows if c == "blue")
+        arff = "@relation r\n@attribute x numeric\n@attribute color {{{}}}\n" \
+               "@attribute l0 {{0,1}}\n@attribute l1 {{0,1}}\n@data\n"
+        served = {"blue.csv": "x,color,l0,l1\n" + blue,
+                  "narrow.arff": arff.format("blue") + blue,
+                  "declared.arff": arff.format("red,blue,green") + blue}
+        outputs = []
+        for name, text in served.items():
+            (tmp_path / name).write_text(text)
+            out = tmp_path / f"{name}.out"
+            assert main([command, "--data", str(tmp_path / name), "--labels", "2",
+                         "--model", str(model), "--output" if command == "predict" else "--json",
+                         str(out)]) == 0, capsys.readouterr().err
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("name,text", [
         ("quoted.arff", "@relation r\n@attribute x numeric\n@attribute 'a,b' {0,1}\n"
                         "@attribute 'q\"t' {0,1}\n@attribute 'sp ace' {0,1}\n"

@@ -402,19 +402,30 @@ def tokenizer_unused(*args):
     raise AssertionError("the per-line tokenizer read a plain block")
 
 
-def every_line_special(lines, *rest):
-    """Stands for ``_special_lines``: every line goes through the per-line tokenizer."""
-    return list(range(len(lines)))
+def never_plain(*args):
+    """Stands for ``_plain``: every row goes through the format's own reader."""
+    return False
 
 
 def is_plain(line, width):
     """Whether one split of the block reads ``line`` as the per-line tokenizer does."""
-    return (bool(line.strip()) and line.count(",") == width - 1
+    return (width > 1 and bool(line.strip()) and line.count(",") == width - 1
             and not any(mark in line for mark in "'\"{%"))
 
 
+def data_lines(path):
+    """The lines of an ARFF file's data block, without the blank lines at either end."""
+    block = dataio.read_arff_block(path)
+    lines = block.lines[block.start:block.stop]
+    while lines and not lines[-1].strip():
+        lines.pop()
+    while lines and not lines[0].strip():
+        lines.pop(0)
+    return lines, len(block.header)
+
+
 class TestBulkDataBlock:
-    """Runs of plain dense lines are split in one pass; they load as the per-line tokenizer reads them."""
+    """A plain dense block is split in one pass; it loads as the per-line tokenizer reads it."""
 
     @settings(max_examples=200, deadline=None)
     @given(dense_arff_files())
@@ -423,13 +434,18 @@ class TestBulkDataBlock:
         with tempfile.TemporaryDirectory() as work:
             path = Path(work) / "data.arff"
             path.write_bytes(text.encode("utf-8"))
-            with mock.patch.object(dataio, "_special_lines", every_line_special):
+            with mock.patch.object(dataio, "_plain", never_plain):
                 expected = outcome(path, n_labels)
             with mock.patch.object(dataio, "_tokenize_line", wraps=dataio._tokenize_line) as spy:
                 actual = outcome(path, n_labels)
+            lines, width = data_lines(path)
         assert actual == expected
-        # Only the lines that are not plain, the row of a wrong width among them, are tokenized.
-        assert not any(is_plain(call.args[0], call.args[3]) for call in spy.call_args_list)
+        # A plain block is not tokenized; any other is, line after line up to a bad row.
+        tokenized = [call.args[0] for call in spy.call_args_list]
+        if all(is_plain(line, width) for line in lines):
+            assert tokenized == []
+        else:
+            assert tokenized and tokenized == lines[:len(tokenized)]
         if fault is not None:
             assert isinstance(expected[0], type) and issubclass(expected[0], RuleBoostError)
 
@@ -456,7 +472,9 @@ class TestBulkDataBlock:
                     load_arff(path, 1)
             else:
                 assert load_arff(path, 1).n_examples == n_examples
-        assert [call.args[0] for call in spy.call_args_list] == [row]
+        # Every data line reaches the tokenizer, up to the row of the wrong width.
+        lines = ["1.5, red, 1", "2.5, blue, 0", row, "?, green, 1"][:4 if n_examples else 3]
+        assert [call.args[0] for call in spy.call_args_list] == lines
 
     @pytest.mark.parametrize("n_shares", [1, 2, 3, 7])
     def test_shares_load_the_whole_blocks_rows_with_their_line_numbers(self, tmp_path, n_shares):
@@ -728,24 +746,27 @@ def is_plain_csv(line, width):
             and not line.replace(",", " ").isspace())
 
 
-def recording_starts(starts):
-    """Stands for ``_csv_reader``, whose reads append the line number of each record they start."""
-    reader = dataio._csv_reader
+@st.composite
+def blocks(draw):
+    """Lines of ``width`` cells each, whose cells may hold a comma, quote, brace or '%'."""
+    width = draw(st.integers(1, 4))
+    cell = st.text("'\"{}% \ta1,", max_size=2)
+    end = draw(st.sampled_from(["", "\r", "\n", "\r\n"]))
+    line = st.lists(cell, min_size=width, max_size=width).map(lambda cells: ",".join(cells) + end)
+    return draw(st.lists(line, min_size=1, max_size=4)), width
 
-    def recording(lines, first):
-        read = reader(lines, first)
 
-        def recorded(i):
-            starts.append(first + i + 1)
-            return read(i)
-
-        return recorded
-
-    return recording
+@settings(max_examples=300, deadline=None)
+@given(blocks(), st.booleans())
+def test_a_block_is_plain_exactly_when_every_line_is(block, in_csv):
+    lines, width = block
+    is_plain_line = is_plain_csv if in_csv else is_plain
+    expected = all(is_plain_line(line, width) for line in lines)
+    assert dataio._plain(lines, ",".join(lines), width, in_csv) == expected
 
 
 class TestCsvBlock:
-    """CSV runs of plain lines are split in one pass; they load as the csv module reads them."""
+    """A CSV block of plain lines is split in one pass; it loads as the csv module reads it."""
 
     @settings(max_examples=200, deadline=None)
     @given(csv_files())
@@ -754,26 +775,19 @@ class TestCsvBlock:
         with tempfile.TemporaryDirectory() as work:
             path = Path(work) / "data.csv"
             path.write_bytes(text.encode("utf-8"))
-            with mock.patch.object(dataio, "_special_lines", every_line_special):
+            with mock.patch.object(dataio, "_plain", never_plain):
                 expected = outcome(path, n_labels, load_csv)
-            starts = []
-            with mock.patch.object(dataio, "_csv_reader", recording_starts(starts)):
-                actual = outcome(path, n_labels, load_csv)
+            actual = outcome(path, n_labels, load_csv)
         assert actual == expected
         records = list(csv.reader(io.StringIO(text, newline="")))[1:]
         if not isinstance(actual[0], type):
             assert len(actual[2]) == n_labels * sum(any(map(str.strip, r)) for r in records)
-        # The first record read is the header; no other starts on a plain line.
-        lines = io.StringIO(text, newline="").readlines()
-        width = len(next(csv.reader(lines)))
-        assert starts[0] == 1
-        assert not any(is_plain_csv(lines[number - 1], width) for number in starts[1:])
 
     def test_a_plain_block_does_not_use_the_csv_module(self, tmp_path, monkeypatch):
         path = tmp_path / "plain.csv"
         path.write_text("x,c,l\n1.5, red,1\n 2.5,blue ,0\n")
         block = dataio.read_csv_block(path)
-        monkeypatch.setattr(dataio, "_csv_reader", tokenizer_unused)
+        monkeypatch.setattr(dataio, "_csv_rows", tokenizer_unused)
         dataset = load_csv(path, 1, block)
         assert dataset.columns[0].tolist() == [1.5, 2.5]
         assert dataset.schema[1].values == ("red", "blue")

@@ -68,6 +68,15 @@ class TestBodyMask:
         ]:
             assert body_mask(dataset, Body((condition,))).tolist() == expected
 
+    def test_a_value_outside_the_datas_domain_is_held_by_no_row(self):
+        # The data's domain lacks "c", which a model trained on other data may name.
+        dataset = make_dataset((0.3, "a"), (0.1, None), (0.2, "b"))
+        assert condition_mask(dataset, Condition(1, "==", "c")).tolist() == [False] * 3
+        assert condition_mask(dataset, Condition(1, "!=", "c")).tolist() == [True, False, True]
+        rows = np.array([2, 1, 2])
+        assert condition_mask(dataset, Condition(1, "!=", "c"), rows).tolist() == [
+            True, False, True]
+
     def test_type_mismatch_raises_schema_error(self):
         dataset = make_dataset((0.3, "a"))
         with pytest.raises(SchemaError):

@@ -1,4 +1,4 @@
-"""Train the same 144 models and trajectories under two source trees and compare them.
+"""Train the same 216 models and trajectories under two source trees and compare them.
 
 Usage::
 
@@ -11,13 +11,15 @@ subprocess, every combination of
 * 3 synthetic scenarios (n = 2000, 6 labels) x seeds 0-2,
 * 4 variants (label-wise / example-wise loss x single / all-label heads),
 * l2 weight 0 and 1,
-* plain data and tie-heavy data (columns rounded to one decimal, with
-  5% of the values missing),
+* plain data, tie-heavy data (columns rounded to one decimal, with
+  5% of the values missing) and nominal data (the plain columns plus a
+  nominal one, the point's angular sector of eight, with 5% of its cells
+  missing),
 
 each with 100 rules.  The script prints how many models are
-byte-identical, how many have the same rule bodies, and the largest head
-difference among the models with the same bodies, then lists every model
-that differs.
+byte-identical, overall and of each data kind, how many have the same
+rule bodies, and the largest head difference among the models with the
+same bodies, then lists every model that differs.
 
 Both trees also run ``ruleboost trajectory`` at the settings of the
 benchmark's ``trajectory-4v`` workload (conditional_dependence, n = 2000,
@@ -30,8 +32,8 @@ of the program and of every subcommand, and ``predict`` on one model
 ``predict`` runs with both decoders on the test file, once on a tie-heavy
 rewrite of it (features rounded to one decimal, 5% of them '?', which
 sends numeric columns through the per-cell converter) and once on the
-test file with a '%' comment line in its data block, whose comment line
-is read by the per-line tokenizer and the rest in one split.  It also
+test file with a '%' comment line in its data block, which sends every
+line of the block through the per-line tokenizer.  It also
 runs with both decoders on the test file's rows repeated to 25,000 rows,
 which ``predict`` splits into shares that forked workers parse, score
 and decode where two CPUs are usable, and once more on that file with a
@@ -97,7 +99,7 @@ VARIANTS = (
     ("example-wise-logistic", "multi"),
 )
 L2_WEIGHTS = (0.0, 1.0)
-DATA_KINDS = ("plain", "tie-heavy")
+DATA_KINDS = ("plain", "tie-heavy", "nominal")
 N_EXAMPLES = 2000
 N_LABELS = 6
 N_RULES = 100
@@ -142,6 +144,21 @@ def _tie_heavy(dataset, seed):
     return Dataset(dataset.schema, columns, dataset.labels, dataset.label_names)
 
 
+def _with_nominal(dataset, seed):
+    """The dataset plus a nominal column, the angular sector of eight that holds each point,
+    with 5% of its cells missing."""
+    import numpy as np
+    from ruleboost.dataset import MISSING_CODE, NOMINAL, Attribute, AttributeSchema, Dataset
+
+    x, y = dataset.columns[:2]
+    codes = np.minimum((np.arctan2(y, x) + np.pi) * 4 / np.pi, 7).astype(np.int64)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
+    codes[rng.random(codes.shape[0]) < 0.05] = MISSING_CODE
+    sector = Attribute("sector", NOMINAL, tuple(f"s{k}" for k in range(8)))
+    return Dataset(AttributeSchema((*dataset.schema.attributes, sector)),
+                   [*dataset.columns, codes], dataset.labels, dataset.label_names)
+
+
 def emit_models(src: str) -> None:
     """Train every model with the ruleboost package found in ``src``; print one JSON line each."""
     sys.path.insert(0, src)
@@ -153,7 +170,8 @@ def emit_models(src: str) -> None:
         for seed in SEEDS:
             plain, _ = generate(SyntheticConfig(scenario, N_EXAMPLES, N_LABELS, seed=seed))
             for kind in DATA_KINDS:
-                data = plain if kind == "plain" else _tie_heavy(plain, seed)
+                data = {"plain": plain, "tie-heavy": _tie_heavy(plain, seed),
+                        "nominal": _with_nominal(plain, seed)}[kind]
                 for loss, head_mode in VARIANTS:
                     for l2 in L2_WEIGHTS:
                         config = TrainConfig(loss=loss, n_rules=N_RULES, l2_weight=l2,
@@ -464,6 +482,10 @@ def compare(parent_src: str, change_src: str) -> int:
     total = len(parent)
     print(f"models: {total}")
     print(f"byte-identical: {identical}/{total}")
+    for kind in DATA_KINDS:
+        names = [name for name in parent if f"/{kind}/" in name]
+        same = sum(parent[name] == change[name] for name in names)
+        print(f"  {kind}: {same}/{len(names)}")
     print(f"same bodies: {same_bodies}/{total}")
     print(f"worst head difference among same bodies: {worst_head:.3g} (relative)")
     for line in differing:
