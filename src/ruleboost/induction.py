@@ -13,18 +13,24 @@ criterion.  Only the final body's head is solved.
 Every statistic is a sum of rows of the store's one derivative table
 (gradients, then the Hessian diagonal or packed upper triangle), so a
 candidate's gradient and Hessian sums are one row of a candidate table.
+A step writes its sampled attributes' candidates, in order, into one
+table in the store workspace's ``"candidates"`` buffer (several in turn
+past ``_TABLE_FLOATS`` floats) and scores each table with one
+``score_heads`` call.  An objective does not depend on its batch, so the
+first minimum through the table's tie-break index, in which <= of a
+threshold comes before > of it, is what scoring attribute by attribute
+keeps.  Only the winner's threshold is computed.
+
 Numeric attributes are scanned with prefix sums over the covered sample
 in value order.  Each numeric column is sorted once per training run
 (``presort``, with its missing values cut off); a step counts how often
 each row occurs in its sample and repeats every row of the presorted
 order that many times, so it gets the sample in value order in O(n)
-instead of sorting it again.  A scan gathers those rows' table entries,
-prefix-sums them in place, takes the rows at the thresholds (the <=
-block) and subtracts them from the total (the > block): four numpy calls
-into the buffers of the store's ``ScanWorkspace``, so steady-state scans
-allocate no table-sized array.  The winner is mapped back to the
-tie-break order in which <= of a threshold comes before > of the same
-threshold; only the winner's threshold is computed.
+instead of sorting it again.  A scan gathers those rows' table entries
+into the workspace's ``"rows"`` buffer, prefix-sums them in place, takes
+the rows at the thresholds (the <= block) and subtracts them from the
+total (the > block), both into the candidate table: four numpy calls
+that allocate no table-sized array.
 
 Single-label rules pick their label freely while the first condition is
 chosen and keep it for every later refinement step; their candidates need
@@ -37,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +62,9 @@ from .heads import (
 )
 from .losses import GradHessStore, packed_indices
 from .rules import OP_EQ, OP_GT, OP_LEQ, OP_NEQ, Body, Condition, Rule, condition_mask
+
+# A step's candidate table holds at most about this many floats.
+_TABLE_FLOATS = 1 << 17
 
 
 def feature_subset_size(n_attributes: int) -> int:
@@ -109,66 +117,48 @@ def _midpoints(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.where(mid < upper, mid, lower)
 
 
-class _Scan(NamedTuple):
-    """The candidate conditions of one attribute, in ``n_blocks`` blocks of equal length.
-
-    ``sums`` stacks the blocks' summed table rows (gradients, then the
-    Hessian part) block after block, one row per condition.  Candidate i
-    of the tie-break order is candidate i // n_blocks of block
-    i % n_blocks, and ``condition(i)`` gives its (operator, threshold);
-    only the winner's is ever built.
-    """
-
-    sums: np.ndarray
-    n_blocks: int
-    condition: Callable[[int], tuple]
-
-
-def _numeric_candidates(column, order, counts, table, workspace):
-    """Thresholds between adjacent distinct values of the sample, <= and > blocks.
+def _numeric_candidates(column, order, counts, table, workspace, out):
+    """Thresholds between adjacent distinct values of the sample: a <= block, then a > block.
 
     ``order`` is the column's presorted order and ``counts`` the number of
-    times each row occurs in the sample.  The prefix sums and the blocks
-    are built in the workspace's ``"rows"`` and ``"candidates"`` buffers.
+    times each row occurs in the sample.  The prefix sums are built in the
+    workspace's ``"rows"`` buffer and the blocks at the start of ``out``.
+    Returns the number of candidates, the function giving candidate j's
+    (operator, threshold) and the candidates' tie-break order.
     """
     sorted_rows = np.repeat(order, counts[order])
-    if sorted_rows.size < 2:
-        return None
     sorted_values = column[sorted_rows]
     boundary = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
     if boundary.size == 0:
-        return None
-    width = table.shape[1]
+        return 0, None, boundary
+    n_thresholds = boundary.size
     # The presorted order holds valid rows, so no index needs a bounds check.
     prefix = np.take(table, sorted_rows, axis=0, mode="clip",
-                     out=workspace.array("rows", (sorted_rows.size, width)))
+                     out=workspace.array("rows", (sorted_rows.size, table.shape[1])))
     np.cumsum(prefix, axis=0, out=prefix)
-    n_thresholds = boundary.size
-    blocks = workspace.array("candidates", (2 * n_thresholds, width))
-    np.take(prefix, boundary, axis=0, out=blocks[:n_thresholds], mode="clip")
-    np.subtract(prefix[-1], blocks[:n_thresholds], out=blocks[n_thresholds:])
+    np.take(prefix, boundary, axis=0, out=out[:n_thresholds], mode="clip")
+    np.subtract(prefix[-1], out[:n_thresholds], out=out[n_thresholds:2 * n_thresholds])
 
-    def condition(i):
-        below = boundary[i // 2]
+    def condition(j):
+        below = boundary[j % n_thresholds]
         threshold = _midpoints(sorted_values[below], sorted_values[below + 1])
-        return (OP_LEQ, OP_GT)[i % 2], float(threshold)
+        return (OP_LEQ, OP_GT)[j // n_thresholds], float(threshold)
 
-    return _Scan(blocks, 2, condition)
+    # <= of a threshold comes before > of the same threshold.
+    tie_break = np.arange(2 * n_thresholds).reshape(2, n_thresholds).T.ravel()
+    return 2 * n_thresholds, condition, tie_break
 
 
-def _nominal_candidates(attr, column, rows, table, n_labels):
-    """== and != of every value occurring in the sample, in one block."""
+def _nominal_candidates(attr, column, rows, table, n_labels, out):
+    """== and != of every value occurring in the sample, at the start of ``out``, in
+    tie-break order; returns what ``_numeric_candidates`` returns."""
     codes = column[rows]
     present = codes != MISSING_CODE
     rows_present = rows[present]
-    if rows_present.size == 0:
-        return None
     codes_present = codes[present]
-    total_rows = rows.shape[0]
     total = column_sums(table[rows_present], n_labels)
 
     conditions: list[tuple] = []
-    sums: list[np.ndarray] = []
     for code in np.unique(codes_present):
         match = codes_present == code
         count_eq = int(match.sum())
@@ -176,15 +166,13 @@ def _nominal_candidates(attr, column, rows, table, n_labels):
         equal = column_sums(table[rows_present[match]], n_labels)
         # A condition covering none or all of the current rows cannot be a
         # strict improvement, so it is not worth scoring.
-        if count_eq < total_rows:
+        if count_eq < rows.shape[0]:
+            out[len(conditions)] = equal
             conditions.append((OP_EQ, value))
-            sums.append(equal)
         if rows_present.shape[0] - count_eq > 0:
+            np.subtract(total, equal, out=out[len(conditions)])
             conditions.append((OP_NEQ, value))
-            sums.append(total - equal)
-    if not conditions:
-        return None
-    return _Scan(np.array(sums), 1, conditions.__getitem__)
+    return len(conditions), conditions.__getitem__, np.arange(len(conditions))
 
 
 def _best_refinement(dataset, orders, rows, store, attributes, l2_weight, head_mode,
@@ -198,34 +186,46 @@ def _best_refinement(dataset, orders, rows, store, attributes, l2_weight, head_m
     out of the store's workspace) and single-label label.
     """
     counts = np.bincount(rows, minlength=dataset.n_examples)
-    n_labels = store.n_labels
-    best = None
-    threshold = incumbent_objective
+    n_labels, width = store.n_labels, store.table.shape[1]
+    # [rows, attributes] of each table; its first attribute may exceed the budget.
+    tables: list[list] = []
     for attribute_index in attributes:
         attr = dataset.schema[attribute_index]
-        column = dataset.columns[attribute_index]
-        if attr.is_numeric:
-            scan = _numeric_candidates(column, orders[attribute_index], counts, store.table,
-                                       store.workspace)
-        else:
-            scan = _nominal_candidates(attr, column, rows, store.table, n_labels)
-        if scan is None:
+        bound = 2 * (rows.size if attr.is_numeric else len(attr.values))
+        if not tables or (tables[-1][0] + bound) * width > _TABLE_FLOATS:
+            tables.append([0, []])
+        tables[-1][0] += bound
+        tables[-1][1].append(attribute_index)
+    best = None
+    threshold = incumbent_objective
+    for size, table_attributes in tables:
+        candidates = store.workspace.array("candidates", (size, width))
+        scans, tie_break, filled = [], [], 0
+        for attribute_index in table_attributes:
+            attr, column = dataset.schema[attribute_index], dataset.columns[attribute_index]
+            if attr.is_numeric:
+                count, condition, order = _numeric_candidates(
+                    column, orders[attribute_index], counts, store.table, store.workspace,
+                    candidates[filled:])
+            else:
+                count, condition, order = _nominal_candidates(
+                    attr, column, rows, store.table, n_labels, candidates[filled:])
+            scans.append((filled, attribute_index, condition))
+            tie_break.append(filled + order)
+            filled += count
+        if not filled:
             continue
-        objectives, labels = score_heads(scan.sums[:, :n_labels], scan.sums[:, n_labels:],
-                                         store.diagonal, l2_weight, head_mode, fixed_label,
-                                         store.workspace)
-        # Row j of the transposed blocks holds candidate j of every block,
-        # so the flat argmin is the first minimum in tie-break order.
-        blocks = objectives.reshape(scan.n_blocks, -1)
-        i = int(np.argmin(blocks.T))
-        position, block = divmod(i, scan.n_blocks)
-        j = block * blocks.shape[1] + position
+        objectives, labels = score_heads(candidates[:filled, :n_labels],
+                                         candidates[:filled, n_labels:], store.diagonal,
+                                         l2_weight, head_mode, fixed_label, store.workspace)
+        tie_break = np.concatenate(tie_break)
+        j = int(tie_break[np.argmin(objectives[tie_break])])
         if objective_improvement(float(objectives[j]), threshold):
             threshold = float(objectives[j])
-            operator, value = scan.condition(i)
-            label = None if labels is None else int(labels[j])
+            offset, attribute_index, condition = next(s for s in reversed(scans) if s[0] <= j)
+            operator, value = condition(j - offset)
             best = (threshold, Condition(int(attribute_index), operator, value),
-                    scan.sums[j].copy(), label)
+                    candidates[j].copy(), None if labels is None else int(labels[j]))
     return best
 
 

@@ -320,6 +320,21 @@ class TestScoreHeads:
             for i in range(len(g)):
                 alone, _ = score_heads(g[i:i + 1], packed[i:i + 1], False, l2, HEAD_MULTI)
                 assert alone[0] == batch[i]
+        # A refinement step's table mixes attributes, so one batch can hold
+        # regular, weak-pivot and singular candidates at once; the LU
+        # fallback then runs on its weak subset, which no longer solves as
+        # one stack and is solved candidate by candidate.
+        mixed = packed.copy()
+        mixed[[3, 11]] = nearly_singular[packed_indices(5)]
+        singular = np.eye(5)
+        singular[:2, :2] = 1.0
+        mixed[[5, 19]] = singular[packed_indices(5)]
+        batch, _ = score_heads(g, mixed, False, 0.0, HEAD_MULTI)
+        assert np.isfinite(np.delete(batch, [5, 19])).all()
+        assert batch[5] == batch[19] == np.inf
+        for i in range(len(g)):
+            alone, _ = score_heads(g[i:i + 1], mixed[i:i + 1], False, 0.0, HEAD_MULTI)
+            assert alone[0] == batch[i]
         diagonal = np.abs(packed[:, :5])
         for head_mode in (HEAD_SINGLE, HEAD_MULTI):
             batch, _ = score_heads(g, diagonal, True, 0.5, head_mode)

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from ruleboost.dataset import MISSING_CODE, NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
+from ruleboost import induction
 from ruleboost.errors import InductionError, SolverError
 from ruleboost.heads import (
     HEAD_MULTI,
     find_head,
     objective_value,
+    score_heads,
     solve_heads,
     stats_for_rows,
 )
@@ -179,45 +181,52 @@ def oracle_objective_of_condition(dataset, store, rows, condition, l2, head_mode
 # Candidate conditions of the refinement scan
 # ---------------------------------------------------------------------------
 
-def in_tie_break_order(scan, n_labels):
-    """A scan's blocks as one (operators, thresholds, gradients, hessians) table.
+def in_tie_break_order(scan, sums, n_labels):
+    """A scan's candidates as one (operators, thresholds, gradients, hessians) table.
 
-    Candidate i of the tie-break order is candidate i // k of block i % k;
-    the scan stacks its k blocks one after another, each candidate's
-    summed table row holding its l gradients and then its Hessian part.
+    The scan wrote its candidates' summed table rows, each its l gradients
+    and then its Hessian part, at the start of ``sums``; its tie-break
+    index lists those rows in tie-break order, and its condition function
+    takes a row's position.
     """
-    k = scan.n_blocks
-    conditions = [scan.condition(i) for i in range(scan.sums.shape[0])]
-
-    def interleave(stacked):
-        blocks = stacked.reshape((k, -1) + stacked.shape[1:])
-        return np.stack(list(blocks), axis=1).reshape(stacked.shape)
-
+    count, condition, tie_break = scan
+    assert sorted(tie_break.tolist()) == list(range(count))
+    conditions = [condition(int(j)) for j in tie_break]
+    ordered = sums[tie_break]
     return ([op for op, _ in conditions], [t for _, t in conditions],
-            interleave(scan.sums[:, :n_labels]), interleave(scan.sums[:, n_labels:]))
+            ordered[:, :n_labels], ordered[:, n_labels:])
+
+
+def attribute_scan(dataset, attribute_index, rows, store, orders=None):
+    """The refinement scan of one attribute, in tie-break order, or None without candidates.
+
+    The candidates are written into a table that holds stale values, as a
+    step's shared table does.
+    """
+    attr = dataset.schema[attribute_index]
+    column = dataset.columns[attribute_index]
+    bound = 2 * (len(rows) if attr.is_numeric else len(attr.values))
+    sums = np.full((bound, store.table.shape[1]), np.nan)
+    if attr.is_numeric:
+        orders = presort(dataset) if orders is None else orders
+        scan = _numeric_candidates(column, orders[attribute_index],
+                                   np.bincount(rows, minlength=dataset.n_examples), store.table,
+                                   ScanWorkspace(), sums)
+    else:
+        scan = _nominal_candidates(attr, column, rows, store.table, store.n_labels, sums)
+    return in_tie_break_order(scan, sums, store.n_labels) if scan[0] else None
 
 
 def numeric_scan(dataset, attribute_index, rows, store):
     """The refinement scan of a numeric attribute, in tie-break order, or None."""
-    blocks = _numeric_candidates(
-        dataset.columns[attribute_index], presort(dataset)[attribute_index],
-        np.bincount(rows, minlength=dataset.n_examples), store.table, ScanWorkspace(),
-    )
-    return None if blocks is None else in_tie_break_order(blocks, store.n_labels)
+    return attribute_scan(dataset, attribute_index, rows, store)
 
 
 def enumerate_conditions(dataset, attribute_index, rows=None):
     """The conditions the scan scores for one attribute, in tie-break order."""
     rows = np.arange(dataset.n_examples) if rows is None else np.asarray(rows)
     store = init_store(make_loss("label-wise-logistic"), dataset)
-    attr = dataset.schema[attribute_index]
-    if attr.is_numeric:
-        table = numeric_scan(dataset, attribute_index, rows, store)
-    else:
-        blocks = _nominal_candidates(
-            attr, dataset.columns[attribute_index], rows, store.table, store.n_labels
-        )
-        table = None if blocks is None else in_tie_break_order(blocks, store.n_labels)
+    table = attribute_scan(dataset, attribute_index, rows, store)
     if table is None:
         return []
     operators, thresholds, _, _ = table
@@ -265,20 +274,13 @@ def lu_best_refinement(dataset, orders, rows, store, attributes,
     on full Hessians, and its objective comes from that solve; the first
     minimum in tie-break order wins if it is a strict improvement.
     """
-    counts = np.bincount(rows, minlength=dataset.n_examples)
     best = None
     threshold = incumbent_objective
     for attribute_index in attributes:
-        attr = dataset.schema[attribute_index]
-        column = dataset.columns[attribute_index]
-        if attr.is_numeric:
-            scan = _numeric_candidates(column, orders[attribute_index], counts, store.table,
-                                       ScanWorkspace())
-        else:
-            scan = _nominal_candidates(attr, column, rows, store.table, store.n_labels)
+        scan = attribute_scan(dataset, attribute_index, rows, store, orders)
         if scan is None:
             continue
-        operators, thresholds, g, h = in_tie_break_order(scan, store.n_labels)
+        operators, thresholds, g, h = scan
         if not store.diagonal:
             h = unpack_hessians(h, store.n_labels)
         objectives, scores, labels = solve_heads(g, h, store.diagonal, l2_weight, head_mode,
@@ -398,6 +400,90 @@ class TestWorkspaceReuse:
                 assert fresh_store.workspace is not store.workspace
                 assert reused == fresh
                 assert len(reused[0].body) > 0
+
+
+DEFAULT_TABLE_FLOATS = induction._TABLE_FLOATS
+
+
+def spy_score_heads(monkeypatch):
+    """The batch size of every ``score_heads`` call that refinement makes from now on."""
+    sizes = []
+
+    def spy(gradients, *args, **kwargs):
+        sizes.append(gradients.shape[0])
+        return score_heads(gradients, *args, **kwargs)
+
+    monkeypatch.setattr(induction, "score_heads", spy)
+    return sizes
+
+
+def scored_store(rng, dataset, loss_id):
+    """A store of the loss at random scores."""
+    loss = make_loss(loss_id)
+    store = init_store(loss, dataset)
+    store.recompute(loss, dataset.labels, rng.normal(0.0, 1.5, size=store.gradients.shape))
+    return store
+
+
+class TestOneTablePerStep:
+    """A step scores the candidates of its attributes in one table while they fit the budget,
+    and keeps the candidate that one table per attribute keeps."""
+
+    @pytest.mark.parametrize("loss_id", ["label-wise-logistic", "example-wise-logistic"])
+    @pytest.mark.parametrize("head_mode", ["single", "multi"])
+    def test_one_scorer_call_for_one_two_and_all_attributes(self, monkeypatch, loss_id,
+                                                            head_mode):
+        rng = np.random.default_rng(31)
+        dataset = tie_heavy_dataset(rng, 150, 3, 3)
+        store = scored_store(rng, dataset, loss_id)
+        if head_mode == "single":
+            store = store.diagonal_store()
+        rows = rng.integers(0, 150, size=150)
+        orders = presort(dataset)
+        sizes = spy_score_heads(monkeypatch)
+        for attributes in ([3], [2, 0], [0, 1, 2, 3]):
+            counts = [len(attribute_scan(dataset, a, rows, store)[0]) for a in attributes]
+            found = []
+            for budget in (DEFAULT_TABLE_FLOATS, 1):
+                monkeypatch.setattr(induction, "_TABLE_FLOATS", budget)
+                sizes.clear()
+                found.append(induction._best_refinement(
+                    dataset, orders, rows, store, np.array(attributes), 0.5, head_mode, None,
+                    np.inf))
+                assert sizes == ([sum(counts)] if budget > 1 else counts)
+            shared, alone = found
+            assert shared[:2] == alone[:2] and shared[3] == alone[3]
+            np.testing.assert_array_equal(shared[2], alone[2])
+
+    @pytest.mark.parametrize("loss_id", ["label-wise-logistic", "example-wise-logistic"])
+    @pytest.mark.parametrize("head_mode", ["single", "multi"])
+    @pytest.mark.parametrize("l2", [0.0, 1.0])
+    @pytest.mark.parametrize("budget", [1, 4096])
+    def test_smaller_tables_give_the_same_rules_and_traces(self, monkeypatch, loss_id,
+                                                           head_mode, l2, budget):
+        """A budget of 1 gives every attribute a table of its own; 4,096 floats hold one or
+        more attributes, depending on the rows a step still covers."""
+        rng = np.random.default_rng(808)
+        sizes = spy_score_heads(monkeypatch)
+        calls = {}
+        for trial in range(6):
+            n = int(rng.integers(60, 250))
+            dataset = tie_heavy_dataset(rng, n, int(rng.integers(2, 5)), int(rng.integers(1, 6)))
+            assert (dataset.columns[-1] == MISSING_CODE).any()
+            assert np.isnan(dataset.columns[0]).any()
+            store = scored_store(rng, dataset, loss_id)
+            rows = rng.integers(0, n, size=n)
+            found = []
+            for table_floats in (DEFAULT_TABLE_FLOATS, budget):
+                monkeypatch.setattr(induction, "_TABLE_FLOATS", table_floats)
+                sizes.clear()
+                found.append(refine_rule_with_trace(
+                    dataset, store, _context(rows, head_mode, l2=l2, seed=trial)))
+                calls[table_floats] = calls.get(table_floats, 0) + len(sizes)
+            assert found[0] == found[1]
+            assert len(found[0][0].body) > 0
+        # The small tables really split the steps.
+        assert calls[budget] > calls[DEFAULT_TABLE_FLOATS]
 
 
 def _numeric_dataset(values, n_labels=1):

@@ -1,4 +1,4 @@
-"""Train the same 216 models and trajectories under two source trees and compare them.
+"""Train the same 288 models and trajectories under two source trees and compare them.
 
 Usage::
 
@@ -12,14 +12,18 @@ subprocess, every combination of
 * 4 variants (label-wise / example-wise loss x single / all-label heads),
 * l2 weight 0 and 1,
 * plain data, tie-heavy data (columns rounded to one decimal, with
-  5% of the values missing) and nominal data (the plain columns plus a
+  5% of the values missing), nominal data (the plain columns plus a
   nominal one, the point's angular sector of eight, with 5% of its cells
-  missing),
+  missing) and wide data (the nominal data's columns plus ten seeded
+  numeric ones, mixtures of the point's coordinates and noise, half of
+  them rounded to one decimal and four with 5% of their cells missing),
 
-each with 100 rules.  The script prints how many models are
-byte-identical, overall and of each data kind, how many have the same
-rule bodies, and the largest head difference among the models with the
-same bodies, then lists every model that differs.
+each with 100 rules.  Wide data has 13 attributes, so every refinement
+step samples 4 of them and scores their candidates in one table, where
+the other kinds' steps sample 1 or 2.  The script prints how many models
+are byte-identical, overall and of each data kind, how many have the
+same rule bodies, and the largest head difference among the models with
+the same bodies, then lists every model that differs.
 
 Both trees also run ``ruleboost trajectory`` at the settings of the
 benchmark's ``trajectory-4v`` workload (conditional_dependence, n = 2000,
@@ -55,9 +59,10 @@ stdout, with the time masked), ``predict`` with both decoders and
 (the ARFF one for the plain CSV), and once ``predict`` on the plain CSV
 with a bad cell.  Both trees also run ``train --no-bagging
 --no-feature-sampling --loss example-wise-logistic`` on the ARFF test
-file, compared in the same way: with both kinds of sampling off, every
-refinement gathers all n rows into the store's workspace and scans every
-attribute, which the models above, all trained with both on, never do.
+file and on that file rewritten as wide data, compared in the same way:
+with both kinds of sampling off, every refinement gathers all n rows
+into the store's workspace and scans every attribute, which the models
+above, all trained with both on, never do.
 
 Last, a differential loader check: ``CSV_TEXTS`` mutations of two small
 CSV texts, made with the tokens of ``tests/test_fuzz.py``'s text
@@ -99,7 +104,7 @@ VARIANTS = (
     ("example-wise-logistic", "multi"),
 )
 L2_WEIGHTS = (0.0, 1.0)
-DATA_KINDS = ("plain", "tie-heavy", "nominal")
+DATA_KINDS = ("plain", "tie-heavy", "nominal", "wide")
 N_EXAMPLES = 2000
 N_LABELS = 6
 N_RULES = 100
@@ -159,6 +164,30 @@ def _with_nominal(dataset, seed):
                    [*dataset.columns, codes], dataset.labels, dataset.label_names)
 
 
+def _wide(dataset, seed):
+    """The nominal data's columns plus ten numeric ones, each a seeded mixture of the point's
+    coordinates and noise; the even-numbered are rounded to one decimal, and every third
+    has 5% of its cells missing."""
+    import numpy as np
+    from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema, Dataset
+
+    nominal = _with_nominal(dataset, seed)
+    x, y = dataset.columns[:2]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 13]))
+    attributes, columns = list(nominal.schema.attributes), list(nominal.columns)
+    for k in range(10):
+        a, b, noise = rng.normal(size=3)
+        column = a * x + b * y + noise * rng.normal(size=x.shape[0])
+        if k % 2 == 0:
+            column = np.round(column, 1)
+        if k % 3 == 0:
+            column[rng.random(x.shape[0]) < 0.05] = np.nan
+        attributes.append(Attribute(f"mix{k}", NUMERIC))
+        columns.append(column)
+    return Dataset(AttributeSchema(tuple(attributes)), columns, dataset.labels,
+                   dataset.label_names)
+
+
 def emit_models(src: str) -> None:
     """Train every model with the ruleboost package found in ``src``; print one JSON line each."""
     sys.path.insert(0, src)
@@ -171,7 +200,7 @@ def emit_models(src: str) -> None:
             plain, _ = generate(SyntheticConfig(scenario, N_EXAMPLES, N_LABELS, seed=seed))
             for kind in DATA_KINDS:
                 data = {"plain": plain, "tie-heavy": _tie_heavy(plain, seed),
-                        "nominal": _with_nominal(plain, seed)}[kind]
+                        "nominal": _with_nominal(plain, seed), "wide": _wide(plain, seed)}[kind]
                 for loss, head_mode in VARIANTS:
                     for l2 in L2_WEIGHTS:
                         config = TrainConfig(loss=loss, n_rules=N_RULES, l2_weight=l2,
@@ -206,6 +235,14 @@ def emit_csv_digests(src: str, texts: str) -> None:
         for array in (dataset.labels, *dataset.columns):
             digest.update(array.dtype.str.encode() + array.tobytes())
         print(json.dumps(["dataset", digest.hexdigest()]))
+
+
+def emit_wide_arff(src: str, test: str, out: str) -> None:
+    """Write the ARFF file ``test`` as wide data to ``out`` with the package in ``src``."""
+    sys.path.insert(0, src)
+    from ruleboost.dataio import load_arff, save_arff
+
+    save_arff(_wide(load_arff(test, N_LABELS), 0), out)
 
 
 def _sampled(name: str) -> list:
@@ -389,6 +426,8 @@ def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
         parent_run("synth", *SCENARIO_ARGS, "--out", str(tune_data))
         tie_heavy, commented, large, large_bad = _test_file_variants(data / "test.arff")
         plain, quoted, bad_cell = _csv_test_files(data / "test.arff")
+        wide = data / "test_wide.arff"
+        _run(parent_src, "--wide-arff", parent_src, str(data / "test.arff"), str(wide))
         parent_run("train", "--data", str(quoted), "--labels", str(N_LABELS),
                    "--rules", str(N_RULES), "--model", str(quoted_model))
         commands = {" ".join(args): args
@@ -424,7 +463,8 @@ def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
                 outputs[-1][f"evaluate --json --decode {method} --data {test.name}"] = (
                     status, stdout, stderr, report.read_bytes() if report.exists() else None)
                 report.unlink(missing_ok=True)
-            for test, extra in ((plain, ()), (quoted, ()), (data / "test.arff", NO_SAMPLING)):
+            for test, extra in ((plain, ()), (quoted, ()), (data / "test.arff", NO_SAMPLING),
+                                (wide, NO_SAMPLING)):
                 # The model, and stdout without the training time, which varies between runs.
                 status, stdout, stderr = _cli(src, "train", *extra, "--data", str(test),
                                               "--labels", str(N_LABELS), "--rules", "20",
@@ -522,6 +562,9 @@ def main(argv=None) -> int:
         return 0
     if len(argv) == 3 and argv[0] == "--trajectory":
         return emit_trajectory(argv[1], argv[2])
+    if len(argv) == 4 and argv[0] == "--wide-arff":
+        emit_wide_arff(*argv[1:])
+        return 0
     if len(argv) == 3 and argv[0] == "--csv":
         emit_csv_digests(argv[1], argv[2])
         return 0
