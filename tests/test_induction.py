@@ -10,8 +10,8 @@ no code with the refinement scan it checks.
 import numpy as np
 import pytest
 
-from ruleboost.dataset import MISSING_CODE, NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
 from ruleboost import induction
+from ruleboost.dataset import MISSING_CODE, NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
 from ruleboost.errors import InductionError, SolverError
 from ruleboost.heads import (
     HEAD_MULTI,
@@ -215,11 +215,6 @@ def attribute_scan(dataset, attribute_index, rows, store, orders=None):
     else:
         scan = _nominal_candidates(attr, column, rows, store.table, store.n_labels, sums)
     return in_tie_break_order(scan, sums, store.n_labels) if scan[0] else None
-
-
-def numeric_scan(dataset, attribute_index, rows, store):
-    """The refinement scan of a numeric attribute, in tie-break order, or None."""
-    return attribute_scan(dataset, attribute_index, rows, store)
 
 
 def enumerate_conditions(dataset, attribute_index, rows=None):
@@ -573,7 +568,7 @@ class TestPresortedScanAgainstArgsort:
                        rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))]
             for rows in samples:
                 expected = argsort_scan(column, rows, store)
-                actual = numeric_scan(dataset, 0, rows, store)
+                actual = attribute_scan(dataset, 0, rows, store)
                 if expected is None:
                     assert actual is None
                     continue
