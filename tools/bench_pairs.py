@@ -2,15 +2,15 @@
 
 Usage::
 
-    python tools/bench_pairs.py --workload trajectory-4v --pairs 5 --seconds 50 \\
-        --label LABEL TREE_A TREE_B
+    python tools/bench_pairs.py --workload trajectory-4v --pairs 5 --label LABEL TREE_A TREE_B
 
 Each ``TREE`` is a checkout of the repository, a clone or a ``git
 worktree`` of any commit.  Pair i runs ``python3 perfbench/run.py
 --workload W --seed i --seconds S --trace 0`` from each tree's own root,
-with that tree's ``perfbench`` and ``src`` and nothing changed, one
-after the other: tree A first in even pairs and tree B first in odd
-ones.  A run that exits non-zero stops the tool.
+with that tree's ``perfbench`` and ``src`` and nothing changed, where S
+is ``BENCHMARK.json``'s ``run_seconds``.  The two trees run one after
+the other: tree A first in even pairs and tree B first in odd ones.  A
+run that exits non-zero stops the tool.
 
 It writes ``BENCH_<LABEL>.json`` at the root of this repository: both
 trees' commits, the machine line of the first run, and for each pair its
@@ -64,7 +64,8 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "attempted": result["attempted"], "failed": result["failed"], "machine": machine}
 
 
-def _commit(tree: Path) -> dict:
+def git_commit(tree: Path) -> dict:
+    """The commit checked out in ``tree`` and whether tracked files differ from it."""
     def git(*args):
         return subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True,
                               check=True).stdout.strip()
@@ -91,7 +92,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--label", required=True)
     parser.add_argument("trees", nargs=2, type=Path)
     args = parser.parse_args(argv)
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
     for seed in range(args.pairs):
         runs = [None, None]
         for index in (0, 1) if seed % 2 == 0 else (1, 0):
-            runs[index] = _run(trees[index], args.workload, seed, args.seconds)
+            runs[index] = _run(trees[index], args.workload, seed, benchmark["run_seconds"])
         a, b = runs
         machine = machine or runs[0 if seed % 2 == 0 else 1]["machine"]
         pairs.append({
@@ -138,8 +138,8 @@ def main(argv=None) -> int:
         "tool": "tools/bench_pairs.py",
         "label": args.label,
         "workload": args.workload,
-        "seconds": args.seconds,
-        "trees": {"a": _commit(trees[0]), "b": _commit(trees[1])},
+        "seconds": benchmark["run_seconds"],
+        "trees": {"a": git_commit(trees[0]), "b": git_commit(trees[1])},
         "machine": machine,
         "notes": NOTES,
         "metrics": summary,

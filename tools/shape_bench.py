@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/shape_bench.py --label LABEL [--repeats 3] TREE_A TREE_B
+    python tools/shape_bench.py --label LABEL TREE_A TREE_B
 
 Each ``TREE`` is a checkout of the repository (a clone or a ``git
 worktree`` of any commit) whose ``src`` holds the ``ruleboost`` package.
@@ -21,11 +21,12 @@ Every cell, one shape and one of the four variants (label-wise or
 example-wise loss, single-label or all-label heads) at l2 weight 1 with
 the shape's fixed rule count, trains in a fresh process with the package
 of one tree.  The two trees alternate, the first of each pair by turns,
-``--repeats`` times per cell.  For each cell and tree the tool records
+``REPEATS`` times per cell.  For each cell and tree the tool records
 the training time per rule (data generation excluded), the process's
 peak RSS and the sha256 of the saved model, and writes them to
 ``BENCH_shape-<LABEL>.json`` at the root of the repository with the
-trees' commits and the machine.  It prints a table of medians and
+trees' commits and the machine as ``perfbench/run.py``'s ``machine()``
+gives it (which imports scipy).  It prints a table of medians and
 reports no gain or loss of its own.
 """
 
@@ -55,6 +56,8 @@ VARIANTS = (
 )
 L2_WEIGHT = 1.0
 SEED = 0
+# Fresh processes per cell and tree.
+REPEATS = 3
 # Features that each label's linear score reads, its noise and the base
 # rates that its cut gives.
 ACTIVE_FEATURES = 8
@@ -97,7 +100,6 @@ def run_cell(shape: str, loss: str, head_mode: str) -> dict:
     import hashlib
     import resource
 
-    import numpy
     import ruleboost
     from ruleboost.serialization import dumps
     from ruleboost.training import TrainConfig, train
@@ -110,7 +112,6 @@ def run_cell(shape: str, loss: str, head_mode: str) -> dict:
     seconds = time.perf_counter() - started
     return {
         "package": str(Path(ruleboost.__file__).resolve().parent),
-        "numpy": numpy.__version__,
         "ms_per_rule": 1000.0 * seconds / config.n_rules,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "sha256": hashlib.sha256(dumps(model).encode()).hexdigest(),
@@ -133,18 +134,6 @@ def _in_tree(tree: Path, shape: str, loss: str, head_mode: str) -> dict:
     return result
 
 
-def _commit(tree: Path) -> dict:
-    def git(*args):
-        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True,
-                              check=True).stdout.strip()
-
-    try:
-        return {"sha": git("rev-parse", "HEAD"),
-                "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
-    except (OSError, subprocess.CalledProcessError):
-        return {"sha": None, "dirty": None}
-
-
 def _summary(runs: list[dict]) -> dict:
     times = [run["ms_per_rule"] for run in runs]
     rss = [run["peak_rss_mb"] for run in runs]
@@ -164,24 +153,23 @@ def main(argv=None) -> int:
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("trees", nargs=2, type=Path)
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from bench_pairs import git_commit
+    from run import machine
+
     trees = [tree.resolve() for tree in args.trees]
     for tree in trees:
         if not (tree / "src" / "ruleboost").is_dir():
             parser.error(f"{tree} has no src/ruleboost")
     cells = []
-    numpy_version = None
     for shape in SHAPES:
         for loss, head_mode in VARIANTS:
             runs: list[list[dict]] = [[], []]
-            for repeat in range(args.repeats):
+            for repeat in range(REPEATS):
                 for index in (0, 1) if repeat % 2 == 0 else (1, 0):
                     runs[index].append(_in_tree(trees[index], shape, loss, head_mode))
-            numpy_version = runs[0][0]["numpy"]
             a, b = _summary(runs[0]), _summary(runs[1])
             cells.append({"shape": shape, "loss": loss, "head_mode": head_mode,
                           "rules": SHAPES[shape]["rules"], "a": a, "b": b,
@@ -194,20 +182,13 @@ def main(argv=None) -> int:
         "tool": "tools/shape_bench.py",
         "label": args.label,
         "note": "generated stand-ins for the scene and medical shapes, not those data sets",
-        "machine": {
-            "nproc": os.cpu_count(),
-            "python": sys.version.split()[0],
-            "numpy": numpy_version,
-            "blas_threads_env": {k: os.environ.get(k) for k in (
-                "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "BLIS_NUM_THREADS")},
-        },
-        "trees": {"a": _commit(trees[0]), "b": _commit(trees[1])},
+        "machine": machine(),
+        "trees": {"a": git_commit(trees[0]), "b": git_commit(trees[1])},
         "shapes": SHAPES,
         "generator": {"seed": SEED, "active_features": ACTIVE_FEATURES, "noise": NOISE,
                       "medical_density": MEDICAL_DENSITY},
         "l2_weight": L2_WEIGHT,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "cells": cells,
     }
     out = ROOT / f"BENCH_shape-{args.label}.json"
