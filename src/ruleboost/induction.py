@@ -17,9 +17,10 @@ A step writes its sampled attributes' candidates, in order, into one
 table in the store workspace's ``"candidates"`` buffer (several in turn
 past ``_TABLE_FLOATS`` floats) and scores each table with one
 ``score_heads`` call.  An objective does not depend on its batch, so the
-first minimum through the table's tie-break index, in which <= of a
-threshold comes before > of it, is what scoring attribute by attribute
-keeps.  Only the winner's threshold is computed.
+table's first minimum in tie-break order (<= of a threshold before > of
+it) is what scoring attribute by attribute keeps: ``argmin``'s, or the >
+candidate of a lower threshold that ties a <= winner.  Only the winner's
+threshold is computed.
 
 Numeric attributes are scanned with prefix sums over the covered sample
 in value order.  Each numeric column is sorted once per training run
@@ -124,13 +125,13 @@ def _numeric_candidates(column, order, counts, table, workspace, out):
     times each row occurs in the sample.  The prefix sums are built in the
     workspace's ``"rows"`` buffer and the blocks at the start of ``out``.
     Returns the number of candidates, the function giving candidate j's
-    (operator, threshold) and the candidates' tie-break order.
+    (operator, threshold) and the size of the <= block.
     """
     sorted_rows = np.repeat(order, counts[order])
     sorted_values = column[sorted_rows]
     boundary = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
     if boundary.size == 0:
-        return 0, None, boundary
+        return 0, None, 0
     n_thresholds = boundary.size
     # The presorted order holds valid rows, so no index needs a bounds check.
     prefix = np.take(table, sorted_rows, axis=0, mode="clip",
@@ -144,14 +145,12 @@ def _numeric_candidates(column, order, counts, table, workspace, out):
         threshold = _midpoints(sorted_values[below], sorted_values[below + 1])
         return (OP_LEQ, OP_GT)[j // n_thresholds], float(threshold)
 
-    # <= of a threshold comes before > of the same threshold.
-    tie_break = np.arange(2 * n_thresholds).reshape(2, n_thresholds).T.ravel()
-    return 2 * n_thresholds, condition, tie_break
+    return 2 * n_thresholds, condition, n_thresholds
 
 
 def _nominal_candidates(attr, column, rows, table, n_labels, out):
     """== and != of every value occurring in the sample, at the start of ``out``, in
-    tie-break order; returns what ``_numeric_candidates`` returns."""
+    tie-break order; returns what ``_numeric_candidates`` returns, with no <= block."""
     codes = column[rows]
     present = codes != MISSING_CODE
     rows_present = rows[present]
@@ -172,7 +171,7 @@ def _nominal_candidates(attr, column, rows, table, n_labels, out):
         if rows_present.shape[0] - count_eq > 0:
             np.subtract(total, equal, out=out[len(conditions)])
             conditions.append((OP_NEQ, value))
-    return len(conditions), conditions.__getitem__, np.arange(len(conditions))
+    return len(conditions), conditions.__getitem__, 0
 
 
 def _best_refinement(dataset, orders, rows, store, attributes, l2_weight, head_mode,
@@ -200,29 +199,30 @@ def _best_refinement(dataset, orders, rows, store, attributes, l2_weight, head_m
     threshold = incumbent_objective
     for size, table_attributes in tables:
         candidates = store.workspace.array("candidates", (size, width))
-        scans, tie_break, filled = [], [], 0
+        scans, filled = [], 0
         for attribute_index in table_attributes:
             attr, column = dataset.schema[attribute_index], dataset.columns[attribute_index]
             if attr.is_numeric:
-                count, condition, order = _numeric_candidates(
+                count, condition, split = _numeric_candidates(
                     column, orders[attribute_index], counts, store.table, store.workspace,
                     candidates[filled:])
             else:
-                count, condition, order = _nominal_candidates(
+                count, condition, split = _nominal_candidates(
                     attr, column, rows, store.table, n_labels, candidates[filled:])
-            scans.append((filled, attribute_index, condition))
-            tie_break.append(filled + order)
+            scans.append((filled, split, attribute_index, condition))
             filled += count
         if not filled:
             continue
         objectives, labels = score_heads(candidates[:filled, :n_labels],
                                          candidates[:filled, n_labels:], store.diagonal,
                                          l2_weight, head_mode, fixed_label, store.workspace)
-        tie_break = np.concatenate(tie_break)
-        j = int(tie_break[np.argmin(objectives[tie_break])])
+        j = int(np.argmin(objectives))  # the first minimum in table order, or a NaN
+        offset, split, attribute_index, condition = next(s for s in reversed(scans) if s[0] <= j)
+        if j - offset < split:  # a lower threshold's > candidate may tie and come first
+            hits = np.flatnonzero(objectives[offset + split:split + j] == objectives[j])
+            j = offset + split + int(hits[0]) if hits.size else j
         if objective_improvement(float(objectives[j]), threshold):
             threshold = float(objectives[j])
-            offset, attribute_index, condition = next(s for s in reversed(scans) if s[0] <= j)
             operator, value = condition(j - offset)
             best = (threshold, Condition(int(attribute_index), operator, value),
                     candidates[j].copy(), None if labels is None else int(labels[j]))

@@ -185,12 +185,17 @@ def in_tie_break_order(scan, sums, n_labels):
     """A scan's candidates as one (operators, thresholds, gradients, hessians) table.
 
     The scan wrote its candidates' summed table rows, each its l gradients
-    and then its Hessian part, at the start of ``sums``; its tie-break
-    index lists those rows in tie-break order, and its condition function
-    takes a row's position.
+    and then its Hessian part, at the start of ``sums``: a numeric scan a
+    <= block of ``split`` rows and then the > block, each threshold's <=
+    candidate before its > candidate in tie-break order, and a nominal
+    scan (``split`` 0) its rows in tie-break order.  Its condition
+    function takes a row's position.
     """
-    count, condition, tie_break = scan
-    assert sorted(tie_break.tolist()) == list(range(count))
+    count, condition, split = scan
+    tie_break = np.arange(count)
+    if split:
+        assert count == 2 * split
+        tie_break = tie_break.reshape(2, split).T.ravel()
     conditions = [condition(int(j)) for j in tie_break]
     ordered = sums[tie_break]
     return ([op for op, _ in conditions], [t for _, t in conditions],
@@ -857,3 +862,19 @@ class TestTieBreakOnExactTies:
             tied += len(reaching) > 1
         # The check above only pins the tie-break if many trials had ties.
         assert tied >= 30
+
+    @pytest.mark.parametrize("head_mode", ["single", "multi"])
+    def test_first_of_several_lower_thresholds_tying_a_leq_winner(self, head_mode):
+        """x <= 2.5, x > 0.5 and x > 1.5 all reach the minimum (G^2 / H = 4); the first in
+        table order is x <= 2.5, the first in tie-break order x > 0.5."""
+        schema = AttributeSchema((Attribute("x", NUMERIC),))
+        dataset = Dataset(schema, [np.arange(4.0)], np.ones((4, 1), dtype=np.int8), ["l0"])
+        table = np.array([[1.0, 0.5], [2.0, 3.0], [1.0, 0.5], [1.0, 0.5]])
+        store = GradHessStore(table, 1, True)
+        rows = np.arange(4)
+        best = induction._best_refinement(dataset, presort(dataset), rows, store, np.array([0]),
+                                          0.0, head_mode, None, np.inf)
+        assert best[:2] == (-2.0, Condition(0, OP_GT, 0.5))
+        for op, threshold in [(OP_LEQ, 2.5), (OP_GT, 1.5)]:
+            assert oracle_objective_of_condition(
+                dataset, store, rows, Condition(0, op, threshold), 0.0, head_mode) == -2.0
