@@ -5,86 +5,66 @@ Usage::
     python tools/compare_models.py PARENT_SRC CHANGE_SRC
 
 Each ``*_SRC`` is a directory that contains the ``ruleboost`` package
-(for example a checkout's ``src``).  Both trees train, each in its own
-subprocess, every combination of
+(for example a checkout's ``src``); each tree first imports it once, and
+the script stops, naming the directory, if the package came from
+elsewhere.  Both trees train, each in its own subprocess, every
+combination of
 
 * 3 synthetic scenarios (n = 2000, 6 labels) x seeds 0-2,
 * 4 variants (label-wise / example-wise loss x single / all-label heads),
 * l2 weight 0 and 1,
-* plain data, tie-heavy data (columns rounded to one decimal, with
-  5% of the values missing), nominal data (the plain columns plus a
-  nominal one, the point's angular sector of eight, with 5% of its cells
-  missing) and wide data (the nominal data's columns plus ten seeded
-  numeric ones, mixtures of the point's coordinates and noise, half of
-  them rounded to one decimal and four with 5% of their cells missing),
+* plain data, tie-heavy data (columns rounded to one decimal, 5% of the
+  values missing), nominal data (plus the point's angular sector of
+  eight as a nominal column, 5% missing) and wide data (the nominal
+  data plus ten seeded numeric mixtures of the point's coordinates and
+  noise, half rounded to one decimal and four with 5% missing),
 
-each with 100 rules.  Wide data has 13 attributes, so every refinement
-step samples 4 of them and scores their candidates in one table, where
-the other kinds' steps sample 1 or 2.  The script prints how many models
-are byte-identical, overall and of each data kind, how many have the
-same rule bodies, and the largest head difference among the models with
-the same bodies, then lists every model that differs.
+each with 100 rules.  Wide data's 13 attributes make every refinement
+step sample 4 of them, where the other kinds sample 1 or 2.  The script
+prints how many models are byte-identical, overall and of each data
+kind, how many have the same rule bodies and the largest head difference
+among those, then lists every model that differs.  Both trees also run
+``ruleboost trajectory`` at the benchmark's ``trajectory-4v`` settings
+(conditional_dependence, n = 2000, 6 labels, noise 0.1, ``--seed 0``,
+checkpoints 1,2,4,8,16,32,50); the four series CSVs are compared.
 
-Both trees also run ``ruleboost trajectory`` at the settings of the
-benchmark's ``trajectory-4v`` workload (conditional_dependence, n = 2000,
-6 labels, noise 0.1, ``--seed 0``, checkpoints 1,2,4,8,16,32,50), and the
-script compares the four series CSVs byte for byte.
-
-Last, each tree runs ``python -m ruleboost.cli`` as a process: ``--help``
-of the program and of every subcommand, and ``predict`` on one model
-(written by the parent tree), its CSV read from stdout through a pipe.
-``predict`` runs with both decoders on the test file, once on a tie-heavy
-rewrite of it (features rounded to one decimal, 5% of them '?', which
-sends numeric columns through the per-cell converter) and once on the
-test file with a '%' comment line in its data block, which sends every
-line of the block through the per-line tokenizer.  It also
-runs with both decoders on the test file's rows repeated to 25,000 rows,
-which ``predict`` splits into shares that forked workers parse, score
-and decode where two CPUs are usable, and once more on that file with a
-bad cell in its last quarter.  ``evaluate --json``, which serves through
-the same shares, runs on those two files in the same way: with both
-decoders on the first and once on the second.  The script compares their
-stdout, stderr and exit codes byte for byte, and the ``evaluate``
-reports' bytes.  Each tree also runs
-``ruleboost tune --json`` (example-wise loss, all-label heads, shrinkages
-0.3 and 0.5 x l2 weights 0, 1 and 4, rules 10 and 20) on a file with the
-``trajectory-4v`` settings above, and the script compares its report
-bytes with its stdout, stderr and exit code.
-
-The test file is also written as CSV twice: plain, and with every cell
-quoted and a header name that spans two lines inside its quotes.  On
-each, both trees run ``train`` (the script compares the model bytes and
-stdout, with the time masked), ``predict`` with both decoders and
-``evaluate``, with a model the parent tree trained on that file's rows
-(the ARFF one for the plain CSV), and once ``predict`` on the plain CSV
-with a bad cell.  Both trees also run ``train --no-bagging
---no-feature-sampling --loss example-wise-logistic`` on the ARFF test
-file and on that file rewritten as wide data, compared in the same way:
-with both kinds of sampling off, every refinement gathers all n rows
-into the store's workspace and scans every attribute, which the models
-above, all trained with both on, never do.
+Each tree runs ``python -m ruleboost.cli`` as a process: ``--help`` of
+the program and of every subcommand, and ``predict`` (CSV read from
+stdout through a pipe) on one model that the parent tree wrote, with
+both decoders on the test file, on its rows repeated to 25,000 (which
+forked workers parse, score and decode in shares where two CPUs are
+usable), once on a tie-heavy rewrite (per-cell converter), once with a
+'%' comment line in the data block (per-line tokenizer) and once on the
+large file with a bad cell in its last quarter.  ``evaluate --json``,
+which serves through the same shares, runs with both decoders on the
+large file and once on the bad one.  ``tune --json`` (example-wise
+loss, all-label heads, shrinkages 0.3 and 0.5 x l2 weights 0, 1 and 4,
+rules 10 and 20) runs on ``trajectory-4v`` data.  The test file written
+as CSV, plain and fully quoted with a header name that spans two lines,
+goes through ``train`` (model bytes and stdout with the time masked),
+``predict`` with both decoders and ``evaluate``, and ``predict`` runs
+once on the plain CSV with a bad cell.  ``train --no-bagging
+--no-feature-sampling --loss example-wise-logistic`` runs on the ARFF
+test file and its wide rewrite, so that every refinement gathers all n
+rows and scans every attribute.  Stdout, stderr, exit codes and written
+files are compared byte for byte.
 
 Last, a differential loader check: ``CSV_TEXTS`` mutations of two small
 CSV texts, made with the tokens of ``tests/test_fuzz.py``'s text
 mutations plus an empty quoted value, a quoted line end, rows of only
 blank cells and, rarely, a field over the csv module's size limit.
 Each tree loads every text in one subprocess and prints one digest per
-text: a hash of the dataset, or the error's type and message.  Two
-differences are sorted out as the known changes of the one CSV reader:
-an error whose line number was the record's number at the parent and is
-its first physical line in the change, and a raw ``csv.Error`` that the
-change raises as a ``ParseError``.  Every other difference is listed.
+text: a hash of the dataset, or the error's type and message.  Every
+text whose digests differ is listed.
 
-It exits 1 when any model, series or command line output differs, or
-when a loaded CSV text differs other than in those two ways.
+It exits 1 when any model, series, command line output or CSV digest
+differs.
 """
 
 from __future__ import annotations
 
 import ast
-import csv
 import hashlib
-import io
 import json
 import os
 import random
@@ -278,37 +258,8 @@ def _csv_texts() -> list[tuple[str, object]]:
     return cases
 
 
-def _record_starts(text: str) -> list[int]:
-    """The first line of each CSV record of ``text``, by the record's number (the header is 1)."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    starts, read = [0], 0
-    try:
-        for _ in reader:
-            starts.append(read + 1)
-            read = reader.line_num
-    except csv.Error:
-        pass
-    return starts
-
-
-def _csv_difference(text: str, parent: list, change: list) -> str | None:
-    """The known change that explains two differing digests of ``text``, or None."""
-    numbered = re.compile(r"(?:line (\d+): )(.*)", re.S)
-    before, after = numbered.search(parent[1]), numbered.search(change[1])
-    if parent[0] == change[0] and before and after and before.group(2) == after.group(2):
-        record = int(before.group(1))
-        starts = _record_starts(text)
-        if (parent[1][:before.start()] == change[1][:after.start()] and record < len(starts)
-                and starts[record] == int(after.group(1))):
-            return "line numbers: the record's first line, not its number"
-    if (parent[0] == "_csv.Error" and change[0] == "ruleboost.errors.ParseError"
-            and change[1].endswith(f": {parent[1]}")):
-        return "csv.Error raised as a ParseError"
-    return None
-
-
-def _csv_digests(parent_src: str, change_src: str) -> tuple[dict, list]:
-    """Counts of identical and explained digests, and a line for each other difference."""
+def _csv_digests(parent_src: str, change_src: str) -> list[str]:
+    """A line for each CSV text whose digests differ between the trees."""
     with tempfile.TemporaryDirectory() as work:
         cases = _csv_texts()
         for k, (text, _) in enumerate(cases):
@@ -319,16 +270,9 @@ def _csv_digests(parent_src: str, change_src: str) -> tuple[dict, list]:
                                       (parent_src, change_src))
     if len(parent) != len(cases) or len(change) != len(cases):
         raise SystemExit("a tree did not load every CSV text")
-    counts = {"identical": 0}
-    unexplained = []
-    for k, ((text, labels), before, after) in enumerate(zip(cases, parent, change)):
-        before, after = json.loads(before), json.loads(after)
-        kind = "identical" if before == after else _csv_difference(text, before, after)
-        if kind is None:
-            unexplained.append(f"text {k} (labels {labels!r}): {before} -> {after}: {text!r:.300}")
-        else:
-            counts[kind] = counts.get(kind, 0) + 1
-    return counts, unexplained
+    return [f"text {k} (labels {labels!r}): {before} -> {after}: {text!r:.300}"
+            for k, ((text, labels), before, after) in enumerate(zip(cases, parent, change))
+            if before != after]
 
 
 def _run(src: str, *args: str) -> str:
@@ -351,13 +295,28 @@ def _series_of(src: str) -> dict[str, bytes]:
         return {path.name: path.read_bytes() for path in sorted(Path(out).glob("*.csv"))}
 
 
-def _cli(src: str, *args: str) -> tuple[int, bytes, bytes]:
-    """Exit code, stdout and stderr of ``python -m ruleboost.cli args`` with the package in ``src``."""
+def _python(src: str, *args: str) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of ``python args`` with ``src`` first on the import path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    completed = subprocess.run([sys.executable, "-m", "ruleboost.cli", *args], env=env,
-                               capture_output=True, check=False)
+    completed = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                               check=False)
     return completed.returncode, completed.stdout, completed.stderr
+
+
+def _cli(src: str, *args: str) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of ``python -m ruleboost.cli args`` with the package in ``src``."""
+    return _python(src, "-m", "ruleboost.cli", *args)
+
+
+def check_package(src: str) -> None:
+    """Stop unless ``import ruleboost`` with ``src`` first on the path loads it from ``src``."""
+    status, stdout, stderr = _python(src, "-c", "import ruleboost; print(ruleboost.__file__)")
+    if status != 0:
+        raise SystemExit(f"{src} holds no ruleboost package:\n{stderr.decode(errors='replace')}")
+    found = Path(stdout.decode().strip()).resolve()
+    if Path(src).resolve() not in found.parents:
+        raise SystemExit(f"{src} holds no ruleboost package: ruleboost came from {found}")
 
 
 def _test_file_variants(test: Path) -> tuple[Path, Path, Path, Path]:
@@ -496,6 +455,8 @@ def _head_difference(first, second) -> float:
 
 
 def compare(parent_src: str, change_src: str) -> int:
+    for src in (parent_src, change_src):
+        check_package(src)
     with ThreadPoolExecutor(2) as pool:
         parent, change = pool.map(_models_of, (parent_src, change_src))
         parent_series, change_series = pool.map(_series_of, (parent_src, change_src))
@@ -543,33 +504,23 @@ def compare(parent_src: str, change_src: str) -> int:
     for name in parent_cli:
         if name not in same_cli:
             print(f"  ruleboost {name} differs")
-    counts, unexplained = _csv_digests(parent_src, change_src)
-    print(f"CSV texts loaded: {CSV_TEXTS}")
-    for kind, count in counts.items():
-        print(f"  {kind}: {count}")
-    print(f"  other differences: {len(unexplained)}")
-    for line in unexplained:
-        print(f"    {line}")
+    differing_csv = _csv_digests(parent_src, change_src)
+    print(f"CSV texts loaded alike: {CSV_TEXTS - len(differing_csv)}/{CSV_TEXTS}")
+    for line in differing_csv:
+        print(f"  {line}")
     same = (identical == total, len(same_series) == len(parent_series),
-            len(same_cli) == len(parent_cli), not unexplained)
+            len(same_cli) == len(parent_cli), not differing_csv)
     return 0 if all(same) else 1
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) == 2 and argv[0] == "--emit":
-        emit_models(argv[1])
-        return 0
-    if len(argv) == 3 and argv[0] == "--trajectory":
-        return emit_trajectory(argv[1], argv[2])
-    if len(argv) == 4 and argv[0] == "--wide-arff":
-        emit_wide_arff(*argv[1:])
-        return 0
-    if len(argv) == 3 and argv[0] == "--csv":
-        emit_csv_digests(argv[1], argv[2])
-        return 0
+    emitters = {"--emit": emit_models, "--trajectory": emit_trajectory,
+                "--wide-arff": emit_wide_arff, "--csv": emit_csv_digests}
+    if argv[:1] and argv[0] in emitters:
+        return emitters[argv[0]](*argv[1:]) or 0
     if len(argv) != 2:
-        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        print("usage: " + __doc__.split("\n\n")[2].strip(), file=sys.stderr)
         return 2
     return compare(*argv)
 
