@@ -333,8 +333,8 @@ def read_arff_block(path) -> DataBlock:
     raise ParseError(f"{path}: no @data section found")
 
 
-def _columns(block: DataBlock) -> list[np.ndarray]:
-    """One converted column per attribute of the block's rows; the earliest bad line raises."""
+def _columns(block: DataBlock) -> tuple[list[np.ndarray], list[int]]:
+    """Each attribute's converted column and each row's line; the earliest bad line raises."""
     cells, numbers, row_error = _data_cells(block)
     width = len(block.header)
     columns, cell_errors = [], []
@@ -348,7 +348,7 @@ def _columns(block: DataBlock) -> list[np.ndarray]:
         raise min(cell_errors)[2]
     if row_error is not None:
         raise row_error
-    return columns
+    return columns, numbers
 
 
 def _label_indices(attributes, labels) -> list[int]:
@@ -370,7 +370,7 @@ def _label_indices(attributes, labels) -> list[int]:
     return indices
 
 
-def _assemble(attributes, columns, labels) -> Dataset:
+def _assemble(attributes, columns, numbers, labels) -> Dataset:
     label_idx = _label_indices(attributes, labels)
     label_set = set(label_idx)
     for i in label_idx:
@@ -384,7 +384,7 @@ def _assemble(attributes, columns, labels) -> Dataset:
     if missing.size:
         row, k = missing[0]
         raise SchemaError(
-            f"example {row}: missing label value for {attributes[label_idx[k]].name!r}"
+            f"line {numbers[row]}: missing label value for {attributes[label_idx[k]].name!r}"
         )
     label_matrix = np.empty(codes.shape, dtype=np.int8)
     for k, i in enumerate(label_idx):
@@ -408,10 +408,10 @@ def load_arff(path, labels, block: DataBlock | None = None) -> Dataset:
     """
     if block is None:
         block = read_arff_block(path)
-    columns = _columns(block)
-    if len(columns[0]) == 0:
+    columns, numbers = _columns(block)
+    if not numbers:
         raise ParseError(f"{path}: no data rows")
-    return _assemble(block.header, columns, labels)
+    return _assemble(block.header, columns, numbers, labels)
 
 
 def _needs_quoting(value: str) -> bool:

@@ -13,19 +13,19 @@ so scoring and solving are separate.  ``solve_heads`` computes heads, by
 the closed form or LU, for the winning candidate and the full-data head;
 a single head (``find_head``) is a batch of one.  ``score_heads`` returns
 only each candidate's optimal objective (and the label of single-label
-heads).  Diagonal statistics and single-label heads are scored by the
-closed form that ``solve_heads`` uses, so both give the same objectives;
-dense all-label candidates are scored as -g'(H + lambda I)^-1 g / 2 by a
-vectorized Cholesky factorization over packed upper triangles, which
-forms no head.  A candidate whose system is singular or whose objective
-is not finite scores +inf on both paths.
+heads).  Diagonal statistics and single-label heads (on the diagonal,
+packed or not) are scored by the closed form that ``solve_heads`` uses,
+so both give the same objectives; dense all-label candidates are scored
+as -g'(H + lambda I)^-1 g / 2 by a vectorized Cholesky factorization over
+packed upper triangles, which forms no head.  A candidate whose system is
+singular or whose objective is not finite scores +inf on both paths.
 
-Statistics are sums of rows of the store's derivative table (gradients,
-then the Hessian diagonal or the packed upper triangle whose layout
-``losses`` defines); a dense Hessian is unpacked only once summed, for
-``find_head``.  The store's ``ScanWorkspace`` lends the buffers that
-statistics gather rows into and that the Cholesky scorer factors in, so a
-training run allocates them once rather than at every scan.
+Statistics are the store's ``row_sums``: sums of rows of its derivative
+table (gradients, then the Hessian diagonal or the packed upper triangle
+whose layout ``losses`` defines); a dense Hessian is unpacked only once
+summed, for ``find_head``.  The store's workspace
+holds the rows that its ``gather`` copies and the Cholesky scorer's
+working array, so a training run allocates them once, not at every scan.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .choices import HEAD_MULTI, HEAD_SINGLE
 from .dataset import Dataset
 from .errors import SolverError
-from .losses import GradHessStore, ScanWorkspace, packed_indices, unpack_hessians
+from .losses import GradHessStore, ScanWorkspace, packed_diagonal, packed_indices, unpack_hessians
 from .rules import Body, Head, body_mask
 
 # A Cholesky pivot below this fraction of its diagonal entry marks a
@@ -76,30 +76,10 @@ class AggregatedStats:
         return cls(gradient, hessian, diagonal, int(count))
 
 
-def column_sums(table_rows: np.ndarray, n_labels: int) -> np.ndarray:
-    """Column sums of rows of a derivative table, its gradient and Hessian parts summed apart.
-
-    numpy sums a lone column pairwise but several columns row by row;
-    summing each part on its own adds in the order that summing separate
-    gradient and Hessian arrays does, at every l.
-    """
-    sums = np.empty(table_rows.shape[1])
-    np.sum(table_rows[:, :n_labels], axis=0, out=sums[:n_labels])
-    np.sum(table_rows[:, n_labels:], axis=0, out=sums[n_labels:])
-    return sums
-
-
 def stats_for_rows(store: GradHessStore, rows) -> AggregatedStats:
-    """Sum the store over an index array (repeated indices count repeatedly).
-
-    The rows' table entries are gathered into the store workspace's
-    ``"rows"`` buffer without a bounds check, so the indices must be valid.
-    """
-    rows = np.asarray(rows)
-    out = store.workspace.array("rows", (rows.shape[0], store.table.shape[1]))
-    gathered = np.take(store.table, rows, axis=0, out=out, mode="clip")
-    return AggregatedStats.from_sums(column_sums(gathered, store.n_labels), store.n_labels,
-                                     store.diagonal, rows.shape[0])
+    """Sum the store over valid row indices (repeated indices count repeatedly)."""
+    return AggregatedStats.from_sums(store.row_sums(rows), store.n_labels, store.diagonal,
+                                     len(rows))
 
 
 def aggregate_stats(store: GradHessStore, body: Body, dataset: Dataset) -> AggregatedStats:
@@ -129,8 +109,8 @@ def _bordered_layout(n_labels: int):
                                            starts[:n_labels])
 
 
-def _cholesky_objectives(gradients: np.ndarray, packed: np.ndarray, l2_weight: float,
-                         workspace: ScanWorkspace | None = None):
+def _cholesky_objectives(gradients: np.ndarray, packed: np.ndarray, l2_weight: float, *,
+                         workspace: ScanWorkspace):
     """-g'(H + l2 I)^-1 g / 2 per candidate, and where a pivot was too small to trust.
 
     Factors the bordered matrix [[H + l2 I, g], [g', 0]] right-looking,
@@ -138,13 +118,11 @@ def _cholesky_objectives(gradients: np.ndarray, packed: np.ndarray, l2_weight: f
     axis last.  After the l pivots of H its corner holds -|L^-1 g|^2, the
     Schur complement -g'(H + l2 I)^-1 g, so no head is ever formed.  The
     matrix, the pivot limits and the rows of the factor live in one
-    working array, the workspace's ``"cholesky"`` buffer (a fresh
-    workspace's when none is given).
+    working array, the workspace's ``"cholesky"`` buffer.
     """
     n_candidates, n_labels = gradients.shape
     starts, hessian_positions, gradient_positions, diagonal_positions = _bordered_layout(n_labels)
     size = starts[-1]
-    workspace = ScanWorkspace() if workspace is None else workspace
     work = workspace.array("cholesky", (size + 3 * n_labels + 1, n_candidates))
     a = work[:size]
     limits = work[size : size + n_labels]
@@ -198,28 +176,27 @@ def _closed_form_heads(g, h_diag, l2_weight, head_mode, fixed_label):
 
 
 def score_heads(gradients, hessians, diagonal: bool, l2_weight: float,
-                head_mode: str, fixed_label: int | None = None,
-                workspace: ScanWorkspace | None = None):
+                head_mode: str, fixed_label: int | None = None, *, workspace: ScanWorkspace):
     """Optimal objective of every candidate, without forming its head.
 
     ``gradients`` is (c, l); ``hessians`` is (c, l) when ``diagonal`` and
     the (c, l(l+1)/2) packed upper triangles (``packed_indices``)
     otherwise.  Returns the (c,) objectives and, for single-label heads,
     the (c,) chosen labels (None for full heads), as ``solve_heads`` does.
-    Single-label heads read only the Hessian diagonal, so they are scored
-    from diagonal statistics; packed dense Hessians are scored as
-    all-label heads.  Those objectives are -g'(H + lambda I)^-1 g / 2, by
-    Cholesky in the workspace; a candidate with a pivot too small to trust
-    is scored by ``solve_heads``.  A candidate without a usable head scores
-    +inf.
+    Single-label heads read only the Hessian diagonal: the statistics'
+    own, or the packed triangles' diagonal columns.  Packed all-label
+    objectives are -g'(H + lambda I)^-1 g / 2, by Cholesky in
+    ``workspace``; a candidate with a pivot too small to trust is scored by
+    ``solve_heads``.  A candidate without a usable head scores +inf.
     """
     g = gradients
     if head_mode not in (HEAD_SINGLE, HEAD_MULTI):
         raise ValueError(f"unknown head mode {head_mode!r}")
-    if diagonal:
-        objectives, _, labels = _closed_form_heads(g, hessians, l2_weight, head_mode, fixed_label)
+    if diagonal or head_mode == HEAD_SINGLE:
+        h_diag = hessians if diagonal else hessians[:, packed_diagonal(g.shape[1])]
+        objectives, _, labels = _closed_form_heads(g, h_diag, l2_weight, head_mode, fixed_label)
         return objectives, labels
-    objectives, weak = _cholesky_objectives(g, hessians, l2_weight, workspace)
+    objectives, weak = _cholesky_objectives(g, hessians, l2_weight, workspace=workspace)
     if weak.any():
         fallback, _, _ = solve_heads(
             g[weak], unpack_hessians(hessians[weak], g.shape[1]), False, l2_weight, HEAD_MULTI

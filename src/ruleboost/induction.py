@@ -27,11 +27,11 @@ in value order.  Each numeric column is sorted once per training run
 (``presort``, with its missing values cut off); a step counts how often
 each row occurs in its sample and repeats every row of the presorted
 order that many times, so it gets the sample in value order in O(n)
-instead of sorting it again.  A scan gathers those rows' table entries
-into the workspace's ``"rows"`` buffer, prefix-sums them in place, takes
-the rows at the thresholds (the <= block) and subtracts them from the
-total (the > block), both into the candidate table: four numpy calls
-that allocate no table-sized array.
+instead of sorting it again.  A scan takes those rows' table entries with
+the store's ``gather``, prefix-sums them in place, takes the rows at the
+thresholds (the <= block) and subtracts them from the total (the >
+block), both into the candidate table: four numpy calls that allocate no
+table-sized array.  A nominal scan sums each value's rows by ``row_sums``.
 
 Single-label rules pick their label freely while the first condition is
 chosen and keep it for every later refinement step; their candidates need
@@ -55,7 +55,6 @@ from .errors import InductionError, SolverError
 from .heads import (
     HEAD_SINGLE,
     AggregatedStats,
-    column_sums,
     find_head,
     objective_value,
     score_heads,
@@ -118,12 +117,12 @@ def _midpoints(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.where(mid < upper, mid, lower)
 
 
-def _numeric_candidates(column, order, counts, table, workspace, out):
+def _numeric_candidates(column, order, counts, store, out):
     """Thresholds between adjacent distinct values of the sample: a <= block, then a > block.
 
     ``order`` is the column's presorted order and ``counts`` the number of
     times each row occurs in the sample.  The prefix sums are built in the
-    workspace's ``"rows"`` buffer and the blocks at the start of ``out``.
+    store's ``gather`` buffer and the blocks at the start of ``out``.
     Returns the number of candidates, the function giving candidate j's
     (operator, threshold) and the size of the <= block.
     """
@@ -133,9 +132,7 @@ def _numeric_candidates(column, order, counts, table, workspace, out):
     if boundary.size == 0:
         return 0, None, 0
     n_thresholds = boundary.size
-    # The presorted order holds valid rows, so no index needs a bounds check.
-    prefix = np.take(table, sorted_rows, axis=0, mode="clip",
-                     out=workspace.array("rows", (sorted_rows.size, table.shape[1])))
+    prefix = store.gather(sorted_rows)  # the presorted order holds valid rows
     np.cumsum(prefix, axis=0, out=prefix)
     np.take(prefix, boundary, axis=0, out=out[:n_thresholds], mode="clip")
     np.subtract(prefix[-1], out[:n_thresholds], out=out[n_thresholds:2 * n_thresholds])
@@ -148,21 +145,19 @@ def _numeric_candidates(column, order, counts, table, workspace, out):
     return 2 * n_thresholds, condition, n_thresholds
 
 
-def _nominal_candidates(attr, column, rows, table, n_labels, out):
+def _nominal_candidates(attr, column, rows, store, out):
     """== and != of every value occurring in the sample, at the start of ``out``, in
     tie-break order; returns what ``_numeric_candidates`` returns, with no <= block."""
     codes = column[rows]
     present = codes != MISSING_CODE
-    rows_present = rows[present]
-    codes_present = codes[present]
-    total = column_sums(table[rows_present], n_labels)
-
+    rows_present, codes_present = rows[present], codes[present]
+    total = store.row_sums(rows_present)
     conditions: list[tuple] = []
     for code in np.unique(codes_present):
         match = codes_present == code
         count_eq = int(match.sum())
         value = attr.values[int(code)]
-        equal = column_sums(table[rows_present[match]], n_labels)
+        equal = store.row_sums(rows_present[match])
         # A condition covering none or all of the current rows cannot be a
         # strict improvement, so it is not worth scoring.
         if count_eq < rows.shape[0]:
@@ -204,18 +199,17 @@ def _best_refinement(dataset, orders, rows, store, attributes, l2_weight, head_m
             attr, column = dataset.schema[attribute_index], dataset.columns[attribute_index]
             if attr.is_numeric:
                 count, condition, split = _numeric_candidates(
-                    column, orders[attribute_index], counts, store.table, store.workspace,
-                    candidates[filled:])
+                    column, orders[attribute_index], counts, store, candidates[filled:])
             else:
                 count, condition, split = _nominal_candidates(
-                    attr, column, rows, store.table, n_labels, candidates[filled:])
+                    attr, column, rows, store, candidates[filled:])
             scans.append((filled, split, attribute_index, condition))
             filled += count
         if not filled:
             continue
-        objectives, labels = score_heads(candidates[:filled, :n_labels],
-                                         candidates[:filled, n_labels:], store.diagonal,
-                                         l2_weight, head_mode, fixed_label, store.workspace)
+        objectives, labels = score_heads(
+            candidates[:filled, :n_labels], candidates[:filled, n_labels:], store.diagonal,
+            l2_weight, head_mode, fixed_label, workspace=store.workspace)
         j = int(np.argmin(objectives))  # the first minimum in table order, or a NaN
         offset, split, attribute_index, condition = next(s for s in reversed(scans) if s[0] <= j)
         if j - offset < split:  # a lower threshold's > candidate may tie and come first

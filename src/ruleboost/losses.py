@@ -21,8 +21,9 @@ rows of a batch in one pass, and ``gradient_batch`` and ``hessian_batch``
 are its two parts (a dense Hessian unpacked by ``unpack_hessians``).
 The store owns the training run's working memory, a ``ScanWorkspace``.
 After each rule the covered rows' labels, scores and new table rows are
-written into its buffers, then scattered into the table; refinement
-gathers and scans rows in the same workspace.
+written into its buffers, then scattered into the table.  Statistics read
+the table only through the store: ``gather`` copies rows into the
+workspace and ``row_sums`` sums them.
 """
 
 from __future__ import annotations
@@ -79,6 +80,12 @@ def packed_indices(n_labels: int) -> tuple[np.ndarray, np.ndarray]:
     for array in indices:
         array.setflags(write=False)
     return indices
+
+
+def packed_diagonal(n_labels: int) -> np.ndarray:
+    """Where the l diagonal entries lie among the l(l+1)/2 packed ones."""
+    rows, columns = packed_indices(n_labels)
+    return np.flatnonzero(rows == columns)
 
 
 def unpack_hessians(packed: np.ndarray, n_labels: int) -> np.ndarray:
@@ -243,14 +250,13 @@ class GradHessStore:
     then its Hessian diagonal when ``diagonal`` (the loss decomposes,
     w = 2l) or its packed upper triangle otherwise (w = l + l(l+1)/2).
     ``gradients`` and ``hessians`` are views of the two parts.
-    ``workspace`` holds the buffers of ``recompute`` and of refinement.
+    ``workspace`` (a new one by default) holds the buffers of the store and of refinement.
     """
 
     table: np.ndarray
     n_labels: int
     diagonal: bool
-    workspace: ScanWorkspace = field(default_factory=ScanWorkspace, init=False, repr=False,
-                                     compare=False)
+    workspace: ScanWorkspace = field(default_factory=ScanWorkspace, repr=False, compare=False)
 
     @property
     def n_examples(self) -> int:
@@ -263,6 +269,27 @@ class GradHessStore:
     @property
     def hessians(self) -> np.ndarray:
         return self.table[:, self.n_labels :]
+
+    def gather(self, rows) -> np.ndarray:
+        """The table rows at ``rows`` in the workspace's ``"rows"`` buffer, until the next gather.
+
+        No index is bounds-checked, so every one must be valid.
+        """
+        return np.take(self.table, rows, axis=0, mode="clip",
+                       out=self.workspace.array("rows", (len(rows), self.table.shape[1])))
+
+    def row_sums(self, rows) -> np.ndarray:
+        """Column sums of the table rows at ``rows``; a repeated row counts repeatedly.
+
+        The gradient and Hessian parts are summed apart: numpy sums a lone
+        column pairwise but several row by row, so this adds as summing
+        separate gradient and Hessian arrays does, at every l.
+        """
+        gathered = self.gather(rows)
+        sums = np.empty(gathered.shape[1])
+        np.sum(gathered[:, : self.n_labels], axis=0, out=sums[: self.n_labels])
+        np.sum(gathered[:, self.n_labels :], axis=0, out=sums[self.n_labels :])
+        return sums
 
     def recompute(self, loss, labels: np.ndarray, scores: np.ndarray, rows=None):
         """Refresh gradients/Hessians of the given rows (all rows if None) at the given scores.
@@ -281,14 +308,11 @@ class GradHessStore:
 
     def diagonal_store(self) -> GradHessStore:
         """The gradients and Hessian diagonal of a packed store, copied into its workspace."""
-        rows, columns = packed_indices(self.n_labels)
         keep = np.concatenate([np.arange(self.n_labels),
-                               self.n_labels + np.flatnonzero(rows == columns)])
+                               self.n_labels + packed_diagonal(self.n_labels)])
         table = np.take(self.table, keep, axis=1, mode="clip", out=self.workspace.array(
             "diagonal", (self.n_examples, 2 * self.n_labels)))
-        view = GradHessStore(table, self.n_labels, diagonal=True)
-        view.workspace = self.workspace
-        return view
+        return GradHessStore(table, self.n_labels, True, self.workspace)
 
 
 def init_store(loss, dataset: Dataset) -> GradHessStore:

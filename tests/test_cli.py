@@ -88,6 +88,21 @@ class TestTrainPredictEvaluate:
         assert len(lines) == 201
         assert set("".join(lines[1:]).replace(",", "")) <= {"0", "1"}
 
+    def test_labels_given_by_name(self, synth_dir, model_path, tmp_path):
+        names = "label1, label2,label3"
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(synth_dir / "train.arff"), "--labels", names,
+                     "--loss", "label-wise-logistic", "--head", "single", "--rules", "25",
+                     "--shrinkage", "0.3", "--seed", "7", "--model", str(model)]) == 0
+        assert model.read_bytes() == model_path.read_bytes()
+        written = []
+        for labels in ("3", names):
+            out = tmp_path / f"predictions{len(written)}.csv"
+            assert main(["predict", "--data", str(synth_dir / "test.arff"), "--labels", labels,
+                         "--model", str(model), "--output", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_evaluate_reports_metrics(self, synth_dir, model_path, tmp_path, capsys):
         report = tmp_path / "metrics.json"
         code = main(
@@ -760,7 +775,7 @@ class TestParallelPredict:
         ({160: _cell(3, "2")},
          "line 170: value '2' is not in the domain of attribute 'label2'"),
         ({170: _short_row}, "line 180: row has 4 values, expected 5"),
-        ({180: _cell(2, "?")}, "example 180: missing label value for 'label1'"),
+        ({180: _cell(2, "?")}, "line 190: missing label value for 'label1'"),
         ({20: _cell(1, "x"), 150: _cell(0, "abc")},
          "line 30: expected a number for attribute 'x2', got 'x'"),
         ({30: _short_row, 110: _cell(4, "?")}, "line 40: row has 4 values, expected 5"),

@@ -167,8 +167,34 @@ class TestLoadArffErrors:
         with pytest.raises(SchemaError, match="^label 'label1' is named twice$"):
             load_arff(path, ["label1", "label1"])
 
+    @pytest.mark.parametrize("row,message", [
+        ("{0 1,,1 0}", "empty entry in sparse row"),
+        ("{0}", "sparse entry '0' needs an index and a value"),
+        ("{5 1}", "sparse index 5 out of range"),
+    ], ids=["empty-entry", "no-value", "index-out-of-range"])
+    def test_bad_sparse_entry_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "sparse.arff"
+        path.write_text(SPARSE_ARFF + row + "\n")
+        with pytest.raises(ParseError, match=f"^line 11: {re.escape(message)}$"):
+            load_arff(path, 1)
+
+    def test_data_before_any_attribute(self, tmp_path):
+        path = tmp_path / "bad.arff"
+        path.write_text("@relation r\n@data\n1\n")
+        with pytest.raises(ParseError, match="^line 2: @data before any @attribute$"):
+            load_arff(path, 1)
+
 
 class TestArffRoundTrip:
+    def test_a_quote_in_a_nominal_value_cannot_be_written(self, tmp_path):
+        path = tmp_path / "toy.arff"
+        path.write_text(DENSE_ARFF.replace("green", '"it\'s"'))
+        dataset = load_arff(path, 1)
+        assert "it's" in dataset.schema[1].values
+        with pytest.raises(SchemaError,
+                           match='^nominal value "it\'s" contains a quote; cannot write ARFF$'):
+            save_arff(dataset, tmp_path / "out.arff")
+
     def test_save_and_reload_identical(self, tmp_path, rng):
         from conftest import random_dataset
 

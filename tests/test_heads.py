@@ -20,6 +20,7 @@ from ruleboost.heads import (
 )
 from ruleboost.losses import (
     ExampleWiseLogisticLoss,
+    ScanWorkspace,
     init_store,
     make_loss,
     packed_indices,
@@ -266,7 +267,8 @@ class TestScoreHeads:
     def test_cholesky_matches_lu(self, rng, l2):
         for n_labels in range(1, 81):
             g, packed, full = random_spd_batch(rng, 5, n_labels)
-            scored, labels = score_heads(g, packed, False, l2, HEAD_MULTI)
+            scored, labels = score_heads(g, packed, False, l2, HEAD_MULTI,
+                                         workspace=ScanWorkspace())
             solved, _, _ = solve_heads(g, full, False, l2, HEAD_MULTI)
             assert labels is None
             np.testing.assert_allclose(scored, solved, rtol=1e-12, atol=0)
@@ -276,22 +278,45 @@ class TestScoreHeads:
         g = rng.uniform(-2.0, 2.0, size=(200, 4))
         h = rng.uniform(0.05, 3.0, size=(200, 4))
         for l2 in (0.0, 0.25, 1.0):
-            scored, labels = score_heads(g, h, True, l2, head_mode)
+            scored, labels = score_heads(g, h, True, l2, head_mode, workspace=ScanWorkspace())
             solved, _, solved_labels = solve_heads(g, h, True, l2, head_mode)
             np.testing.assert_array_equal(scored, solved)
             np.testing.assert_array_equal(labels, solved_labels)
+
+    @pytest.mark.parametrize("fixed_label", [None, 2])
+    def test_single_label_heads_on_packed_statistics_read_the_diagonal(self, rng, fixed_label):
+        g, packed, full = random_spd_batch(rng, 200, 4)
+        # A Hessian diagonal entry of 0 leaves label 1 of candidate 0 without
+        # a head at l2 = 0.
+        full[0, 1, 1] = packed[0, 4] = 0.0
+        diagonal = full.diagonal(axis1=1, axis2=2)
+        for l2 in (0.0, 0.25, 1.0):
+            scored, labels = score_heads(g, packed, False, l2, HEAD_SINGLE, fixed_label,
+                                         workspace=ScanWorkspace())
+            expected, expected_labels = score_heads(g, diagonal, True, l2, HEAD_SINGLE,
+                                                    fixed_label, workspace=ScanWorkspace())
+            solved, _, solved_labels = solve_heads(g, full, False, l2, HEAD_SINGLE, fixed_label)
+            np.testing.assert_array_equal(scored, expected)
+            np.testing.assert_array_equal(labels, expected_labels)
+            np.testing.assert_array_equal(scored, solved)
+            np.testing.assert_array_equal(labels, solved_labels)
+        if fixed_label is None:
+            assert len(set(labels.tolist())) > 1
+        else:
+            assert (labels == fixed_label).all()
 
     def test_zero_pivot_scores_inf(self):
         # A zero pivot means a singular system, which has no head.
         g = np.array([[1.0, -1.0], [1.0, -1.0], [0.5, 0.5]])
         full = np.array([np.ones((2, 2)), np.zeros((2, 2)), np.eye(2)])
         rows, columns = packed_indices(2)
-        scored, _ = score_heads(g, full[:, rows, columns], False, 0.0, HEAD_MULTI)
+        scored, _ = score_heads(g, full[:, rows, columns], False, 0.0, HEAD_MULTI,
+                                workspace=ScanWorkspace())
         assert scored[0] == np.inf
         assert scored[1] == np.inf
         assert scored[2] == pytest.approx(-0.25)
         diagonal, _ = score_heads(g[:, :1], np.array([[1.0], [0.0], [-1e-300]]), True, 0.0,
-                                  HEAD_MULTI)
+                                  HEAD_MULTI, workspace=ScanWorkspace())
         assert diagonal[0] == pytest.approx(-0.5)
         assert diagonal[1] == diagonal[2] == np.inf
 
@@ -302,7 +327,8 @@ class TestScoreHeads:
         nearly_singular = 1e-170 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
         full = np.array([nearly_singular, np.eye(2)])
         rows, columns = packed_indices(2)
-        scored, _ = score_heads(np.array([g, g]), full[:, rows, columns], False, 0.0, HEAD_MULTI)
+        scored, _ = score_heads(np.array([g, g]), full[:, rows, columns], False, 0.0, HEAD_MULTI,
+                                workspace=ScanWorkspace())
         solved, _, _ = solve_heads(np.array([g, g]), full, False, 0.0, HEAD_MULTI)
         assert scored[0] == solved[0] == np.inf
         assert scored[1] == pytest.approx(-0.5 * (g @ g))
@@ -315,10 +341,11 @@ class TestScoreHeads:
         nearly_singular[:2, :2] = [[1.0, 1.0], [1.0, 1.0 + 1e-10]]
         packed[7] = nearly_singular[packed_indices(5)]
         for l2 in (0.0, 1.0):
-            batch, _ = score_heads(g, packed, False, l2, HEAD_MULTI)
+            batch, _ = score_heads(g, packed, False, l2, HEAD_MULTI, workspace=ScanWorkspace())
             assert np.isfinite(batch).all()
             for i in range(len(g)):
-                alone, _ = score_heads(g[i:i + 1], packed[i:i + 1], False, l2, HEAD_MULTI)
+                alone, _ = score_heads(g[i:i + 1], packed[i:i + 1], False, l2, HEAD_MULTI,
+                                       workspace=ScanWorkspace())
                 assert alone[0] == batch[i]
         # A refinement step's table mixes attributes, so one batch can hold
         # regular, weak-pivot and singular candidates at once; the LU
@@ -329,15 +356,17 @@ class TestScoreHeads:
         singular = np.eye(5)
         singular[:2, :2] = 1.0
         mixed[[5, 19]] = singular[packed_indices(5)]
-        batch, _ = score_heads(g, mixed, False, 0.0, HEAD_MULTI)
+        batch, _ = score_heads(g, mixed, False, 0.0, HEAD_MULTI, workspace=ScanWorkspace())
         assert np.isfinite(np.delete(batch, [5, 19])).all()
         assert batch[5] == batch[19] == np.inf
         for i in range(len(g)):
-            alone, _ = score_heads(g[i:i + 1], mixed[i:i + 1], False, 0.0, HEAD_MULTI)
+            alone, _ = score_heads(g[i:i + 1], mixed[i:i + 1], False, 0.0, HEAD_MULTI,
+                                   workspace=ScanWorkspace())
             assert alone[0] == batch[i]
         diagonal = np.abs(packed[:, :5])
         for head_mode in (HEAD_SINGLE, HEAD_MULTI):
-            batch, _ = score_heads(g, diagonal, True, 0.5, head_mode)
+            batch, _ = score_heads(g, diagonal, True, 0.5, head_mode, workspace=ScanWorkspace())
             for i in range(len(g)):
-                alone, _ = score_heads(g[i:i + 1], diagonal[i:i + 1], True, 0.5, head_mode)
+                alone, _ = score_heads(g[i:i + 1], diagonal[i:i + 1], True, 0.5, head_mode,
+                                       workspace=ScanWorkspace())
                 assert alone[0] == batch[i]

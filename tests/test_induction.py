@@ -34,7 +34,6 @@ from ruleboost.induction import (
 )
 from ruleboost.losses import (
     GradHessStore,
-    ScanWorkspace,
     init_store,
     make_loss,
     packed_indices,
@@ -215,10 +214,9 @@ def attribute_scan(dataset, attribute_index, rows, store, orders=None):
     if attr.is_numeric:
         orders = presort(dataset) if orders is None else orders
         scan = _numeric_candidates(column, orders[attribute_index],
-                                   np.bincount(rows, minlength=dataset.n_examples), store.table,
-                                   ScanWorkspace(), sums)
+                                   np.bincount(rows, minlength=dataset.n_examples), store, sums)
     else:
-        scan = _nominal_candidates(attr, column, rows, store.table, store.n_labels, sums)
+        scan = _nominal_candidates(attr, column, rows, store, sums)
     return in_tie_break_order(scan, sums, store.n_labels) if scan[0] else None
 
 
@@ -676,6 +674,12 @@ class TestRefineRule:
         store = init_store(make_loss("label-wise-logistic"), dataset)
         with pytest.raises(InductionError):
             refine_rule(dataset, store, _context([], "multi"))
+
+    def test_a_sample_index_equal_to_n_raises(self, rng):
+        dataset = random_dataset(rng, 5, n_numeric=1)
+        store = init_store(make_loss("label-wise-logistic"), dataset)
+        with pytest.raises(InductionError, match="^sample indices outside the dataset$"):
+            refine_rule(dataset, store, _context([0, 4, 5], "multi"))
 
     @pytest.mark.parametrize("diagonal,head_mode", [
         (False, "multi"), (False, "single"), (True, "multi"), (True, "single"),

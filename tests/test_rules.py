@@ -23,6 +23,7 @@ from ruleboost.rules import (
     Rule,
     add_head,
     body_mask,
+    check_schema,
     condition_mask,
     ensemble_scores,
     staged_scores,
@@ -270,6 +271,23 @@ class TestDatasetValidation:
     def test_empty_nominal_domain_rejected(self):
         with pytest.raises(SchemaError):
             Attribute("a", NOMINAL, ())
+
+    def test_unknown_attribute_kind_rejected(self):
+        with pytest.raises(SchemaError, match="^unknown attribute kind 'string'$"):
+            Attribute("a", "string")
+
+    def test_numeric_attribute_with_values_rejected(self):
+        with pytest.raises(SchemaError, match="^numeric attribute 'a' must not declare values$"):
+            Attribute("a", NUMERIC, ("x",))
+
+    def test_an_extra_data_attribute_is_a_mismatch(self):
+        ensemble = train(make_dataset((0.5, "a"), (1.5, "b")), TrainConfig(n_rules=1))
+        wider = AttributeSchema(SCHEMA.attributes + (Attribute("c", NUMERIC),))
+        dataset = dataset_from_rows(wider, [(0.5, "a", 1.0)], np.ones((1, 1)), ["l0"])
+        with pytest.raises(SchemaError, match=(
+                "^the data does not match the model's attributes: "
+                "the model has 2 attributes, the data 3$")):
+            check_schema(ensemble, dataset)
 
     def test_column_count_checked(self):
         with pytest.raises(SchemaError, match="column count"):

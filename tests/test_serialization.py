@@ -130,6 +130,16 @@ class TestMalformedDocuments:
         with pytest.raises(UnsupportedVersionError):
             loads(json.dumps(document))
 
+    def test_a_document_that_is_not_an_object(self):
+        with pytest.raises(ParseError, match="^model document is not an object$"):
+            loads("[]")
+
+    def test_a_document_without_rules(self, rng):
+        document = ensemble_to_dict(random_ensemble(rng))
+        document["rules"] = []
+        with pytest.raises(ParseError, match="^invalid model: an ensemble needs at least one rule$"):
+            loads(json.dumps(document))
+
     def test_missing_required_field(self, rng):
         document = ensemble_to_dict(random_ensemble(rng))
         del document["rules"]

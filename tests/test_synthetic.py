@@ -33,6 +33,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, not {value!r}$"):
             SyntheticConfig("marginal_independence", **{field: value})
 
+    def test_no_labels_rejected(self):
+        with pytest.raises(ConfigError, match="^n_examples and n_labels must be positive$"):
+            SyntheticConfig("marginal_independence", n_labels=0)
+
+    def test_negative_spread_rejected(self):
+        with pytest.raises(ConfigError, match="^boundary_angle_spread must be nonnegative$"):
+            SyntheticConfig("marginal_dependence", boundary_angle_spread=-0.1)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="^seed must be nonnegative$"):
             SyntheticConfig("marginal_independence", seed=-1)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema
+from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema, Dataset
 from ruleboost.errors import ConfigError
 from ruleboost.losses import make_loss
 from ruleboost.rules import ensemble_scores
@@ -65,6 +65,17 @@ class TestConfigValidation:
         dataset = random_dataset(rng, 10, n_numeric=1)
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, not {value!r}$"):
             train(dataset, TrainConfig(**{field: value}))
+
+    def test_an_empty_dataset_is_rejected(self):
+        dataset = _single_label_dataset(np.ones(0))
+        with pytest.raises(ConfigError, match="^cannot train on an empty dataset$"):
+            train(dataset, TrainConfig(n_rules=2))
+
+    def test_a_dataset_without_labels_is_rejected(self, rng):
+        dataset = random_dataset(rng, 10, n_numeric=1)
+        unlabelled = Dataset(dataset.schema, dataset.columns, np.ones((10, 0), dtype=np.int8), [])
+        with pytest.raises(ConfigError, match="^dataset has no labels$"):
+            train(unlabelled, TrainConfig(n_rules=2))
 
     def test_numpy_integers_are_integers(self, rng):
         dataset = random_dataset(rng, 10, n_numeric=1)

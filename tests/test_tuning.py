@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,10 @@ class TestSplit:
     def test_fraction_validated(self, dataset):
         with pytest.raises(ConfigError):
             train_validation_split(dataset, 1.5, seed=1)
+
+    def test_one_row_cannot_be_split(self, dataset):
+        with pytest.raises(ConfigError, match="^dataset too small to split$"):
+            train_validation_split(dataset.subset([0]), 0.5, seed=1)
 
 
 class TestSelection:
@@ -122,6 +127,15 @@ class TestSelection:
     def test_empty_grid_rejected(self, dataset):
         with pytest.raises(ConfigError):
             grid_search(dataset, GridSearchConfig(shrinkages=()))
+
+    @pytest.mark.parametrize("setting,message", [
+        ({"validation_fraction": 1.0}, "validation_fraction must be in (0, 1)"),
+        ({"metric": "f1"}, "unknown metric 'f1'; expected one of ['hamming', 'subset01']"),
+        ({"rule_counts": (2, 0)}, "rule counts must be >= 1"),
+    ], ids=["fraction", "metric", "rule-count"])
+    def test_bad_grid_setting_names_it(self, dataset, setting, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            grid_search(dataset, GridSearchConfig(**setting))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field,wrap", [
