@@ -21,9 +21,10 @@ whole block or a share of it (``DataBlock.split``), as one flat list of
 cells, row after row.  A block whose every line is plain (see
 ``_plain``) is split in one pass; any other has every row read by the
 ARFF line tokenizer or one csv reader, whose record may span lines.
-The columns are then converted one at a time.  A bad cell is reported
-with its line in the file: in ARFF the earliest first, in CSV a row of
-the wrong width, then the columns in header order.
+The columns are then converted one at a time.  An error about a line
+carries it as ``line`` and its message starts with it.  In ARFF the
+earliest bad line is reported, in CSV a row of the wrong width, then the
+columns in header order.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from itertools import repeat
 import numpy as np
 
 from .dataset import MISSING_CODE, NOMINAL, NUMERIC, Attribute, AttributeSchema, Dataset
-from .errors import ParseError, SchemaError, read_text
+from .errors import ParseError, RuleBoostError, SchemaError, read_text
 
 _NUMERIC_TYPES = {"numeric", "real", "integer"}
 
@@ -105,15 +106,6 @@ def _parse_attribute(rest: str, line: int) -> Attribute:
     )
 
 
-class _CellError(Exception):
-    """A cell that does not convert, with its row so that the earliest is reported."""
-
-    def __init__(self, row: int, error: Exception):
-        super().__init__(row, error)
-        self.row = row
-        self.error = error
-
-
 # Stands for an entry a sparse row leaves out of a nominal column, which is
 # the first value of its domain, even where that value is '?'.
 _SPARSE_DEFAULT = object()
@@ -125,6 +117,7 @@ def _sparse_tokens(text: str, defaults: list, line: int) -> list:
     row = list(defaults)
     if not body:
         return row
+    last = -1
     for chunk in _split_csv_like(body, line):
         chunk = chunk.strip()
         if not chunk:
@@ -138,7 +131,10 @@ def _sparse_tokens(text: str, defaults: list, line: int) -> list:
             raise ParseError(f"invalid sparse index {pieces[0]!r}", line=line) from None
         if not 0 <= index < len(defaults):
             raise ParseError(f"sparse index {index} out of range", line=line)
+        if index <= last:
+            raise ParseError(f"sparse index {index} follows {last}; indices must ascend", line=line)
         row[index] = pieces[1]
+        last = index
     return row
 
 
@@ -277,8 +273,8 @@ def _floats(cells, token_of, missing, error) -> np.ndarray:
 
 
 def _numeric_column(attr: Attribute, cells, numbers) -> np.ndarray:
-    return _floats(cells, _unquote, ("?",), lambda i, token: _CellError(i, ParseError(
-        f"expected a number for attribute {attr.name!r}, got {token!r}", line=numbers[i])))
+    return _floats(cells, _unquote, ("?",), lambda i, token: ParseError(
+        f"expected a number for attribute {attr.name!r}, got {token!r}", line=numbers[i]))
 
 
 class _Codes(dict):
@@ -305,9 +301,9 @@ def _nominal_column(attr: Attribute, cells, numbers) -> np.ndarray:
     known = {_SPARSE_DEFAULT: code_of[attr.values[0]]}
     code_of.setdefault("?", MISSING_CODE)
     codes = _Codes(lambda token: MISSING_CODE if token == "?" else code_of[_unquote(token)], known)
-    return codes.column(cells, lambda i: _CellError(i, SchemaError(
-        f"line {numbers[i]}: value {_unquote(cells[i])!r} is not in the domain "
-        f"of attribute {attr.name!r}")))
+    return codes.column(cells, lambda i: SchemaError(
+        f"value {_unquote(cells[i])!r} is not in the domain of attribute {attr.name!r}",
+        line=numbers[i]))
 
 
 def read_arff_block(path) -> DataBlock:
@@ -342,8 +338,8 @@ def _columns(block: DataBlock) -> tuple[list[np.ndarray], list[int]]:
         convert = _numeric_column if attr.is_numeric else _nominal_column
         try:
             columns.append(convert(attr, cells[j::width], numbers))
-        except _CellError as bad:
-            cell_errors.append((bad.row, j, bad.error))
+        except RuleBoostError as error:
+            cell_errors.append((error.line, j, error))
     if cell_errors:
         raise min(cell_errors)[2]
     if row_error is not None:
@@ -383,9 +379,8 @@ def _assemble(attributes, columns, numbers, labels) -> Dataset:
     missing = np.argwhere(codes == MISSING_CODE)
     if missing.size:
         row, k = missing[0]
-        raise SchemaError(
-            f"line {numbers[row]}: missing label value for {attributes[label_idx[k]].name!r}"
-        )
+        raise SchemaError(f"missing label value for {attributes[label_idx[k]].name!r}",
+                          line=numbers[row])
     label_matrix = np.empty(codes.shape, dtype=np.int8)
     for k, i in enumerate(label_idx):
         sign = np.array([1 if v == "1" else -1 for v in attributes[i].values], dtype=np.int8)
@@ -519,6 +514,6 @@ def load_csv(path, labels, block: DataBlock | None = None) -> Dataset:
         column = cells[header.index(name)::width]
         signs = _Codes({"0": -1, "1": 1}.__getitem__)
         label_matrix[:, k] = signs.column(column, lambda i: SchemaError(
-            f"line {numbers[i]}: label {name!r} has value {column[i].strip()!r}, expected 0 or 1"
+            f"label {name!r} has value {column[i].strip()!r}, expected 0 or 1", line=numbers[i]
         ), np.int8)
     return Dataset(schema, [column for _, column in features], label_matrix, label_names)

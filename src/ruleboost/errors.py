@@ -1,11 +1,21 @@
-"""Exception types shared across the package, the number checks of configs, and text reading."""
+"""Exception types shared across the package, the number checks of configs, and text reading.
+
+A ``RuleBoostError`` about a line of a file carries that ``line``.  A config
+checks its fields when it is built, so a config that exists is valid.
+"""
 
 import math
 from numbers import Integral
 
 
 class RuleBoostError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``line`` starts the message."""
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 class SchemaError(RuleBoostError):
@@ -53,16 +63,7 @@ class InductionError(RuleBoostError):
 
 
 class ParseError(RuleBoostError):
-    """A file could not be parsed.
-
-    Carries an optional 1-based line number for actionable messages.
-    """
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """A file could not be parsed."""
 
 
 class UnsupportedVersionError(ParseError):

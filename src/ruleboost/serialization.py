@@ -234,6 +234,8 @@ def loads(text: str) -> Ensemble:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid model document: {exc.msg}", line=exc.lineno) from None
+    except RecursionError:
+        raise ParseError("invalid model document: nested too deeply") from None
     return ensemble_from_dict(document)
 
 

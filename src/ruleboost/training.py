@@ -12,6 +12,9 @@ draw of round t and the feature-subset draws of round t come from
 generators seeded by (seed, purpose, t).  Toggling one kind of sampling
 therefore never shifts the other, and a training prefix of length t is
 bit-identical to a fresh run with t rules.
+
+A ``TrainConfig`` checks its settings when it is built (and so when
+``dataclasses.replace`` derives one), so training checks only its data.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class TrainConfig:
     feature_sampling: bool = True
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         check_integer(self, "n_rules", "seed")
         check_finite(self, "shrinkage", "l2_weight")
         if self.loss not in LOSSES:
@@ -85,7 +88,6 @@ class TrainDiagnostics:
 
 
 def train_with_diagnostics(dataset: Dataset, config: TrainConfig) -> tuple[Ensemble, TrainDiagnostics]:
-    config.validate()
     if dataset.n_examples == 0:
         raise ConfigError("cannot train on an empty dataset")
     if dataset.n_labels < 1:

@@ -8,7 +8,9 @@ checkpoints is exact.  ``checkpoint_points`` scores them in one walk.
 
 The variants are independent, separately seeded runs, trained through
 ``workers.map_configs`` longest first (see ``_expected_cost``); every
-series is bit-identical to serial training.
+series is bit-identical to serial training.  Each variant's
+``TrainConfig`` checks its settings as it is built, before any trains or
+forks.
 """
 
 from __future__ import annotations
@@ -72,19 +74,9 @@ def run_trajectory(
     if not checkpoints or not variants:
         return {}
 
-    configs = [
-        TrainConfig(
-            loss=variant.loss,
-            n_rules=max(checkpoints),
-            shrinkage=shrinkage,
-            l2_weight=l2_weight,
-            head_mode=variant.head_mode,
-            seed=seed,
-        )
-        for variant in variants
-    ]
-    for config in configs:  # before any variant trains or forks
-        config.validate()
+    configs = [TrainConfig(loss=variant.loss, n_rules=max(checkpoints), shrinkage=shrinkage,
+                           l2_weight=l2_weight, head_mode=variant.head_mode, seed=seed)
+               for variant in variants]
     work = partial(_variant_points, train_data=train_data, test_data=test_data,
                    checkpoints=checkpoints)
     all_points = map_configs(work, configs, cost=_expected_cost)

@@ -4,8 +4,10 @@ Tuning is a trajectory over grid cells: one training run per (shrinkage,
 l2) cell at the largest rule count gives every smaller count exactly, as
 in ``trajectory``, and the cells go through the same worker map,
 ``workers.map_configs``, in grid order.
-Every cell's settings are checked before any cell trains; a cell that
-then raises a RuleBoostError is recorded and does not abort the sweep.
+A ``GridSearchConfig`` builds every cell's ``TrainConfig`` when it is
+built, so each cell's settings are checked before any cell trains or
+forks; a cell that then raises a RuleBoostError is recorded and does not
+abort the sweep.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ class GridSearchConfig:
     metric: str = "subset01"
     seed: int = 0
 
-    def validate(self):
-        """Check the grids, then each cell's settings (loss, head mode, seed) as training does."""
+    def __post_init__(self):
+        """Check the grids, then build each cell, which checks its loss, head mode and seed."""
         check_integer(self, "rule_counts")
         check_finite(self, "shrinkages", "l2_weights", "validation_fraction")
         if not self.shrinkages or not self.l2_weights or not self.rule_counts:
@@ -48,14 +50,12 @@ class GridSearchConfig:
             raise ConfigError(f"unknown metric {self.metric!r}; expected one of {sorted(METRICS)}")
         if any(t < 1 for t in self.rule_counts):
             raise ConfigError("rule counts must be >= 1")
-        for cell in self.cells():
-            cell.validate()
+        self.cells()
 
     def cells(self) -> list[TrainConfig]:
         """One ``TrainConfig`` per (shrinkage, l2) cell in grid order, to the largest rule count."""
-        base = TrainConfig(loss=self.loss, n_rules=max(self.rule_counts),
-                           head_mode=self.head_mode, seed=self.seed)
-        return [replace(base, shrinkage=shrinkage, l2_weight=l2_weight)
+        return [TrainConfig(loss=self.loss, n_rules=max(self.rule_counts), shrinkage=shrinkage,
+                            l2_weight=l2_weight, head_mode=self.head_mode, seed=self.seed)
                 for shrinkage in self.shrinkages for l2_weight in self.l2_weights]
 
 
@@ -104,7 +104,6 @@ def _select_best(cells: list[GridCell]) -> GridCell:
 
 
 def grid_search(dataset: Dataset, config: GridSearchConfig) -> tuple[TrainConfig, GridSearchReport]:
-    config.validate()
     train_split, val_split = train_validation_split(
         dataset, config.validation_fraction, config.seed
     )

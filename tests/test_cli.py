@@ -500,6 +500,27 @@ class TestErrorPaths:
             f"error: line 3: field larger than field limit ({csv.field_size_limit()})"]
         assert not (tmp_path / "m.json").exists()
 
+    def test_a_deeply_nested_model_exits_1_with_one_error_line(self, synth_dir, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        result = _run_cli("predict", "--data", synth_dir / "test.arff", "--labels", "3",
+                          "--model", deep)
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr.decode().splitlines() == [
+            "error: invalid model document: nested too deeply"]
+
+    def test_a_bad_cell_is_reported_before_a_bad_setting(self, tmp_path, capsys):
+        """The data file is read before the settings are checked."""
+        data = tmp_path / "bad.arff"
+        data.write_text("@relation r\n@attribute x numeric\n@attribute l {0,1}\n@data\n"
+                        "1,0\nabc,1\n")
+        assert main(["train", "--data", str(data), "--labels", "1", "--rules", "0",
+                     "--model", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 6: expected a number for attribute 'x', got 'abc'\n")
+        assert not (tmp_path / "m.json").exists()
+
     def test_a_model_with_empty_label_vectors_names_the_field(self, synth_dir, model_path,
                                                               tmp_path, capsys):
         document = json.loads(model_path.read_text())

@@ -127,6 +127,19 @@ class TestLoadArffErrors:
         with pytest.raises(SchemaError):
             load_arff(path, 1)
 
+    @pytest.mark.parametrize("text,message", [
+        ("@relation r\n@attribute c {x,y}\n@attribute label1 {0,1}\n@data\nx,1\n\nz,1\n",
+         "line 7: value 'z' is not in the domain of attribute 'c'"),
+        ("@relation r\n@attribute a numeric\n@attribute label1 {0,1}\n@data\n1,1\n% c\n2,?\n",
+         "line 7: missing label value for 'label1'"),
+    ], ids=["nominal-cell", "missing-label"])
+    def test_a_schema_error_carries_its_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.arff"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$") as caught:
+            load_arff(path, 1)
+        assert caught.value.line == 7
+
     def test_unsupported_attribute_type(self, tmp_path):
         path = tmp_path / "bad.arff"
         path.write_text("@relation r\n@attribute a string\n@data\n")
@@ -171,7 +184,9 @@ class TestLoadArffErrors:
         ("{0 1,,1 0}", "empty entry in sparse row"),
         ("{0}", "sparse entry '0' needs an index and a value"),
         ("{5 1}", "sparse index 5 out of range"),
-    ], ids=["empty-entry", "no-value", "index-out-of-range"])
+        ("{0 1, 0 2, 2 1}", "sparse index 0 follows 0; indices must ascend"),
+        ("{1 5, 0 3, 2 0}", "sparse index 0 follows 1; indices must ascend"),
+    ], ids=["empty-entry", "no-value", "index-out-of-range", "repeated-index", "descending-index"])
     def test_bad_sparse_entry_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "sparse.arff"
         path.write_text(SPARSE_ARFF + row + "\n")
@@ -534,9 +549,9 @@ class TestNumericCells:
         try:
             expected = np.array([float(cell)]).tobytes()
         except ValueError:
-            with pytest.raises(dataio._CellError) as caught:
+            with pytest.raises(ParseError) as caught:
                 dataio._numeric_column(attr, [cell], [5])
-            assert str(caught.value.error) == (
+            assert str(caught.value) == (
                 f"line 5: expected a number for attribute 'x', got {cell.strip()!r}")
         else:
             assert dataio._numeric_column(attr, [cell], [5]).tobytes() == expected
@@ -711,6 +726,12 @@ class TestCsvLineNumbers:
                                                                     message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             load_csv_text(tmp_path, text)
+
+    def test_a_bad_label_carries_its_line(self, tmp_path):
+        with pytest.raises(SchemaError) as caught:
+            load_csv_text(tmp_path, 'x,l\n1,"0\n"\n\n2,2\n')
+        assert caught.value.line == 5
+        assert str(caught.value) == "line 5: label 'l' has value '2', expected 0 or 1"
 
     @pytest.mark.parametrize("text,line", [
         ("x" * 200_000 + ",l\n1,1\n", 1),

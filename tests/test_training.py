@@ -1,5 +1,6 @@
 """Boosting loop: default rule, shrinkage, score bookkeeping, determinism."""
 
+import dataclasses
 import gc
 import tracemalloc
 
@@ -53,9 +54,8 @@ class TestConfigValidation:
     def test_non_finite_float_names_its_field(self, rng, field, value):
         dataset = random_dataset(rng, 10, n_numeric=1)
         for loss in ("label-wise-logistic", "example-wise-logistic"):
-            config = TrainConfig(loss=loss, n_rules=2, **{field: value})
             with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
-                train(dataset, config)
+                train(dataset, TrainConfig(loss=loss, n_rules=2, **{field: value}))
 
 
     @pytest.mark.parametrize("field,value", [
@@ -65,6 +65,12 @@ class TestConfigValidation:
         dataset = random_dataset(rng, 10, n_numeric=1)
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, not {value!r}$"):
             train(dataset, TrainConfig(**{field: value}))
+
+    def test_a_config_checks_itself_when_built(self):
+        with pytest.raises(ConfigError, match="^n_rules must be at least 1$"):
+            TrainConfig(n_rules=0)
+        with pytest.raises(ConfigError, match=r"^shrinkage must be in \(0, 1\]$"):
+            dataclasses.replace(TrainConfig(), shrinkage=2.0)
 
     def test_an_empty_dataset_is_rejected(self):
         dataset = _single_label_dataset(np.ones(0))

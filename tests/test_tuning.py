@@ -144,17 +144,15 @@ class TestSelection:
         ("validation_fraction", lambda v: v),
     ])
     def test_non_finite_float_names_its_field(self, dataset, field, wrap, value):
-        config = GridSearchConfig(rule_counts=(2,), **{field: wrap(value)})
         with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
-            grid_search(dataset, config)
+            grid_search(dataset, GridSearchConfig(rule_counts=(2,), **{field: wrap(value)}))
 
     @pytest.mark.parametrize("field,value", [
         ("rule_counts", (2, 2.5)), ("rule_counts", (True,)), ("seed", 1.5),
     ])
     def test_non_integer_names_its_field(self, dataset, field, value):
-        config = GridSearchConfig(**{"rule_counts": (2,), field: value})
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, not "):
-            grid_search(dataset, config)
+            grid_search(dataset, GridSearchConfig(**{"rule_counts": (2,), field: value}))
 
     def test_negative_seed_rejected(self, dataset):
         with pytest.raises(ConfigError, match="^seed must be nonnegative$"):
@@ -189,6 +187,14 @@ class TestSelection:
         monkeypatch.setattr(os, "fork", no_forks, raising=False)
         with pytest.raises(ConfigError, match=f"^{message}$"):
             grid_search(dataset, GridSearchConfig(rule_counts=(2,), **setting))
+
+    def test_a_config_checks_its_cells_when_built(self):
+        with pytest.raises(ConfigError, match="^l2_weight must be nonnegative$"):
+            GridSearchConfig(l2_weights=(1.0, -1.0))
+
+    def test_a_bad_cell_names_its_first_bad_setting_in_training_order(self):
+        with pytest.raises(ConfigError, match=r"^shrinkage must be in \(0, 1\]$"):
+            GridSearchConfig(head_mode="both", shrinkages=(2.0,))
 
     def test_every_cell_failing_names_the_first(self, dataset, monkeypatch):
         use_cpus(monkeypatch, {0})
