@@ -9,7 +9,7 @@ from numbers import Integral
 
 
 class RuleBoostError(Exception):
-    """Base class for all errors raised by this package; ``line`` starts the message."""
+    """Base class for all errors raised by this package; a given ``line`` prefixes the message."""
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -74,9 +74,17 @@ def run_trajectory(
     if not checkpoints or not variants:
         return {}
 
-    configs = [TrainConfig(loss=variant.loss, n_rules=max(checkpoints), shrinkage=shrinkage,
-                           l2_weight=l2_weight, head_mode=variant.head_mode, seed=seed)
-               for variant in variants]
+    configs = [
+        TrainConfig(
+            loss=variant.loss,
+            n_rules=max(checkpoints),
+            shrinkage=shrinkage,
+            l2_weight=l2_weight,
+            head_mode=variant.head_mode,
+            seed=seed,
+        )
+        for variant in variants
+    ]
     work = partial(_variant_points, train_data=train_data, test_data=test_data,
                    checkpoints=checkpoints)
     all_points = map_configs(work, configs, cost=_expected_cost)

@@ -39,7 +39,7 @@ class GridSearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """Check the grids, then build each cell, which checks its loss, head mode and seed."""
+        """Check the grids, then build each cell, which checks its own settings."""
         check_integer(self, "rule_counts")
         check_finite(self, "shrinkages", "l2_weights", "validation_fraction")
         if not self.shrinkages or not self.l2_weights or not self.rule_counts:
