@@ -193,6 +193,7 @@ class TestSelection:
             GridSearchConfig(l2_weights=(1.0, -1.0))
 
     def test_a_bad_cell_names_its_first_bad_setting_in_training_order(self):
+        """A cell's shrinkage is checked before its head mode, as ``TrainConfig`` checks them."""
         with pytest.raises(ConfigError, match=r"^shrinkage must be in \(0, 1\]$"):
             GridSearchConfig(head_mode="both", shrinkages=(2.0,))
 
