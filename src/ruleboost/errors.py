@@ -1,11 +1,12 @@
-"""Exception types shared across the package, the number checks of configs, and text reading.
+"""Exception types shared across the package, the field check of configs, and text reading.
 
 A ``RuleBoostError`` about a line of a file carries that ``line``.  A config
-checks its fields when it is built, so a config that exists is valid.
+checks its fields' declared types when it is built, so a config that exists is valid.
 """
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
+from typing import get_args, get_origin, get_type_hints
 
 
 class RuleBoostError(Exception):
@@ -26,32 +27,28 @@ class ConfigError(RuleBoostError):
     """Invalid training or generation configuration."""
 
 
-def _numbers(config, names):
-    """(name, number) for each number in the fields; a field holds one, or a tuple or list."""
-    for name in names:
+_KINDS = {int: (Integral, "an integer"), float: (Real, "a finite number"),
+          bool: (bool, "a boolean"), str: (str, "a string")}
+
+
+def check_fields(config) -> None:
+    """Raise ConfigError naming the first of ``config``'s fields that does not hold its declared type.
+
+    A number is not a bool (``True`` would pass as the count 1), a float is finite (NaN passes
+    every range check), and a ``tuple[t, ...]`` field holds a tuple or list of ``t``.
+    """
+    for name, kind in get_type_hints(type(config)).items():
         value = getattr(config, name)
-        for number in value if isinstance(value, (tuple, list)) else (value,):
-            yield name, number
-
-
-def check_finite(config, *names: str) -> None:
-    """Raise ConfigError naming the first of ``config``'s fields that holds a non-finite number.
-
-    NaN would pass every range check, since each comparison with it is false.
-    """
-    for name, number in _numbers(config, names):
-        if not math.isfinite(number):
-            raise ConfigError(f"{name} must be a finite number, not {number!r}")
-
-
-def check_integer(config, *names: str) -> None:
-    """Raise ConfigError naming the first of ``config``'s fields that holds a non-integer.
-
-    Booleans are rejected too: ``True`` would pass as the count 1.
-    """
-    for name, number in _numbers(config, names):
-        if isinstance(number, bool) or not isinstance(number, Integral):
-            raise ConfigError(f"{name} must be an integer, not {number!r}")
+        items = (value,)
+        if get_origin(kind) is tuple:
+            if not isinstance(value, (tuple, list)):
+                raise ConfigError(f"{name} must be a tuple or list, not {value!r}")
+            kind, items = get_args(kind)[0], value
+        within, noun = _KINDS[kind]
+        for item in items:
+            if (not isinstance(item, within) or kind is not bool and isinstance(item, bool)
+                    or kind is float and not math.isfinite(item)):
+                raise ConfigError(f"{name} must be {noun}, not {item!r}")
 
 
 class SolverError(RuleBoostError):

@@ -16,6 +16,8 @@ With flip probability p below one half, the noiseless half-plane labels
 are Bayes-optimal for both Hamming and subset 0/1 loss: per-label flips
 give a Bayes Hamming loss of p and a Bayes subset 0/1 loss of
 1 - (1 - p)^l, whole-row flips give p for both.
+
+A ``SyntheticConfig`` checks its fields' declared types and ranges when it is built.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .choices import CONDITIONAL_DEPENDENCE, MARGINAL_DEPENDENCE, MARGINAL_INDEPENDENCE, SCENARIOS
 from .dataset import NUMERIC, Attribute, AttributeSchema, Dataset
-from .errors import ConfigError, check_finite, check_integer
+from .errors import ConfigError, check_fields
 
 _STREAM_BOUNDARIES = 100
 _STREAM_TRAIN = 101
@@ -43,8 +45,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer(self, "n_examples", "n_labels", "seed")
-        check_finite(self, "noise_rate", "boundary_angle_spread")
+        check_fields(self)
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if not (0.0 <= self.noise_rate < 1.0):

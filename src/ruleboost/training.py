@@ -13,8 +13,8 @@ generators seeded by (seed, purpose, t).  Toggling one kind of sampling
 therefore never shifts the other, and a training prefix of length t is
 bit-identical to a fresh run with t rules.
 
-A ``TrainConfig`` checks its settings when it is built (and so when
-``dataclasses.replace`` derives one), so training checks only its data.
+A ``TrainConfig`` checks each setting's declared type and range when it is
+built (and so under ``dataclasses.replace``), so training checks only its data.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, check_finite, check_integer
+from .errors import ConfigError, check_fields
 from .heads import (
     HEAD_MULTI,
     HEAD_SINGLE,
@@ -57,8 +57,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer(self, "n_rules", "seed")
-        check_finite(self, "shrinkage", "l2_weight")
+        check_fields(self)
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.n_rules < 1:

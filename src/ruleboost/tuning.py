@@ -4,10 +4,10 @@ Tuning is a trajectory over grid cells: one training run per (shrinkage,
 l2) cell at the largest rule count gives every smaller count exactly, as
 in ``trajectory``, and the cells go through the same worker map,
 ``workers.map_configs``, in grid order.
-A ``GridSearchConfig`` builds every cell's ``TrainConfig`` when it is
-built, so each cell's settings are checked before any cell trains or
-forks; a cell that then raises a RuleBoostError is recorded and does not
-abort the sweep.
+A ``GridSearchConfig`` checks its fields' types and ranges and builds every
+cell's ``TrainConfig`` when it is built, so every setting is checked before
+any cell trains or forks; a cell that then raises a RuleBoostError is
+recorded and does not abort the sweep.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .choices import (DEFAULT_L2_WEIGHTS, DEFAULT_RULE_COUNTS, DEFAULT_SHRINKAGES, HEAD_MULTI,
                       METRICS)
 from .dataset import Dataset
-from .errors import ConfigError, RuleBoostError, check_finite, check_integer
+from .errors import ConfigError, RuleBoostError, check_fields
 from .training import TrainConfig, train
 from .trajectory import checkpoint_points
 from .workers import map_configs
@@ -27,25 +27,28 @@ from .workers import map_configs
 _STREAM_SPLIT = 200
 
 
+def _check_fraction(fraction: float) -> None:
+    if not (0.0 < fraction < 1.0):
+        raise ConfigError("validation_fraction must be in (0, 1)")
+
+
 @dataclass(frozen=True)
 class GridSearchConfig:
     loss: str = "label-wise-logistic"
     head_mode: str = HEAD_MULTI
-    shrinkages: tuple = DEFAULT_SHRINKAGES
-    l2_weights: tuple = DEFAULT_L2_WEIGHTS
-    rule_counts: tuple = DEFAULT_RULE_COUNTS
+    shrinkages: tuple[float, ...] = DEFAULT_SHRINKAGES
+    l2_weights: tuple[float, ...] = DEFAULT_L2_WEIGHTS
+    rule_counts: tuple[int, ...] = DEFAULT_RULE_COUNTS
     validation_fraction: float = 1.0 / 3.0
     metric: str = "subset01"
     seed: int = 0
 
     def __post_init__(self):
         """Check the grids, then build each cell, which checks its own settings."""
-        check_integer(self, "rule_counts")
-        check_finite(self, "shrinkages", "l2_weights", "validation_fraction")
+        check_fields(self)
         if not self.shrinkages or not self.l2_weights or not self.rule_counts:
             raise ConfigError("every grid must be non-empty")
-        if not (0.0 < self.validation_fraction < 1.0):
-            raise ConfigError("validation_fraction must be in (0, 1)")
+        _check_fraction(self.validation_fraction)
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}; expected one of {sorted(METRICS)}")
         if any(t < 1 for t in self.rule_counts):
@@ -88,8 +91,7 @@ class GridSearchReport:
 
 def train_validation_split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic shuffled holdout split; both parts are non-empty."""
-    if not (0.0 < fraction < 1.0):
-        raise ConfigError("validation fraction must be in (0, 1)")
+    _check_fraction(fraction)
     n = dataset.n_examples
     if n < 2:
         raise ConfigError("dataset too small to split")

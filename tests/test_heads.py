@@ -263,6 +263,11 @@ def random_spd_batch(rng, n_candidates, n_labels):
 class TestScoreHeads:
     """The scorer returns the objectives solve_heads reaches, without solving heads."""
 
+    def test_an_unknown_head_mode_is_rejected(self, rng):
+        g, packed, _ = random_spd_batch(rng, 2, 3)
+        with pytest.raises(ValueError, match="^unknown head mode 'both'$"):
+            score_heads(g, packed, False, 0.0, "both", workspace=ScanWorkspace())
+
     @pytest.mark.parametrize("l2", [0.0, 0.25, 1.0])
     def test_cholesky_matches_lu(self, rng, l2):
         for n_labels in range(1, 81):

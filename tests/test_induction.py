@@ -621,6 +621,9 @@ class TestFeatureSubsetSize:
     def test_formula(self, n_attributes, expected):
         assert feature_subset_size(n_attributes) == expected
 
+    def test_no_attributes_sample_none(self):
+        assert feature_subset_size(0) == 0
+
     def test_bounds(self):
         for m in range(1, 200):
             k = feature_subset_size(m)

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import expit as scipy_expit
 
 from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema
+from ruleboost.errors import ConfigError
 from ruleboost.losses import (
     ExampleWiseLogisticLoss,
     LabelWiseLogisticLoss,
@@ -243,6 +244,12 @@ def _toy_dataset(labels):
 
 
 class TestStore:
+    def test_an_unknown_loss_names_the_known_ones(self):
+        with pytest.raises(ConfigError, match=(
+                r"^unknown loss 'hinge'; expected one of "
+                r"\['example-wise-logistic', 'label-wise-logistic'\]$")):
+            make_loss("hinge")
+
     def test_init_store_label_wise_closed_form(self):
         dataset = _toy_dataset([[1, -1], [-1, -1], [1, 1]])
         store = init_store(make_loss("label-wise-logistic"), dataset)

@@ -85,6 +85,17 @@ class TestBodyMask:
         with pytest.raises(SchemaError):
             body_mask(dataset, Body((Condition(0, "==", "a"),)))
 
+    def test_an_unknown_operator_is_rejected(self):
+        with pytest.raises(SchemaError, match="^unknown operator '<'$"):
+            Condition(0, "<", 0.5)
+
+    def test_bodies_and_rules_print_their_conditions(self):
+        body = Body((Condition(0, "<=", 0.5), Condition(1, "!=", "a")))
+        assert str(Body()) == "<always>"
+        assert str(body) == "x0 <= 0.5 and x1 != a"
+        assert str(Rule(body, Head(np.array([0.25, -1.0])))) == (
+            "if x0 <= 0.5 and x1 != a then [ 0.25 -1.  ]")
+
 
 class TestEnsembleScores:
     def _scores(self, rules, *rows):
@@ -203,6 +214,12 @@ class TestHeadInvariants:
     def test_single_mode_rejects_off_label_scores(self):
         with pytest.raises(ValueError):
             Head(np.array([0.1, 0.3, 0.0]), label_index=1)
+
+    def test_a_head_equals_no_other_type(self):
+        head = Head(np.zeros(2))
+        assert head == Head(np.zeros(2))
+        assert head.__eq__(np.zeros(2)) is NotImplemented
+        assert head != "head"
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Synthetic scenario generator and its Bayes-optimal baselines."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,14 @@ class TestConfigValidation:
     def test_non_integer_names_its_field(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, not {value!r}$"):
             SyntheticConfig("marginal_independence", **{field: value})
+
+    @pytest.mark.parametrize("setting,message", [
+        ({"noise_rate": "0.1"}, "noise_rate must be a finite number, not '0.1'"),
+        ({"scenario": None}, "scenario must be a string, not None"),
+    ], ids=["string-noise", "no-scenario"])
+    def test_a_field_of_the_wrong_type_names_it(self, setting, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SyntheticConfig(**{"scenario": "marginal_independence", **setting})
 
     def test_no_labels_rejected(self):
         with pytest.raises(ConfigError, match="^n_examples and n_labels must be positive$"):
@@ -106,6 +116,15 @@ class TestBayesOptimal:
         process.normals = np.array([[1.0, 0.0]])
         on_boundary = np.array([[0.0, 0.5]])
         assert process.noiseless_labels(on_boundary)[0, 0] == 1
+
+    def test_one_point_gets_one_label_row(self):
+        config = SyntheticConfig("marginal_independence", n_labels=3, seed=4)
+        points = np.array([[0.5, -0.25], [-0.1, 0.7]])
+        batch = bayes_optimal_predict(config, points)
+        for point, row in zip(points, batch):
+            one = bayes_optimal_predict(config, point)
+            assert one.shape == (3,)
+            np.testing.assert_array_equal(one, row)
 
     def test_label_flip_noise_monte_carlo(self):
         """Empirical Bayes losses on a large fresh sample match p and 1-(1-p)^l."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -65,6 +66,17 @@ class TestConfigValidation:
         dataset = random_dataset(rng, 10, n_numeric=1)
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, not {value!r}$"):
             train(dataset, TrainConfig(**{field: value}))
+
+    @pytest.mark.parametrize("setting,message", [
+        ({"loss": ["x"]}, "loss must be a string, not ['x']"),
+        ({"shrinkage": "0.3"}, "shrinkage must be a finite number, not '0.3'"),
+        ({"shrinkage": True}, "shrinkage must be a finite number, not True"),
+        ({"bagging": "no"}, "bagging must be a boolean, not 'no'"),
+        ({"feature_sampling": 0}, "feature_sampling must be a boolean, not 0"),
+    ], ids=["list-loss", "string-shrinkage", "bool-shrinkage", "string-bagging", "int-sampling"])
+    def test_a_field_of_the_wrong_type_names_it(self, setting, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**setting)
 
     def test_a_config_checks_itself_when_built(self):
         with pytest.raises(ConfigError, match="^n_rules must be at least 1$"):

@@ -42,7 +42,7 @@ class TestSplit:
         assert np.array_equal(a[0].labels, b[0].labels)
 
     def test_fraction_validated(self, dataset):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^validation_fraction must be in \(0, 1\)$"):
             train_validation_split(dataset, 1.5, seed=1)
 
     def test_one_row_cannot_be_split(self, dataset):
@@ -132,7 +132,13 @@ class TestSelection:
         ({"validation_fraction": 1.0}, "validation_fraction must be in (0, 1)"),
         ({"metric": "f1"}, "unknown metric 'f1'; expected one of ['hamming', 'subset01']"),
         ({"rule_counts": (2, 0)}, "rule counts must be >= 1"),
-    ], ids=["fraction", "metric", "rule-count"])
+        ({"shrinkages": 0.3}, "shrinkages must be a tuple or list, not 0.3"),
+        ({"rule_counts": 50}, "rule_counts must be a tuple or list, not 50"),
+        ({"l2_weights": 1.0}, "l2_weights must be a tuple or list, not 1.0"),
+        ({"validation_fraction": "0.3"}, "validation_fraction must be a finite number, not '0.3'"),
+        ({"metric": ["hamming"]}, "metric must be a string, not ['hamming']"),
+    ], ids=["fraction", "metric", "rule-count", "scalar-shrinkages", "scalar-rule-counts",
+            "scalar-l2-weights", "string-fraction", "list-metric"])
     def test_bad_grid_setting_names_it(self, dataset, setting, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             grid_search(dataset, GridSearchConfig(**setting))
