@@ -5,6 +5,7 @@ checks its fields' declared types when it is built, so a config that exists is v
 """
 
 import math
+from functools import cache
 from numbers import Integral, Real
 from typing import get_args, get_origin, get_type_hints
 
@@ -27,6 +28,7 @@ class ConfigError(RuleBoostError):
     """Invalid training or generation configuration."""
 
 
+_declared_types = cache(get_type_hints)
 _KINDS = {int: (Integral, "an integer"), float: (Real, "a finite number"),
           bool: (bool, "a boolean"), str: (str, "a string")}
 
@@ -37,7 +39,7 @@ def check_fields(config) -> None:
     A number is not a bool (``True`` would pass as the count 1), a float is finite (NaN passes
     every range check), and a ``tuple[t, ...]`` field holds a tuple or list of ``t``.
     """
-    for name, kind in get_type_hints(type(config)).items():
+    for name, kind in _declared_types(type(config)).items():
         value = getattr(config, name)
         items = (value,)
         if get_origin(kind) is tuple:

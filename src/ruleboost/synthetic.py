@@ -16,8 +16,6 @@ With flip probability p below one half, the noiseless half-plane labels
 are Bayes-optimal for both Hamming and subset 0/1 loss: per-label flips
 give a Bayes Hamming loss of p and a Bayes subset 0/1 loss of
 1 - (1 - p)^l, whole-row flips give p for both.
-
-A ``SyntheticConfig`` checks its fields' declared types and ranges when it is built.
 """
 
 from __future__ import annotations
@@ -37,6 +35,8 @@ _STREAM_TEST = 102
 
 @dataclass(frozen=True)
 class SyntheticConfig:
+    """A scenario's settings; it checks their declared types and ranges when it is built."""
+
     scenario: str
     n_examples: int = 10000
     n_labels: int = 6

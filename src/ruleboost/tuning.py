@@ -4,10 +4,9 @@ Tuning is a trajectory over grid cells: one training run per (shrinkage,
 l2) cell at the largest rule count gives every smaller count exactly, as
 in ``trajectory``, and the cells go through the same worker map,
 ``workers.map_configs``, in grid order.
-A ``GridSearchConfig`` checks its fields' types and ranges and builds every
-cell's ``TrainConfig`` when it is built, so every setting is checked before
-any cell trains or forks; a cell that then raises a RuleBoostError is
-recorded and does not abort the sweep.
+A ``GridSearchConfig`` checks its fields and builds each cell's
+``TrainConfig`` when built, so no cell trains or forks on a bad setting;
+a cell that then raises a RuleBoostError is recorded, not fatal.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class GridSearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """Check the grids, then build each cell, which checks its own settings."""
         check_fields(self)
         if not self.shrinkages or not self.l2_weights or not self.rule_counts:
             raise ConfigError("every grid must be non-empty")
