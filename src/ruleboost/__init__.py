@@ -12,8 +12,10 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "choices": (
         "ALL_VARIANTS",
+        "EXAMPLE_WISE_LOGISTIC",
         "HEAD_MULTI",
         "HEAD_SINGLE",
+        "LABEL_WISE_LOGISTIC",
         "SCENARIOS",
         "TrajectoryVariant",
     ),
@@ -36,8 +38,6 @@ _EXPORTS = {
         "refine_rule",
     ),
     "losses": (
-        "EXAMPLE_WISE_LOGISTIC",
-        "LABEL_WISE_LOGISTIC",
         "ExampleWiseLogisticLoss",
         "GradHessStore",
         "LabelWiseLogisticLoss",

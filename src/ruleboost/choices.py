@@ -1,19 +1,24 @@
 """Named choices and default grids shared by the learner and its command line.
 
-The command line offers these as argparse choices and defaults.  Defined
-here, apart from the modules that use them, they let it build its parser
-without loading the head, induction, training, trajectory, tuning or
-synthetic modules, which import their names from here.
+The command line offers these as argparse choices and defaults, and the
+loss names and head modes are the only ones the learner accepts.  Defined
+here, apart from the modules that use them and importing nothing from the
+package, they let the command line build its parser without loading the
+training code, and let ``rules`` check a model's loss without importing
+``losses``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .losses import EXAMPLE_WISE_LOGISTIC, LABEL_WISE_LOGISTIC
+LABEL_WISE_LOGISTIC = "label-wise-logistic"
+EXAMPLE_WISE_LOGISTIC = "example-wise-logistic"
+LOSS_NAMES = (LABEL_WISE_LOGISTIC, EXAMPLE_WISE_LOGISTIC)
 
 HEAD_SINGLE = "single"
 HEAD_MULTI = "multi"
+HEAD_MODES = (HEAD_SINGLE, HEAD_MULTI)
 
 MARGINAL_INDEPENDENCE = "marginal_independence"
 MARGINAL_DEPENDENCE = "marginal_dependence"

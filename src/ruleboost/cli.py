@@ -32,20 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .choices import (
-    ALL_VARIANTS,
-    DEFAULT_CHECKPOINTS,
-    DEFAULT_L2_WEIGHTS,
-    DEFAULT_RULE_COUNTS,
-    DEFAULT_SHRINKAGES,
-    HEAD_MULTI,
-    HEAD_SINGLE,
-    METRICS,
-    SCENARIOS,
-)
+from .choices import (ALL_VARIANTS, DEFAULT_CHECKPOINTS, DEFAULT_L2_WEIGHTS, DEFAULT_RULE_COUNTS,
+                      DEFAULT_SHRINKAGES, HEAD_MODES, HEAD_MULTI, LABEL_WISE_LOGISTIC, LOSS_NAMES,
+                      METRICS, SCENARIOS)
 from .dataset import Dataset
 from .errors import ConfigError, RuleBoostError
-from .losses import EXAMPLE_WISE_LOGISTIC, LABEL_WISE_LOGISTIC
 from .metrics import evaluate_predictions
 from .prediction import (
     DECODE_KNOWN_VECTORS,
@@ -85,9 +76,6 @@ _REPORTED = (RuleBoostError, OSError, ValueError)
 # and a row about 3 us to parse, score and decode.  On a 2-CPU host, two
 # shares saved 2-3 ms of a predict of 10,000 rows and lost 6-8 ms at 2,000.
 _MIN_SHARE_LINES = 5000
-
-LOSS_CHOICES = (LABEL_WISE_LOGISTIC, EXAMPLE_WISE_LOGISTIC)
-HEAD_CHOICES = (HEAD_SINGLE, HEAD_MULTI)
 
 
 def _parse_labels(spec: str):
@@ -342,8 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a rule ensemble and save the model")
     _add_data_arguments(p_train)
-    p_train.add_argument("--loss", choices=LOSS_CHOICES, default=LABEL_WISE_LOGISTIC)
-    p_train.add_argument("--head", choices=HEAD_CHOICES, default=HEAD_MULTI)
+    p_train.add_argument("--loss", choices=LOSS_NAMES, default=LABEL_WISE_LOGISTIC)
+    p_train.add_argument("--head", choices=HEAD_MODES, default=HEAD_MULTI)
     p_train.add_argument("--rules", type=int, default=100)
     p_train.add_argument("--shrinkage", type=float, default=0.3)
     p_train.add_argument("--l2", type=float, default=0.0)
@@ -369,8 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tune = sub.add_parser("tune", help="holdout grid search over hyperparameters")
     _add_data_arguments(p_tune)
-    p_tune.add_argument("--loss", choices=LOSS_CHOICES, default=LABEL_WISE_LOGISTIC)
-    p_tune.add_argument("--head", choices=HEAD_CHOICES, default=HEAD_MULTI)
+    p_tune.add_argument("--loss", choices=LOSS_NAMES, default=LABEL_WISE_LOGISTIC)
+    p_tune.add_argument("--head", choices=HEAD_MODES, default=HEAD_MULTI)
     p_tune.add_argument("--shrinkage-grid", type=_list_of(float),
                         default=",".join(str(x) for x in DEFAULT_SHRINKAGES))
     p_tune.add_argument("--l2-grid", type=_list_of(float),

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .choices import HEAD_MULTI, HEAD_SINGLE
+from .choices import HEAD_MODES, HEAD_MULTI, HEAD_SINGLE
 from .dataset import Dataset
 from .errors import SolverError
 from .losses import GradHessStore, ScanWorkspace, packed_diagonal, packed_indices, unpack_hessians
@@ -190,7 +190,7 @@ def score_heads(gradients, hessians, diagonal: bool, l2_weight: float,
     ``solve_heads``.  A candidate without a usable head scores +inf.
     """
     g = gradients
-    if head_mode not in (HEAD_SINGLE, HEAD_MULTI):
+    if head_mode not in HEAD_MODES:
         raise ValueError(f"unknown head mode {head_mode!r}")
     if diagonal or head_mode == HEAD_SINGLE:
         h_diag = hessians if diagonal else hessians[:, packed_diagonal(g.shape[1])]
@@ -218,7 +218,7 @@ def solve_heads(gradients, hessians, diagonal: bool, l2_weight: float,
     """
     g = gradients
     n_candidates, n_labels = g.shape[0], g.shape[1]
-    if head_mode not in (HEAD_SINGLE, HEAD_MULTI):
+    if head_mode not in HEAD_MODES:
         raise ValueError(f"unknown head mode {head_mode!r}")
     if diagonal or head_mode == HEAD_SINGLE:
         h_diag = hessians if diagonal else hessians.diagonal(axis1=1, axis2=2)

@@ -34,12 +34,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .choices import EXAMPLE_WISE_LOGISTIC, LABEL_WISE_LOGISTIC
 from .dataset import Dataset
 from .errors import ConfigError
 from .rules import Rule, add_head, body_mask
-
-LABEL_WISE_LOGISTIC = "label-wise-logistic"
-EXAMPLE_WISE_LOGISTIC = "example-wise-logistic"
 
 
 def expit(x):

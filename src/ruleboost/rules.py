@@ -5,7 +5,8 @@ head scores if the body's conditions all hold, the null vector otherwise.
 An ensemble predicts the element-wise sum over its rules, which
 ``staged_scores`` sums for prediction, trajectories and tuning.  Missing
 attribute values satisfy no condition, so an example with a missing value
-is never covered by a condition on that attribute.
+is never covered by a condition on that attribute.  An ``EnsembleMeta``
+checks its settings when built, so a trained or loaded model records valid ones.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .choices import LOSS_NAMES
 from .dataset import MISSING_CODE, AttributeSchema, Dataset
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError, check_fields
 
 OP_EQ = "=="
 OP_NEQ = "!="
@@ -106,12 +108,23 @@ class Rule:
 
 @dataclass(frozen=True)
 class EnsembleMeta:
-    """Training provenance carried by a serialized model."""
+    """Training provenance carried by a serialized model; building one checks each setting."""
 
     loss: str
     shrinkage: float
     l2_weight: float
     seed: int
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.loss not in LOSS_NAMES:
+            raise ConfigError(f"unknown loss {self.loss!r}")
+        if not (0.0 < self.shrinkage <= 1.0):
+            raise ConfigError("shrinkage must be in (0, 1]")
+        if self.l2_weight < 0.0:
+            raise ConfigError("l2_weight must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 @dataclass

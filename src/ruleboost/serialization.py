@@ -1,19 +1,20 @@
 """Versioned JSON model documents with bit-exact score round trips.
 
 Floats are emitted through Python's shortest round-trip repr, so parsing
-a serialized model restores every score and threshold exactly.
+a serialized model restores every score and threshold exactly.  The
+training settings are checked by the ``EnsembleMeta`` they load into, as in training.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
 from .dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema
-from .errors import ParseError, SchemaError, UnsupportedVersionError, read_text
-from .losses import LOSSES
+from .errors import ConfigError, ParseError, SchemaError, UnsupportedVersionError, read_text
 from .rules import NOMINAL_OPS, NUMERIC_OPS, Body, Condition, Ensemble, EnsembleMeta, Head, Rule
 
 FORMAT_VERSION = 1
@@ -49,9 +50,9 @@ def ensemble_to_dict(ensemble: Ensemble) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "loss": ensemble.meta.loss,
-        "shrinkage": ensemble.meta.shrinkage,
-        "l2_weight": ensemble.meta.l2_weight,
-        "seed": ensemble.meta.seed,
+        "shrinkage": float(ensemble.meta.shrinkage),
+        "l2_weight": float(ensemble.meta.l2_weight),
+        "seed": int(ensemble.meta.seed),
         "label_names": list(ensemble.label_names),
         "schema": schema,
         "label_vectors": label_vectors,
@@ -100,19 +101,15 @@ def _finite_number(value, path: str) -> float:
     return number
 
 
-def _meta(document) -> EnsembleMeta:
-    """The training settings a model document records, each checked as training checks it."""
-    loss = _field(document, "loss", "", str, "a string")
-    if loss not in LOSSES:
-        raise ParseError(f"loss: unknown loss {loss!r}; expected one of {sorted(LOSSES)}")
-    shrinkage = _field(document, "shrinkage", "", _NUMBER, "a number")
-    if not 0.0 < _finite_number(shrinkage, "shrinkage") <= 1.0:
-        raise ParseError(f"shrinkage must be in (0, 1], not {shrinkage!r}")
-    l2_weight = _field(document, "l2_weight", "", _NUMBER, "a number")
-    if _finite_number(l2_weight, "l2_weight") < 0.0:
-        raise ParseError(f"l2_weight must be nonnegative, not {l2_weight!r}")
-    seed = _field(document, "seed", "", int, "an integer")
-    return EnsembleMeta(loss=loss, shrinkage=shrinkage, l2_weight=l2_weight, seed=seed)
+def _meta(document: dict) -> EnsembleMeta:
+    """The training settings a model document records, checked by ``EnsembleMeta``."""
+    names = [setting.name for setting in fields(EnsembleMeta)]
+    if missing := [name for name in names if name not in document]:
+        raise ParseError(f"{missing[0]} is missing from the model document")
+    try:
+        return EnsembleMeta(**{name: document[name] for name in names})
+    except ConfigError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _attribute(entry, path: str) -> Attribute:

@@ -15,6 +15,7 @@ bit-identical to a fresh run with t rules.
 
 A ``TrainConfig`` checks each setting's declared type and range when it is
 built (and so under ``dataclasses.replace``), so training checks only its data.
+Its ``meta``, the ``EnsembleMeta`` a model records, checks all but ``n_rules`` and ``head_mode``.
 """
 
 from __future__ import annotations
@@ -23,18 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choices import HEAD_MODES, HEAD_MULTI, LABEL_WISE_LOGISTIC
 from .dataset import Dataset
 from .errors import ConfigError, check_fields
-from .heads import (
-    HEAD_MULTI,
-    HEAD_SINGLE,
-    aggregate_stats,
-    find_head,
-    solve_full_head,
-    stats_for_rows,
-)
+from .heads import aggregate_stats, find_head, solve_full_head, stats_for_rows
 from .induction import RefinementContext, presort, refine_rule_with_trace
-from .losses import LOSSES, init_store, make_loss, update_store
+from .losses import init_store, make_loss, update_store
 from .rules import Body, Ensemble, EnsembleMeta, Rule, add_head, body_mask
 
 _STREAM_BAGGING = 0
@@ -47,7 +42,7 @@ def _round_rng(seed: int, stream: int, round_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    loss: str = "label-wise-logistic"
+    loss: str = LABEL_WISE_LOGISTIC
     n_rules: int = 100
     shrinkage: float = 0.3
     l2_weight: float = 0.0
@@ -58,18 +53,16 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.loss not in LOSSES:
-            raise ConfigError(f"unknown loss {self.loss!r}")
+        self.meta  # built only to check the settings a model records
         if self.n_rules < 1:
             raise ConfigError("n_rules must be at least 1")
-        if not (0.0 < self.shrinkage <= 1.0):
-            raise ConfigError("shrinkage must be in (0, 1]")
-        if self.l2_weight < 0.0:
-            raise ConfigError("l2_weight must be nonnegative")
-        if self.head_mode not in (HEAD_SINGLE, HEAD_MULTI):
+        if self.head_mode not in HEAD_MODES:
             raise ConfigError(f"unknown head mode {self.head_mode!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+
+    @property
+    def meta(self) -> EnsembleMeta:
+        """The settings a model trained with this config records, checked as it is built."""
+        return EnsembleMeta(self.loss, self.shrinkage, self.l2_weight, self.seed)
 
 
 @dataclass
@@ -134,12 +127,7 @@ def train_with_diagnostics(dataset: Dataset, config: TrainConfig) -> tuple[Ensem
         rules=rules,
         label_names=list(dataset.label_names),
         schema=dataset.schema,
-        meta=EnsembleMeta(
-            loss=config.loss,
-            shrinkage=config.shrinkage,
-            l2_weight=config.l2_weight,
-            seed=int(config.seed),
-        ),
+        meta=config.meta,
         label_vectors=dataset.distinct_label_vectors(),
     )
     return ensemble, TrainDiagnostics(prescale_heads, refinement_traces, scores)

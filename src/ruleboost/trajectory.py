@@ -20,10 +20,10 @@ from functools import partial
 
 # The variants are defined beside the command line's choices; this module
 # re-exports them with the walk that runs them.
-from .choices import ALL_VARIANTS, DEFAULT_CHECKPOINTS, HEAD_MULTI, TrajectoryVariant
+from .choices import (ALL_VARIANTS, DEFAULT_CHECKPOINTS, EXAMPLE_WISE_LOGISTIC, HEAD_MULTI,
+                      TrajectoryVariant)
 from .dataset import Dataset
 from .errors import ConfigError
-from .losses import EXAMPLE_WISE_LOGISTIC
 from .metrics import hamming_loss, subset_zero_one_loss
 from .prediction import decode_scores, default_decode_method
 # ``body_mask`` is not used here; it is bound as ``trajectory.body_mask``
