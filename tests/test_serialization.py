@@ -225,6 +225,7 @@ class TestInvalidFieldsNameTheirPath:
         (lambda d: d, _set("shrinkage", 1.5), "shrinkage"),
         (lambda d: d, _set("shrinkage", float("nan")), "shrinkage"),
         (lambda d: d, _set("shrinkage", True), "shrinkage"),
+        (lambda d: d, _set("shrinkage", 10**400), "shrinkage must be a finite number"),
         (lambda d: d, _set("l2_weight", -1.0), "l2_weight"),
         (lambda d: d, _set("l2_weight", float("inf")), "l2_weight"),
     ])

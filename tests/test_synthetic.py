@@ -38,7 +38,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("setting,message", [
         ({"noise_rate": "0.1"}, "noise_rate must be a finite number, not '0.1'"),
         ({"scenario": None}, "scenario must be a string, not None"),
-    ], ids=["string-noise", "no-scenario"])
+        ({"noise_rate": 10**400}, f"noise_rate must be a finite number, not {10**400}"),
+    ], ids=["string-noise", "no-scenario", "huge-int-noise"])
     def test_a_field_of_the_wrong_type_names_it(self, setting, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             SyntheticConfig(**{"scenario": "marginal_independence", **setting})

@@ -73,7 +73,10 @@ class TestConfigValidation:
         ({"shrinkage": True}, "shrinkage must be a finite number, not True"),
         ({"bagging": "no"}, "bagging must be a boolean, not 'no'"),
         ({"feature_sampling": 0}, "feature_sampling must be a boolean, not 0"),
-    ], ids=["list-loss", "string-shrinkage", "bool-shrinkage", "string-bagging", "int-sampling"])
+        ({"shrinkage": 10**400}, f"shrinkage must be a finite number, not {10**400}"),
+        ({"l2_weight": 10**400}, f"l2_weight must be a finite number, not {10**400}"),
+    ], ids=["list-loss", "string-shrinkage", "bool-shrinkage", "string-bagging", "int-sampling",
+            "huge-int-shrinkage", "huge-int-l2-weight"])
     def test_a_field_of_the_wrong_type_names_it(self, setting, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             TrainConfig(**setting)

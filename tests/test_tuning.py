@@ -137,8 +137,9 @@ class TestSelection:
         ({"l2_weights": 1.0}, "l2_weights must be a tuple or list, not 1.0"),
         ({"validation_fraction": "0.3"}, "validation_fraction must be a finite number, not '0.3'"),
         ({"metric": ["hamming"]}, "metric must be a string, not ['hamming']"),
+        ({"l2_weights": (10**400,)}, f"l2_weights must be a finite number, not {10**400}"),
     ], ids=["fraction", "metric", "rule-count", "scalar-shrinkages", "scalar-rule-counts",
-            "scalar-l2-weights", "string-fraction", "list-metric"])
+            "scalar-l2-weights", "string-fraction", "list-metric", "huge-int-l2-weights"])
     def test_bad_grid_setting_names_it(self, dataset, setting, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             grid_search(dataset, GridSearchConfig(**setting))
