@@ -237,9 +237,9 @@ def loads(text: str) -> Ensemble:
 
 
 def save(ensemble: Ensemble, path) -> None:
+    text = dumps(ensemble) + "\n"  # first, so a model that cannot be encoded writes nothing
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(ensemble))
-        handle.write("\n")
+        handle.write(text)
 
 
 def load(path) -> Ensemble:

@@ -10,6 +10,9 @@ from ruleboost.dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema
 from ruleboost.errors import ParseError, UnsupportedVersionError
 from ruleboost.rules import Body, Condition, Ensemble, EnsembleMeta, Head, Rule
 from ruleboost.serialization import dumps, ensemble_to_dict, load, loads, save
+from ruleboost.training import TrainConfig, train
+
+from conftest import random_dataset
 
 
 def random_ensemble(rng) -> Ensemble:
@@ -98,6 +101,27 @@ class TestRoundTrip:
         path = tmp_path / "model.json"
         save(ensemble, path)
         assert_ensembles_identical(ensemble, load(path))
+
+    def test_numpy_scalar_settings_round_trip(self, tmp_path, rng):
+        config = TrainConfig(n_rules=3, shrinkage=np.float32(0.3), l2_weight=np.float32(0.25),
+                             seed=np.int64(7))
+        ensemble = train(random_dataset(rng, 20, n_numeric=2), config)
+        path = tmp_path / "model.json"
+        save(ensemble, path)
+        loaded = load(path)
+        assert_ensembles_identical(ensemble, loaded)
+        assert loaded.meta == EnsembleMeta("label-wise-logistic", float(np.float32(0.3)), 0.25, 7)
+        assert [type(getattr(loaded.meta, name)) for name in ("shrinkage", "seed")] == [float, int]
+
+    def test_a_model_that_cannot_be_encoded_writes_no_file(self, tmp_path, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise TypeError("cannot encode")
+
+        monkeypatch.setattr(json, "dumps", fail)
+        path = tmp_path / "model.json"
+        with pytest.raises(TypeError, match="^cannot encode$"):
+            save(random_ensemble(rng), path)
+        assert not path.exists()
 
     def test_stable_field_order(self, rng):
         document = ensemble_to_dict(random_ensemble(rng))
