@@ -578,6 +578,7 @@ class TestErrorPaths:
         (lambda d: d.update(loss="hinge"), "loss"),
         (lambda d: d.update(shrinkage=-0.3), "shrinkage"),
         (lambda d: d.update(l2_weight=-1.0), "l2_weight"),
+        (lambda d: d.update(seed=-1), "seed"),
     ])
     def test_model_with_a_bad_field_value(self, synth_dir, model_path, tmp_path, capsys,
                                           mutate, field):

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import expit as scipy_expit
 
+from ruleboost.choices import LOSS_NAMES
 from ruleboost.dataset import NUMERIC, Attribute, AttributeSchema
 from ruleboost.errors import ConfigError
+from ruleboost.losses import LOSSES as LOSS_CLASSES
 from ruleboost.losses import (
     ExampleWiseLogisticLoss,
     LabelWiseLogisticLoss,
@@ -244,6 +246,9 @@ def _toy_dataset(labels):
 
 
 class TestStore:
+    def test_the_loss_names_are_the_loss_classes(self):
+        assert LOSS_NAMES == tuple(LOSS_CLASSES)
+
     def test_an_unknown_loss_names_the_known_ones(self):
         with pytest.raises(ConfigError, match=(
                 r"^unknown loss 'hinge'; expected one of "

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ruleboost.dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema
-from ruleboost.errors import ParseError, UnsupportedVersionError
+from ruleboost.errors import ConfigError, ParseError, UnsupportedVersionError
 from ruleboost.rules import Body, Condition, Ensemble, EnsembleMeta, Head, Rule
 from ruleboost.serialization import dumps, ensemble_to_dict, load, loads, save
 from ruleboost.training import TrainConfig, train
@@ -259,3 +259,34 @@ class TestInvalidFieldsNameTheirPath:
         mutate(locate(document))
         with pytest.raises(ParseError, match=re.escape(path)):
             loads(json.dumps(document))
+
+
+# Each bad training setting, with the one message that training, a model's meta and model
+# loading all give for it.
+BAD_SETTINGS = [
+    ("loss", "hinge", "unknown loss 'hinge'"),
+    ("shrinkage", 0.0, "shrinkage must be in (0, 1]"),
+    ("shrinkage", 1.5, "shrinkage must be in (0, 1]"),
+    ("shrinkage", float("nan"), "shrinkage must be a finite number, not nan"),
+    ("shrinkage", True, "shrinkage must be a finite number, not True"),
+    ("l2_weight", -1.0, "l2_weight must be nonnegative"),
+    ("l2_weight", float("inf"), "l2_weight must be a finite number, not inf"),
+    ("seed", -1, "seed must be nonnegative"),
+    ("seed", True, "seed must be an integer, not True"),
+    ("seed", "0", "seed must be an integer, not '0'"),
+]
+
+
+@pytest.mark.parametrize("field,value,message", BAD_SETTINGS,
+                         ids=[f"{field}={value!r}" for field, value, _ in BAD_SETTINGS])
+def test_a_bad_setting_gets_one_message_through_every_door(field, value, message):
+    exact = f"^{re.escape(message)}$"
+    with pytest.raises(ConfigError, match=exact):
+        TrainConfig(**{field: value})
+    settings = {"loss": "label-wise-logistic", "shrinkage": 0.3, "l2_weight": 0.0, "seed": 0}
+    with pytest.raises(ConfigError, match=exact):
+        EnsembleMeta(**{**settings, field: value})
+    document = _two_rule_document()
+    document[field] = value
+    with pytest.raises(ParseError, match=exact):
+        loads(json.dumps(document))
