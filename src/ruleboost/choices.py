@@ -1,11 +1,9 @@
 """Named choices and default grids shared by the learner and its command line.
 
-The command line offers these as argparse choices and defaults, and the
-loss names and head modes are the only ones the learner accepts.  Defined
-here, apart from the modules that use them and importing nothing from the
-package, they let the command line build its parser without loading the
-training code, and let ``rules`` check a model's loss without importing
-``losses``.
+The loss names and head modes are the only ones the learner accepts, and
+the command line offers these as argparse choices and defaults.  Defined
+here, importing nothing from the package, they let it build its parser
+without the training code, and let ``rules`` check a loss without ``losses``.
 """
 
 from __future__ import annotations

@@ -32,9 +32,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .choices import (ALL_VARIANTS, DEFAULT_CHECKPOINTS, DEFAULT_L2_WEIGHTS, DEFAULT_RULE_COUNTS,
-                      DEFAULT_SHRINKAGES, HEAD_MODES, HEAD_MULTI, LABEL_WISE_LOGISTIC, LOSS_NAMES,
-                      METRICS, SCENARIOS)
+from .choices import (
+    ALL_VARIANTS,
+    DEFAULT_CHECKPOINTS,
+    DEFAULT_L2_WEIGHTS,
+    DEFAULT_RULE_COUNTS,
+    DEFAULT_SHRINKAGES,
+    HEAD_MODES,
+    HEAD_MULTI,
+    LABEL_WISE_LOGISTIC,
+    LOSS_NAMES,
+    METRICS,
+    SCENARIOS,
+)
 from .dataset import Dataset
 from .errors import ConfigError, RuleBoostError
 from .metrics import evaluate_predictions

@@ -33,7 +33,8 @@ _KINDS = {int: (Integral, "an integer"), float: (Real, "a finite number"),
           bool: (bool, "a boolean"), str: (str, "a string")}
 
 
-def _finite(number) -> bool:
+def is_finite(number) -> bool:
+    """Whether a real number is finite; an int too large for a float is not."""
     try:
         return math.isfinite(number)
     except OverflowError:  # an int too large for a float
@@ -44,8 +45,7 @@ def check_fields(config) -> None:
     """Raise ConfigError naming the first of ``config``'s fields that does not hold its declared type.
 
     A number is not a bool (``True`` would pass as the count 1), a float is finite (NaN passes
-    every range check; an int too large for a float is not finite), and a ``tuple[t, ...]``
-    field holds a tuple or list of ``t``.
+    every range check), and a ``tuple[t, ...]`` field holds a tuple or list of ``t``.
     """
     for name, kind in _declared_types(type(config)).items():
         value = getattr(config, name)
@@ -57,7 +57,7 @@ def check_fields(config) -> None:
         within, noun = _KINDS[kind]
         for item in items:
             if (not isinstance(item, within) or kind is not bool and isinstance(item, bool)
-                    or kind is float and not _finite(item)):
+                    or kind is float and not is_finite(item)):
                 raise ConfigError(f"{name} must be {noun}, not {item!r}")
 
 

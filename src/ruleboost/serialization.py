@@ -8,13 +8,13 @@ training settings are checked by the ``EnsembleMeta`` they load into, as in trai
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import fields
 
 import numpy as np
 
 from .dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema
-from .errors import ConfigError, ParseError, SchemaError, UnsupportedVersionError, read_text
+from .errors import (ConfigError, ParseError, SchemaError, UnsupportedVersionError, is_finite,
+                     read_text)
 from .rules import NOMINAL_OPS, NUMERIC_OPS, Body, Condition, Ensemble, EnsembleMeta, Head, Rule
 
 FORMAT_VERSION = 1
@@ -91,14 +91,9 @@ def _field(entry, key: str, path: str, kinds, what: str, default=_ABSENT):
 
 def _finite_number(value, path: str) -> float:
     """A JSON number as a finite float, else ParseError."""
-    _typed(value, _NUMBER, path, "a number")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
+    if not is_finite(_typed(value, _NUMBER, path, "a number")):
         raise ParseError(f"{path} must be a finite number, not {value!r}")
-    return number
+    return float(value)
 
 
 def _meta(document: dict) -> EnsembleMeta:
