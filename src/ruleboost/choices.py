@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 LABEL_WISE_LOGISTIC = "label-wise-logistic"
 EXAMPLE_WISE_LOGISTIC = "example-wise-logistic"
-LOSS_NAMES = (LABEL_WISE_LOGISTIC, EXAMPLE_WISE_LOGISTIC)
+LOSS_NAMES = LABEL_WISE_LOGISTIC, EXAMPLE_WISE_LOGISTIC
 
 HEAD_SINGLE = "single"
 HEAD_MULTI = "multi"
-HEAD_MODES = (HEAD_SINGLE, HEAD_MULTI)
+HEAD_MODES = HEAD_SINGLE, HEAD_MULTI
 
 MARGINAL_INDEPENDENCE = "marginal_independence"
 MARGINAL_DEPENDENCE = "marginal_dependence"
