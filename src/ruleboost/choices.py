@@ -1,9 +1,11 @@
-"""Named choices and default grids shared by the learner and its command line.
+"""Named choices shared by the learner and its command line.
 
 The loss names and head modes are the only ones the learner accepts, and
-the command line offers these as argparse choices and defaults.  Defined
-here, importing nothing from the package, they let it build its parser
-without the training code, and let ``rules`` check a loss without ``losses``.
+the command line offers these as argparse choices.  Defined here,
+importing nothing from the package, they let it build its parser without
+the training code, and let ``rules`` check a loss without ``losses``.
+Only names live here: each setting's default is declared by the config
+that holds it.
 """
 
 from __future__ import annotations
@@ -23,13 +25,8 @@ MARGINAL_DEPENDENCE = "marginal_dependence"
 CONDITIONAL_DEPENDENCE = "conditional_dependence"
 SCENARIOS = (MARGINAL_INDEPENDENCE, MARGINAL_DEPENDENCE, CONDITIONAL_DEPENDENCE)
 
-DEFAULT_CHECKPOINTS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000)
 # Holdout tuning's metrics, named as the fields of a trajectory point.
 METRICS = ("hamming", "subset01")
-
-DEFAULT_SHRINKAGES = (0.1, 0.3, 0.5)
-DEFAULT_L2_WEIGHTS = (0.0, 0.25, 1.0, 4.0, 16.0, 64.0)
-DEFAULT_RULE_COUNTS = tuple(range(50, 10001, 50))
 
 _LOSS_TAGS = {LABEL_WISE_LOGISTIC: "lwlog", EXAMPLE_WISE_LOGISTIC: "exwlog"}
 

@@ -1,5 +1,9 @@
 """Command line interface: train, predict, evaluate, tune, synth, trajectory.
 
+The setting options of ``train``, ``tune``, ``synth`` and ``trajectory``
+store to the config fields they set and are absent when not given, so
+the configs and ``run_trajectory`` apply the defaults they declare.
+
 ``predict`` and ``evaluate`` both serve through ``_serve``: it reads the
 data block and maps ``_served_share`` over its shares (``_data_shares``)
 with ``workers.map_configs``.  Each share is parsed, label-checked
@@ -27,24 +31,13 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .choices import (
-    ALL_VARIANTS,
-    DEFAULT_CHECKPOINTS,
-    DEFAULT_L2_WEIGHTS,
-    DEFAULT_RULE_COUNTS,
-    DEFAULT_SHRINKAGES,
-    HEAD_MODES,
-    HEAD_MULTI,
-    LABEL_WISE_LOGISTIC,
-    LOSS_NAMES,
-    METRICS,
-    SCENARIOS,
-)
+from .choices import ALL_VARIANTS, HEAD_MODES, LOSS_NAMES, METRICS, SCENARIOS
 from .dataset import Dataset
 from .errors import ConfigError, RuleBoostError
 from .metrics import evaluate_predictions
@@ -136,39 +129,27 @@ def _add_data_arguments(parser):
 
 def _add_scenario_arguments(parser):
     parser.add_argument("--scenario", choices=SCENARIOS, required=True)
-    parser.add_argument("--n", type=int, default=10000)
-    parser.add_argument("--labels", type=int, default=6)
-    parser.add_argument("--noise", type=float, default=0.1)
-    parser.add_argument("--spread", type=float, default=0.1)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--n", type=int, dest="n_examples", metavar="N")
+    parser.add_argument("--labels", type=int, dest="n_labels", metavar="LABELS")
+    parser.add_argument("--noise", type=float, dest="noise_rate", metavar="NOISE")
+    parser.add_argument("--spread", type=float, dest="boundary_angle_spread", metavar="SPREAD")
+    parser.add_argument("--seed", type=int)
 
 
-def _synthetic_config(args):
-    """The ``SyntheticConfig`` that the arguments of ``_add_scenario_arguments`` describe."""
-    (SyntheticConfig,) = _deferred("SyntheticConfig")
-    return SyntheticConfig(
-        scenario=args.scenario,
-        n_examples=args.n,
-        n_labels=args.labels,
-        noise_rate=args.noise,
-        boundary_angle_spread=args.spread,
-        seed=args.seed,
-    )
+def _given(args, names) -> dict:
+    """The options among ``names`` that the command line gave, by name."""
+    return {name: value for name, value in vars(args).items() if name in names}
+
+
+def _config(kind, args):
+    """The ``kind`` config of the options named as its fields; the others keep their defaults."""
+    return kind(**_given(args, {field.name for field in fields(kind)}))
 
 
 def _cmd_train(args) -> int:
     TrainConfig, train, serialization = _deferred("TrainConfig", "train", "serialization")
     dataset = _load_dataset(args.data, args.labels)
-    config = TrainConfig(
-        loss=args.loss,
-        n_rules=args.rules,
-        shrinkage=args.shrinkage,
-        l2_weight=args.l2,
-        head_mode=args.head,
-        bagging=not args.no_bagging,
-        feature_sampling=not args.no_feature_sampling,
-        seed=args.seed,
-    )
+    config = _config(TrainConfig, args)
     started = time.perf_counter()
     ensemble = train(dataset, config)
     elapsed = time.perf_counter() - started
@@ -262,16 +243,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_tune(args) -> int:
     GridSearchConfig, grid_search = _deferred("GridSearchConfig", "grid_search")
     dataset = _load_dataset(args.data, args.labels)
-    config = GridSearchConfig(
-        loss=args.loss,
-        head_mode=args.head,
-        shrinkages=args.shrinkage_grid,
-        l2_weights=args.l2_grid,
-        rule_counts=args.rules_grid,
-        validation_fraction=args.val_fraction,
-        metric=args.metric,
-        seed=args.seed,
-    )
+    config = _config(GridSearchConfig, args)
     best, report = grid_search(dataset, config)
     print(f"grid search over {len(report.cells)} cells ({len(report.failures)} failures)")
     print(f"best: rules={best.n_rules} shrinkage={best.shrinkage} l2={best.l2_weight}")
@@ -294,18 +266,19 @@ def _cmd_tune(args) -> int:
 def _cmd_synth(args) -> int:
     import json
 
-    SyntheticProcess, generate, save_arff = _deferred("SyntheticProcess", "generate", "save_arff")
-    config = _synthetic_config(args)
+    SyntheticConfig, SyntheticProcess, generate, save_arff = _deferred(
+        "SyntheticConfig", "SyntheticProcess", "generate", "save_arff")
+    config = _config(SyntheticConfig, args)
     train_data, test_data = generate(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_arff(train_data, out / "train.arff", relation=f"synthetic_{args.scenario}_train")
-    save_arff(test_data, out / "test.arff", relation=f"synthetic_{args.scenario}_test")
+    save_arff(train_data, out / "train.arff", relation=f"synthetic_{config.scenario}_train")
+    save_arff(test_data, out / "test.arff", relation=f"synthetic_{config.scenario}_test")
     process = SyntheticProcess(config)
     sidecar = {
-        "scenario": args.scenario,
-        "seed": args.seed,
-        "noise_rate": args.noise,
+        "scenario": config.scenario,
+        "seed": config.seed,
+        "noise_rate": config.noise_rate,
         "boundary_angles": [float(a) for a in process.angles],
     }
     (out / "boundaries.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
@@ -314,12 +287,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
-    generate, run_trajectory = _deferred("generate", "run_trajectory")
-    config = _synthetic_config(args)
+    SyntheticConfig, generate, run_trajectory = _deferred(
+        "SyntheticConfig", "generate", "run_trajectory")
+    config = _config(SyntheticConfig, args)
     train_data, test_data = generate(config)
     variants = [v for v in ALL_VARIANTS if v in args.variants]
-    series = run_trajectory(train_data, test_data, variants, args.checkpoints,
-                            shrinkage=args.shrinkage, l2_weight=args.l2, seed=args.seed)
+    series = run_trajectory(train_data, test_data, variants, seed=config.seed,
+                            **_given(args, ("checkpoints", "shrinkage", "l2_weight")))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, points in series.items():
@@ -338,16 +312,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train a rule ensemble and save the model")
+    suppress = {"argument_default": argparse.SUPPRESS}
+    p_train = sub.add_parser("train", help="train a rule ensemble and save the model", **suppress)
     _add_data_arguments(p_train)
-    p_train.add_argument("--loss", choices=LOSS_NAMES, default=LABEL_WISE_LOGISTIC)
-    p_train.add_argument("--head", choices=HEAD_MODES, default=HEAD_MULTI)
-    p_train.add_argument("--rules", type=int, default=100)
-    p_train.add_argument("--shrinkage", type=float, default=0.3)
-    p_train.add_argument("--l2", type=float, default=0.0)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--no-bagging", action="store_true")
-    p_train.add_argument("--no-feature-sampling", action="store_true")
+    p_train.add_argument("--loss", choices=LOSS_NAMES)
+    p_train.add_argument("--head", choices=HEAD_MODES, dest="head_mode")
+    p_train.add_argument("--rules", type=int, dest="n_rules", metavar="RULES")
+    p_train.add_argument("--shrinkage", type=float)
+    p_train.add_argument("--l2", type=float, dest="l2_weight", metavar="L2")
+    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--no-bagging", action="store_false", dest="bagging")
+    p_train.add_argument("--no-feature-sampling", action="store_false", dest="feature_sampling")
     p_train.add_argument("--model", required=True, help="output model path")
     p_train.set_defaults(func=_cmd_train)
 
@@ -365,38 +340,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--json", help="also write the metrics as JSON")
     p_eval.set_defaults(func=_cmd_evaluate)
 
-    p_tune = sub.add_parser("tune", help="holdout grid search over hyperparameters")
+    p_tune = sub.add_parser("tune", help="holdout grid search over hyperparameters", **suppress)
     _add_data_arguments(p_tune)
-    p_tune.add_argument("--loss", choices=LOSS_NAMES, default=LABEL_WISE_LOGISTIC)
-    p_tune.add_argument("--head", choices=HEAD_MODES, default=HEAD_MULTI)
-    p_tune.add_argument("--shrinkage-grid", type=_list_of(float),
-                        default=",".join(str(x) for x in DEFAULT_SHRINKAGES))
-    p_tune.add_argument("--l2-grid", type=_list_of(float),
-                        default=",".join(str(x) for x in DEFAULT_L2_WEIGHTS))
-    p_tune.add_argument("--rules-grid", type=_list_of(int),
-                        default=",".join(str(x) for x in DEFAULT_RULE_COUNTS))
-    p_tune.add_argument("--val-fraction", type=float, default=1.0 / 3.0)
-    p_tune.add_argument("--metric", choices=METRICS, default="subset01")
-    p_tune.add_argument("--seed", type=int, default=0)
-    p_tune.add_argument("--json", help="write the full report as JSON")
+    p_tune.add_argument("--loss", choices=LOSS_NAMES)
+    p_tune.add_argument("--head", choices=HEAD_MODES, dest="head_mode")
+    p_tune.add_argument("--shrinkage-grid", type=_list_of(float), dest="shrinkages",
+                        metavar="SHRINKAGE_GRID")
+    p_tune.add_argument("--l2-grid", type=_list_of(float), dest="l2_weights", metavar="L2_GRID")
+    p_tune.add_argument("--rules-grid", type=_list_of(int), dest="rule_counts",
+                        metavar="RULES_GRID")
+    p_tune.add_argument("--val-fraction", type=float, dest="validation_fraction",
+                        metavar="VAL_FRACTION")
+    p_tune.add_argument("--metric", choices=METRICS)
+    p_tune.add_argument("--seed", type=int)
+    p_tune.add_argument("--json", default=None, help="write the full report as JSON")
     p_tune.set_defaults(func=_cmd_tune)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic benchmark")
+    p_synth = sub.add_parser("synth", help="generate a synthetic benchmark", **suppress)
     _add_scenario_arguments(p_synth)
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.set_defaults(func=_cmd_synth)
 
     p_traj = sub.add_parser(
-        "trajectory", help="loss trajectories of the four variants on synthetic data"
+        "trajectory", help="loss trajectories of the four variants on synthetic data", **suppress
     )
     _add_scenario_arguments(p_traj)
-    p_traj.add_argument("--variants", type=_list_of(_variant),
-                        default=",".join(v.name for v in ALL_VARIANTS),
+    p_traj.add_argument("--variants", type=_list_of(_variant), default=ALL_VARIANTS,
                         help="comma-separated variant names")
-    p_traj.add_argument("--checkpoints", type=_list_of(int),
-                        default=",".join(str(t) for t in DEFAULT_CHECKPOINTS))
-    p_traj.add_argument("--shrinkage", type=float, default=0.3)
-    p_traj.add_argument("--l2", type=float, default=0.0)
+    p_traj.add_argument("--checkpoints", type=_list_of(int))
+    p_traj.add_argument("--shrinkage", type=float)
+    p_traj.add_argument("--l2", type=float, dest="l2_weight", metavar="L2")
     p_traj.add_argument("--out", required=True, help="output directory")
     p_traj.set_defaults(func=_cmd_trajectory)
 

@@ -8,9 +8,9 @@ checkpoints is exact.  ``checkpoint_points`` scores them in one walk.
 
 The variants are independent, separately seeded runs, trained through
 ``workers.map_configs`` longest first (see ``_expected_cost``); every
-series is bit-identical to serial training.  Each variant's
-``TrainConfig`` checks its settings as it is built, before any trains or
-forks.
+series is bit-identical to serial training.  ``run_trajectory`` declares
+the default checkpoints and settings, and each variant's ``TrainConfig``
+checks the settings as it is built, before any trains or forks.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-# The variants are defined beside the command line's choices; this module
+# The variants are named with the command line's other choices; this module
 # re-exports them with the walk that runs them.
-from .choices import (ALL_VARIANTS, DEFAULT_CHECKPOINTS, EXAMPLE_WISE_LOGISTIC, HEAD_MULTI,
-                      TrajectoryVariant)
+from .choices import ALL_VARIANTS, EXAMPLE_WISE_LOGISTIC, HEAD_MULTI, TrajectoryVariant
 from .dataset import Dataset
 from .errors import ConfigError
 from .metrics import hamming_loss, subset_zero_one_loss
@@ -58,7 +57,7 @@ def run_trajectory(
     train_data: Dataset,
     test_data: Dataset,
     variants,
-    checkpoints=DEFAULT_CHECKPOINTS,
+    checkpoints=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000),
     *,
     shrinkage: float = 0.3,
     l2_weight: float = 0.0,

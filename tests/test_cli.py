@@ -6,14 +6,21 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import fields, replace
+from inspect import signature
 from pathlib import Path
 
 import pytest
 
 import ruleboost
 from ruleboost import cli
+from ruleboost.choices import ALL_VARIANTS
 from ruleboost.cli import main
 from ruleboost.serialization import load, save
+from ruleboost.synthetic import SyntheticConfig
+from ruleboost.training import TrainConfig
+from ruleboost.trajectory import run_trajectory
+from ruleboost.tuning import GridSearchConfig
 
 from test_trajectory import needs_fork, no_child_left, use_cpus
 
@@ -468,24 +475,127 @@ class TestListOptions:
         assert err.endswith(f"error: argument {option}: {message}\n")
         assert not (tmp_path / "out").exists()
 
-    def test_the_defaults_parse(self):
-        from ruleboost.choices import (ALL_VARIANTS, DEFAULT_CHECKPOINTS, DEFAULT_L2_WEIGHTS,
-                                       DEFAULT_RULE_COUNTS, DEFAULT_SHRINKAGES)
-
+    def test_entries_are_stripped_and_kept_in_order(self):
         parser = cli._build_parser()
-        tune = parser.parse_args(["tune", "--data", "d.arff", "--labels", "1"])
-        assert tune.shrinkage_grid == DEFAULT_SHRINKAGES
-        assert tune.l2_grid == DEFAULT_L2_WEIGHTS
-        assert tune.rules_grid == DEFAULT_RULE_COUNTS
-        trajectory = parser.parse_args(["trajectory", "--scenario", "marginal_independence",
-                                        "--out", "o"])
-        assert trajectory.checkpoints == DEFAULT_CHECKPOINTS
-        assert trajectory.variants == ALL_VARIANTS
-        assert parser.parse_args(["trajectory", "--scenario", "marginal_independence", "--out",
-                                  "o", "--variants", " exwlog-multi ,lwlog-single"]
+        trajectory = ["trajectory", "--scenario", "marginal_independence", "--out", "o"]
+        assert parser.parse_args(trajectory).variants == ALL_VARIANTS
+        assert parser.parse_args([*trajectory, "--variants", " exwlog-multi ,lwlog-single"]
                                  ).variants == (ALL_VARIANTS[3], ALL_VARIANTS[0])
         assert parser.parse_args(["tune", "--data", "d", "--labels", "1",
-                                  "--rules-grid", " 2, ,4,"]).rules_grid == (2, 4)
+                                  "--rules-grid", " 2, ,4,"]).rule_counts == (2, 4)
+
+
+SCENARIO = "marginal_independence"
+# Each config-building command's required options, none of which is a setting.
+REQUIRED = {
+    "train": ("--data", "d.arff", "--labels", "1", "--model", "m.json"),
+    "tune": ("--data", "d.arff", "--labels", "1"),
+    "synth": ("--scenario", SCENARIO, "--out", "o"),
+    "trajectory": ("--scenario", SCENARIO, "--out", "o"),
+}
+# ``run_trajectory``'s settings and their declared defaults.
+TRAJECTORY_DEFAULTS = {name: parameter.default
+                       for name, parameter in signature(run_trajectory).parameters.items()
+                       if parameter.default is not parameter.empty}
+DEFAULTS = {
+    "train": TrainConfig(),
+    "tune": GridSearchConfig(),
+    "synth": SyntheticConfig(SCENARIO),
+    "trajectory": (SyntheticConfig(SCENARIO), TRAJECTORY_DEFAULTS),
+}
+
+
+class _Stop(Exception):
+    """Raised by the stand-in of the call that would train or generate data."""
+
+
+def _built(monkeypatch, command, *options):
+    """What ``command`` builds from its required options and ``options``: its config and, for
+    ``trajectory``, also the settings ``run_trajectory`` runs with, defaults included."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        if command == "trajectory" and len(calls) == 1:
+            return None, None  # generate's train and test data
+        raise _Stop
+
+    monkeypatch.setattr(cli, "_load_dataset", lambda *args: None)
+    for name in ("train", "grid_search", "generate", "run_trajectory"):
+        monkeypatch.setattr(cli, name, record, raising=False)
+    with pytest.raises(_Stop):
+        main([command, *REQUIRED[command], *options])
+    (args, _), *rest = calls
+    config = args[-1]  # train(dataset, config), grid_search(dataset, config), generate(config)
+    if command != "trajectory":
+        return config
+    ((args, kwargs),) = rest
+    bound = signature(run_trajectory).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return config, {name: bound.arguments[name] for name in TRAJECTORY_DEFAULTS}
+
+
+# Every setting option of every command, a value other than its default, and the field it sets.
+SETTING_OPTIONS = [
+    *[("train", *row) for row in [
+        (("--loss", "example-wise-logistic"), "loss", "example-wise-logistic"),
+        (("--head", "single"), "head_mode", "single"),
+        (("--rules", "7"), "n_rules", 7),
+        (("--shrinkage", "0.5"), "shrinkage", 0.5),
+        (("--l2", "1.5"), "l2_weight", 1.5),
+        (("--seed", "3"), "seed", 3),
+        (("--no-bagging",), "bagging", False),
+        (("--no-feature-sampling",), "feature_sampling", False),
+    ]],
+    *[("tune", *row) for row in [
+        (("--loss", "example-wise-logistic"), "loss", "example-wise-logistic"),
+        (("--head", "single"), "head_mode", "single"),
+        (("--shrinkage-grid", "0.2,0.4"), "shrinkages", (0.2, 0.4)),
+        (("--l2-grid", "0,2"), "l2_weights", (0.0, 2.0)),
+        (("--rules-grid", "5,10"), "rule_counts", (5, 10)),
+        (("--val-fraction", "0.25"), "validation_fraction", 0.25),
+        (("--metric", "hamming"), "metric", "hamming"),
+        (("--seed", "3"), "seed", 3),
+    ]],
+    *[(command, *row) for command in ("synth", "trajectory") for row in [
+        (("--n", "300"), "n_examples", 300),
+        (("--labels", "3"), "n_labels", 3),
+        (("--noise", "0.2"), "noise_rate", 0.2),
+        (("--spread", "0.5"), "boundary_angle_spread", 0.5),
+        (("--seed", "3"), "seed", 3),
+    ]],
+    ("trajectory", ("--checkpoints", "1,5"), "checkpoints", (1, 5)),
+    ("trajectory", ("--shrinkage", "0.5"), "shrinkage", 0.5),
+    ("trajectory", ("--l2", "2"), "l2_weight", 2.0),
+]
+
+
+class TestSettingOptions:
+    """Each setting option is named as the field it sets; left out, the field's default applies."""
+
+    @pytest.mark.parametrize("command", REQUIRED)
+    def test_no_setting_option_builds_the_declared_defaults(self, monkeypatch, command):
+        assert _built(monkeypatch, command) == DEFAULTS[command]
+
+    @pytest.mark.parametrize("command,options,field,value", SETTING_OPTIONS,
+                             ids=[f"{row[0]} {row[1][0]}" for row in SETTING_OPTIONS])
+    def test_each_setting_option_sets_its_field(self, monkeypatch, command, options, field,
+                                                value):
+        default = DEFAULTS[command]
+        if command == "trajectory":
+            # A scenario setting goes to the SyntheticConfig, a training setting to
+            # run_trajectory, and the seed to both.
+            config, settings = default
+            if field in {f.name for f in fields(config)}:
+                config = replace(config, **{field: value})
+            if field in settings:
+                settings = {**settings, field: value}
+            expected = config, settings
+        else:
+            assert getattr(default, field) != value
+            expected = replace(default, **{field: value})
+        assert expected != default
+        assert _built(monkeypatch, command, *options) == expected
 
 
 class TestErrorPaths:
