@@ -226,6 +226,8 @@ def loads(text: str) -> Ensemble:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid model document: {exc.msg}", line=exc.lineno) from None
+    except ValueError:  # an integer literal over Python's int-conversion digit limit
+        raise ParseError("invalid model document: an integer literal is too long") from None
     except RecursionError:
         raise ParseError("invalid model document: nested too deeply") from None
     return ensemble_from_dict(document)

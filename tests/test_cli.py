@@ -598,6 +598,10 @@ class TestSettingOptions:
         assert _built(monkeypatch, command, *options) == expected
 
 
+# Stands for a JSON integer literal of 5,000 digits in a model document.
+HUGE_INT = "<5000 nines>"
+
+
 class TestErrorPaths:
     def test_a_csv_field_over_the_size_limit_exits_1_with_one_error_line(self, tmp_path):
         big = tmp_path / "big.csv"
@@ -689,6 +693,7 @@ class TestErrorPaths:
         (lambda d: d.update(shrinkage=-0.3), "shrinkage"),
         (lambda d: d.update(l2_weight=-1.0), "l2_weight"),
         (lambda d: d.update(seed=-1), "seed"),
+        (lambda d: d.update(seed=HUGE_INT), "an integer literal is too long"),
     ])
     def test_model_with_a_bad_field_value(self, synth_dir, model_path, tmp_path, capsys,
                                           mutate, field):
@@ -696,7 +701,8 @@ class TestErrorPaths:
         assert document["rules"][1]["conditions"]
         mutate(document)
         broken = tmp_path / "broken.json"
-        broken.write_text(json.dumps(document))
+        # An int over Python's int-conversion digit limit cannot be dumped, so it is spliced in.
+        broken.write_text(json.dumps(document).replace(json.dumps(HUGE_INT), "9" * 5000))
         code = main(["predict", "--data", str(synth_dir / "test.arff"), "--labels", "3",
                      "--model", str(broken), "--output", str(tmp_path / "p.csv")])
         assert code == 1

@@ -154,6 +154,15 @@ class TestMalformedDocuments:
         with pytest.raises(UnsupportedVersionError):
             loads(json.dumps(document))
 
+    @pytest.mark.parametrize("text", [
+        '{"format_version": 1, "seed": ' + "9" * 5000 + "}",
+        '{"rules": [{"scores": [-' + "1" * 5000 + "]}]}",
+    ], ids=["seed", "score"])
+    def test_an_integer_literal_too_long_to_convert(self, text):
+        with pytest.raises(ParseError,
+                           match="^invalid model document: an integer literal is too long$"):
+            loads(text)
+
     def test_a_document_that_is_not_an_object(self):
         with pytest.raises(ParseError, match="^model document is not an object$"):
             loads("[]")
