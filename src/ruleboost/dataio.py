@@ -506,12 +506,15 @@ def load_csv(path, labels, block: DataBlock | None = None) -> Dataset:
     if label_set - set(header):
         raise SchemaError(f"label columns not found in header: {sorted(label_set - set(header))}")
     width = len(header)
+    # Label columns by position, as in ARFF: a count takes the trailing ones, a name its first.
+    label_idx = (range(width - labels, width) if isinstance(labels, int)
+                 else [header.index(name) for name in label_names])
     features = [_csv_column(name, cells[j::width], numbers)
-                for j, name in enumerate(header) if name not in label_set]
+                for j, name in enumerate(header) if j not in label_idx]
     schema = AttributeSchema(tuple(attr for attr, _ in features))
     label_matrix = np.empty((len(numbers), len(label_names)), dtype=np.int8)
-    for k, name in enumerate(label_names):
-        column = cells[header.index(name)::width]
+    for k, (name, j) in enumerate(zip(label_names, label_idx)):
+        column = cells[j::width]
         signs = _Codes({"0": -1, "1": 1}.__getitem__)
         label_matrix[:, k] = signs.column(column, lambda i: SchemaError(
             f"label {name!r} has value {column[i].strip()!r}, expected 0 or 1", line=numbers[i]

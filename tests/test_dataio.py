@@ -617,6 +617,24 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="^label 'l1' is named twice$"):
             load_csv(path, ["l1", "l2", "l1"])
 
+    @pytest.mark.parametrize("labels,expected,feature", [
+        (1, [1, 1, -1], [0.0, 0.0, 1.0]),
+        (["l"], [-1, -1, 1], [1.0, 1.0, 0.0]),
+    ])
+    def test_a_repeated_label_name_picks_columns_as_arff_does(self, tmp_path, labels, expected,
+                                                              feature):
+        """A count takes the trailing column and a name its first; the other ``l`` is a feature."""
+        (tmp_path / "dup.csv").write_text("x,l,l\n1,0,1\n2,0,1\n3,1,0\n")
+        (tmp_path / "dup.arff").write_text("@relation dup\n@attribute x numeric\n"
+                                           "@attribute l {0,1}\n@attribute l {0,1}\n"
+                                           "@data\n1,0,1\n2,0,1\n3,1,0\n")
+        dataset = load_csv(tmp_path / "dup.csv", labels)
+        arff = load_arff(tmp_path / "dup.arff", labels)
+        assert dataset.labels[:, 0].tolist() == arff.labels[:, 0].tolist() == expected
+        assert dataset.label_names == arff.label_names == ["l"]
+        assert [a.name for a in dataset.schema] == [a.name for a in arff.schema] == ["x", "l"]
+        assert dataset.columns[1].tolist() == feature
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
