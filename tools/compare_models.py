@@ -46,8 +46,10 @@ goes through ``train`` (model bytes and stdout with the time masked),
 once on the plain CSV with a bad cell.  ``train --no-bagging
 --no-feature-sampling --loss example-wise-logistic`` runs on the ARFF
 test file and its wide rewrite, so that every refinement gathers all n
-rows and scans every attribute.  Stdout, stderr, exit codes and written
-files are compared byte for byte.
+rows and scans every attribute.  ``synth --scenario marginal_dependence
+--n 300``, with every other setting left to its default, writes its
+three files.  Stdout, stderr, exit codes and written files are compared
+byte for byte.
 
 Last, a differential loader check: ``CSV_TEXTS`` mutations of two small
 CSV texts, made with the tokens of ``tests/test_fuzz.py``'s text
@@ -69,6 +71,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -96,6 +99,8 @@ TUNE_ARGS = (
     "tune", "--labels", "6", "--loss", "example-wise-logistic", "--head", "multi",
     "--shrinkage-grid", "0.3,0.5", "--l2-grid", "0,1,4", "--rules-grid", "10,20",
 )
+# Synthetic data with every setting but the scenario and size left to its default.
+SYNTH_DEFAULTS_ARGS = ("synth", "--scenario", "marginal_dependence", "--n", "300")
 SUBCOMMANDS = ("train", "predict", "evaluate", "tune", "synth", "trajectory")
 # Training with every row and every attribute at each refinement step.
 NO_SAMPLING = ("--no-bagging", "--no-feature-sampling", "--loss", "example-wise-logistic")
@@ -365,8 +370,8 @@ def _csv_test_files(test: Path) -> tuple[Path, Path, Path]:
 
 
 def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
-    """Each tree's ``--help`` texts, ``predict``, ``evaluate``, ``train`` and ``tune`` outputs,
-    by command line."""
+    """Each tree's ``--help`` texts, ``predict``, ``evaluate``, ``train``, ``tune`` and
+    ``synth`` outputs, by command line."""
 
     def parent_run(*args):
         status, _, stderr = _cli(parent_src, *args)
@@ -405,7 +410,7 @@ def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
             commands[f"{command} --decode {method} --data {test.name}"] = (
                 command, "--decode", method, "--data", str(test), "--labels", str(N_LABELS),
                 "--model", str(test_model))
-        trained = Path(work) / "trained.json"
+        trained, synthesized = Path(work) / "trained.json", Path(work) / "synthesized"
         outputs = []
         for tree, src in enumerate((parent_src, change_src)):
             outputs.append({name: _cli(src, *args) for name, args in commands.items()})
@@ -432,6 +437,11 @@ def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
                     status, re.sub(rb" in [0-9.]+s\n", b"\n", stdout), stderr,
                     trained.read_bytes() if trained.exists() else None)
                 trained.unlink(missing_ok=True)
+            status, stdout, stderr = _cli(src, *SYNTH_DEFAULTS_ARGS, "--out", str(synthesized))
+            outputs[-1][" ".join(SYNTH_DEFAULTS_ARGS)] = (status, stdout, stderr, *(
+                (synthesized / name).read_bytes() if (synthesized / name).exists() else None
+                for name in ("train.arff", "test.arff", "boundaries.json")))
+            shutil.rmtree(synthesized, ignore_errors=True)
         return tuple(outputs)
 
 
