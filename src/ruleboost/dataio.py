@@ -22,9 +22,11 @@ cells, row after row.  A block whose every line is plain (see
 ``_plain``) is split in one pass; any other has every row read by the
 ARFF line tokenizer or one csv reader, whose record may span lines.
 The columns are then converted one at a time.  An error about a line
-carries it as ``line`` and its message starts with it.  In ARFF the
-earliest bad line is reported, in CSV a row of the wrong width, then the
-columns in header order.
+carries it as ``line`` and its message starts with it.  ARFF reports a
+bad label spec, then the earliest bad line, a missing label value
+included; CSV reports a row of the wrong width, then a bad label spec,
+then the feature columns in header order, then the label columns in the
+order given.
 """
 
 from __future__ import annotations
@@ -329,8 +331,9 @@ def read_arff_block(path) -> DataBlock:
     raise ParseError(f"{path}: no @data section found")
 
 
-def _columns(block: DataBlock) -> tuple[list[np.ndarray], list[int]]:
-    """Each attribute's converted column and each row's line; the earliest bad line raises."""
+def _columns(block: DataBlock, label_idx) -> tuple[list[np.ndarray], list[int]]:
+    """Each attribute's converted column and each row's line; the earliest bad line raises.
+    A missing value in a label column, one of ``label_idx``, is a bad cell."""
     cells, numbers, row_error = _data_cells(block)
     width = len(block.header)
     columns, cell_errors = [], []
@@ -340,6 +343,12 @@ def _columns(block: DataBlock) -> tuple[list[np.ndarray], list[int]]:
             columns.append(convert(attr, cells[j::width], numbers))
         except RuleBoostError as error:
             cell_errors.append((error.line, j, error))
+            continue
+        missing = np.flatnonzero(columns[-1] == MISSING_CODE) if j in label_idx else ()
+        if len(missing):
+            line = numbers[missing[0]]
+            cell_errors.append((line, j, SchemaError(
+                f"missing label value for {attr.name!r}", line=line)))
     if cell_errors:
         raise min(cell_errors)[2]
     if row_error is not None:
@@ -348,6 +357,7 @@ def _columns(block: DataBlock) -> tuple[list[np.ndarray], list[int]]:
 
 
 def _label_indices(attributes, labels) -> list[int]:
+    """The label attributes' indices; each must be nominal with domain {0, 1}."""
     names = [a.name for a in attributes]
     if isinstance(labels, int):
         if not 0 < labels < len(attributes):
@@ -355,32 +365,27 @@ def _label_indices(attributes, labels) -> list[int]:
                 f"label count {labels} does not leave any feature among "
                 f"{len(attributes)} attributes"
             )
-        return list(range(len(attributes) - labels, len(attributes)))
-    indices = []
-    for label in labels:
-        if label not in names:
-            raise SchemaError(f"no attribute named {label!r} to use as a label")
-        indices.append(names.index(label))
-    if not indices:
-        raise SchemaError("no label attributes given")
-    return indices
-
-
-def _assemble(attributes, columns, numbers, labels) -> Dataset:
-    label_idx = _label_indices(attributes, labels)
-    label_set = set(label_idx)
-    for i in label_idx:
+        indices = list(range(len(attributes) - labels, len(attributes)))
+    else:
+        indices = []
+        for label in labels:
+            if label not in names:
+                raise SchemaError(f"no attribute named {label!r} to use as a label")
+            indices.append(names.index(label))
+        if not indices:
+            raise SchemaError("no label attributes given")
+    for i in indices:
         attr = attributes[i]
         if attr.is_numeric or set(attr.values) != {"0", "1"}:
             raise SchemaError(
                 f"label attribute {attr.name!r} must be nominal with domain {{0, 1}}"
             )
+    return indices
+
+
+def _assemble(attributes, columns, label_idx) -> Dataset:
+    label_set = set(label_idx)
     codes = np.column_stack([columns[i] for i in label_idx])
-    missing = np.argwhere(codes == MISSING_CODE)
-    if missing.size:
-        row, k = missing[0]
-        raise SchemaError(f"missing label value for {attributes[label_idx[k]].name!r}",
-                          line=numbers[row])
     label_matrix = np.empty(codes.shape, dtype=np.int8)
     for k, i in enumerate(label_idx):
         sign = np.array([1 if v == "1" else -1 for v in attributes[i].values], dtype=np.int8)
@@ -403,10 +408,11 @@ def load_arff(path, labels, block: DataBlock | None = None) -> Dataset:
     """
     if block is None:
         block = read_arff_block(path)
-    columns, numbers = _columns(block)
+    label_idx = _label_indices(block.header, labels)
+    columns, numbers = _columns(block, label_idx)
     if not numbers:
         raise ParseError(f"{path}: no data rows")
-    return _assemble(block.header, columns, numbers, labels)
+    return _assemble(block.header, columns, label_idx)
 
 
 def _needs_quoting(value: str) -> bool:
@@ -502,6 +508,8 @@ def load_csv(path, labels, block: DataBlock | None = None) -> Dataset:
     if isinstance(labels, int) and not 0 < labels < len(header):
         raise SchemaError(f"label count {labels} invalid for {len(header)} columns")
     label_names = list(header[-labels:] if isinstance(labels, int) else labels)
+    if not label_names:
+        raise SchemaError("no label attributes given")
     label_set = set(label_names)
     if label_set - set(header):
         raise SchemaError(f"label columns not found in header: {sorted(label_set - set(header))}")

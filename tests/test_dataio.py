@@ -140,6 +140,14 @@ class TestLoadArffErrors:
             load_arff(path, 1)
         assert caught.value.line == 7
 
+    def test_a_missing_label_before_a_bad_cell_is_reported_first(self, tmp_path):
+        path = tmp_path / "bad.arff"
+        path.write_text("@relation r\n@attribute x numeric\n@attribute l {0,1}\n@data\n"
+                        "1,1\n?,?\n2,0\noops,0\n")
+        with pytest.raises(SchemaError, match="^line 6: missing label value for 'l'$") as caught:
+            load_arff(path, 1)
+        assert caught.value.line == 6
+
     def test_unsupported_attribute_type(self, tmp_path):
         path = tmp_path / "bad.arff"
         path.write_text("@relation r\n@attribute a string\n@data\n")
@@ -711,6 +719,7 @@ class TestCsvErrorPrecedence:
         ("x,l\noops,2\n", ["nope"], SchemaError,
          re.escape("label columns not found in header: ['nope']")),
         ("x,l\noops,2\n", 2, SchemaError, "label count 2 invalid for 2 columns"),
+        ("x,l\noops,2\n", [], SchemaError, "no label attributes given"),
         ("x,l\n1,2\noops,0\n", 1, ParseError, "line 3: column 'x' is numeric but got 'oops'"),
         ("x,y,l\n1,?,2\n,,0\n", 1, SchemaError, "column 'y' has no values at all"),
         ("y,x,l\n?,1,1\n,oops,0\n", 1, SchemaError, "column 'y' has no values at all"),
