@@ -346,9 +346,8 @@ def _columns(block: DataBlock, label_idx) -> tuple[list[np.ndarray], list[int]]:
             continue
         missing = np.flatnonzero(columns[-1] == MISSING_CODE) if j in label_idx else ()
         if len(missing):
-            line = numbers[missing[0]]
-            cell_errors.append((line, j, SchemaError(
-                f"missing label value for {attr.name!r}", line=line)))
+            error = SchemaError(f"missing label value for {attr.name!r}", line=numbers[missing[0]])
+            cell_errors.append((error.line, j, error))
     if cell_errors:
         raise min(cell_errors)[2]
     if row_error is not None:

@@ -1,4 +1,5 @@
-"""The paired-benchmark tool's summary and shape data, and the model gate's package check.
+"""The paired-benchmark tool's summary and shape data, and the model gate's package check and
+case capture.
 
 These run the tools' functions in-process on made-up runs; they start no
 benchmark run and train nothing.
@@ -115,3 +116,15 @@ def test_gate_rejects_a_directory_without_ruleboost(tools, tmp_path):
         compare_models.check_package(str(tmp_path))
     assert str(tmp_path) in str(raised.value)
     compare_models.check_package(str(ROOT / "src"))
+
+
+def test_a_gate_case_returns_its_files_and_removes_them(tools, tmp_path):
+    _, compare_models = tools
+    out = tmp_path / "out"
+    args = ("synth", "--scenario", "marginal_independence", "--n", "20", "--out", str(out))
+    status, stdout, stderr, train, absent = compare_models._case(
+        str(ROOT / "src"), out, args, ("train.arff", "absent.json"), False)
+    assert (status, stderr, absent) == (0, b"", None)
+    assert stdout == f"wrote train.arff, test.arff and boundaries.json to {out}\n".encode()
+    assert train.startswith(b"@relation synthetic_marginal_independence_train")
+    assert not out.exists()

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/bench_pairs.py --workload WORKLOAD --pairs 5 --label LABEL TREE_A TREE_B
+    python tools/bench_pairs.py --workload WORKLOAD --pairs 10 --label LABEL TREE_A TREE_B
 
 Each ``TREE`` is a checkout of the repository (a clone or a ``git
 worktree`` of any commit).  Tree A runs first in even pairs and tree B in
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--label", required=True)
     parser.add_argument("trees", nargs=2, type=Path)
     args = parser.parse_args(argv)

@@ -1,14 +1,15 @@
-"""Train the same 288 models and trajectories under two source trees and compare them.
+"""Train the same 288 models and run the same 31 command lines under two source trees.
 
 Usage::
 
     python tools/compare_models.py PARENT_SRC CHANGE_SRC
 
 Each ``*_SRC`` is a directory that contains the ``ruleboost`` package
-(for example a checkout's ``src``); each tree first imports it once, and
-the script stops, naming the directory, if the package came from
-elsewhere.  Both trees train, each in its own subprocess, every
-combination of
+(for example a checkout's ``src``).  Every process of a tree is a
+``python`` with that directory first on ``PYTHONPATH``; each tree first
+imports the package once so, and the script stops, naming the directory,
+if it came from elsewhere.  Both trees train, each in its own
+subprocess, every combination of
 
 * 3 synthetic scenarios (n = 2000, 6 labels) x seeds 0-2,
 * 4 variants (label-wise / example-wise loss x single / all-label heads),
@@ -23,33 +24,36 @@ each with 100 rules.  Wide data's 13 attributes make every refinement
 step sample 4 of them, where the other kinds sample 1 or 2.  The script
 prints how many models are byte-identical, overall and of each data
 kind, how many have the same rule bodies and the largest head difference
-among those, then lists every model that differs.  Both trees also run
-``ruleboost trajectory`` at the benchmark's ``trajectory-4v`` settings
-(conditional_dependence, n = 2000, 6 labels, noise 0.1, ``--seed 0``,
-checkpoints 1,2,4,8,16,32,50); the four series CSVs are compared.
+among those, then lists every model that differs.
 
-Each tree runs ``python -m ruleboost.cli`` as a process: ``--help`` of
-the program and of every subcommand, and ``predict`` (CSV read from
-stdout through a pipe) on one model that the parent tree wrote, with
-both decoders on the test file, on its rows repeated to 25,000 (which
-forked workers parse, score and decode in shares where two CPUs are
-usable), once on a tie-heavy rewrite (per-cell converter), once with a
-'%' comment line in the data block (per-line tokenizer) and once on the
-large file with a bad cell in its last quarter.  ``evaluate --json``,
-which serves through the same shares, runs with both decoders on the
-large file and once on the bad one.  ``tune --json`` (example-wise
-loss, all-label heads, shrinkages 0.3 and 0.5 x l2 weights 0, 1 and 4,
-rules 10 and 20) runs on ``trajectory-4v`` data.  The test file written
-as CSV, plain and fully quoted with a header name that spans two lines,
-goes through ``train`` (model bytes and stdout with the time masked),
+Each tree then runs every case of one table as a
+``python -m ruleboost.cli`` process, with an empty output directory.  A
+case is a command line, the files it writes there and whether its stdout
+carries a training time, which is masked (``train`` only); its exit
+code, stdout, stderr and files (or their absence) are compared byte for
+byte.  The 31 cases are ``--help`` of the program and of every
+subcommand, ``predict`` (CSV read from stdout through a pipe) on one
+model that the parent tree wrote, with both decoders on the test file,
+on its rows repeated to 25,000 (which forked workers parse, score and
+decode in shares where two CPUs are usable), once on a tie-heavy rewrite
+(per-cell converter), once with a '%' comment line in the data block
+(per-line tokenizer) and once on the large file with a bad cell in its
+last quarter.  ``evaluate --json``, which serves through the same
+shares, runs with both decoders on the large file and once on the bad
+one.  ``tune --json`` (example-wise loss, all-label heads, shrinkages
+0.3 and 0.5 x l2 weights 0, 1 and 4, rules 10 and 20) runs on
+``trajectory-4v`` data.  The test file written as CSV, plain and fully
+quoted with a header name that spans two lines, goes through ``train``,
 ``predict`` with both decoders and ``evaluate``, and ``predict`` runs
 once on the plain CSV with a bad cell.  ``train --no-bagging
 --no-feature-sampling --loss example-wise-logistic`` runs on the ARFF
 test file and its wide rewrite, so that every refinement gathers all n
 rows and scans every attribute.  ``synth --scenario marginal_dependence
 --n 300``, with every other setting left to its default, writes its
-three files.  Stdout, stderr, exit codes and written files are compared
-byte for byte.
+three files.  ``trajectory`` at the benchmark's ``trajectory-4v``
+settings (conditional_dependence, n = 2000, 6 labels, noise 0.1,
+``--seed 0``, checkpoints 1,2,4,8,16,32,50) writes its four series CSVs;
+the script stops if the parent's does not write all four.
 
 Last, a differential loader check: ``CSV_TEXTS`` mutations of two small
 CSV texts, made with the tokens of ``tests/test_fuzz.py``'s text
@@ -59,8 +63,7 @@ Each tree loads every text in one subprocess and prints one digest per
 text: a hash of the dataset, or the error's type and message.  Every
 text whose digests differ is listed.
 
-It exits 1 when any model, series, command line output or CSV digest
-differs.
+It exits 1 when any model, command line output or CSV digest differs.
 """
 
 from __future__ import annotations
@@ -95,6 +98,9 @@ N_RULES = 100
 SCENARIO_ARGS = ("--scenario", "conditional_dependence", "--n", "2000", "--labels", "6",
                  "--noise", "0.1", "--seed", "0")
 TRAJECTORY_ARGS = ("trajectory", *SCENARIO_ARGS, "--checkpoints", "1,2,4,8,16,32,50")
+# The files that trajectory writes, one series per variant.
+SERIES = tuple(f"trajectory_{variant}.csv"
+               for variant in ("lwlog-single", "lwlog-multi", "exwlog-single", "exwlog-multi"))
 TUNE_ARGS = (
     "tune", "--labels", "6", "--loss", "example-wise-logistic", "--head", "multi",
     "--shrinkage-grid", "0.3,0.5", "--l2-grid", "0,1,4", "--rules-grid", "10,20",
@@ -173,9 +179,8 @@ def _wide(dataset, seed):
                    dataset.label_names)
 
 
-def emit_models(src: str) -> None:
-    """Train every model with the ruleboost package found in ``src``; print one JSON line each."""
-    sys.path.insert(0, src)
+def emit_models() -> None:
+    """Train every model; print one JSON line each."""
     from ruleboost.serialization import dumps
     from ruleboost.synthetic import SyntheticConfig, generate
     from ruleboost.training import TrainConfig, train
@@ -195,17 +200,8 @@ def emit_models(src: str) -> None:
                               flush=True)
 
 
-def emit_trajectory(src: str, out: str) -> int:
-    """Run ``ruleboost trajectory`` at the trajectory-4v settings with the package in ``src``."""
-    sys.path.insert(0, src)
-    from ruleboost.cli import main as cli_main
-
-    return cli_main([*TRAJECTORY_ARGS, "--out", out])
-
-
-def emit_csv_digests(src: str, texts: str) -> None:
-    """Load every CSV text in ``texts`` with the package in ``src``; print one digest each."""
-    sys.path.insert(0, src)
+def emit_csv_digests(texts: str) -> None:
+    """Load every CSV text in ``texts``; print one digest each."""
     from ruleboost.dataio import load_csv
 
     directory = Path(texts)
@@ -222,9 +218,8 @@ def emit_csv_digests(src: str, texts: str) -> None:
         print(json.dumps(["dataset", digest.hexdigest()]))
 
 
-def emit_wide_arff(src: str, test: str, out: str) -> None:
-    """Write the ARFF file ``test`` as wide data to ``out`` with the package in ``src``."""
-    sys.path.insert(0, src)
+def emit_wide_arff(test: str, out: str) -> None:
+    """Write the ARFF file ``test`` as wide data to ``out``."""
     from ruleboost.dataio import load_arff, save_arff
 
     save_arff(_wide(load_arff(test, N_LABELS), 0), out)
@@ -271,33 +266,13 @@ def _csv_digests(parent_src: str, change_src: str) -> list[str]:
             (Path(work) / f"{k}.csv").write_bytes(text.encode("utf-8"))
         (Path(work) / "labels.json").write_text(json.dumps([labels for _, labels in cases]))
         with ThreadPoolExecutor(2) as pool:
-            parent, change = pool.map(lambda src: _run(src, "--csv", src, work).splitlines(),
+            parent, change = pool.map(lambda src: _run(src, "--csv", work).splitlines(),
                                       (parent_src, change_src))
     if len(parent) != len(cases) or len(change) != len(cases):
         raise SystemExit("a tree did not load every CSV text")
     return [f"text {k} (labels {labels!r}): {before} -> {after}: {text!r:.300}"
             for k, ((text, labels), before, after) in enumerate(zip(cases, parent, change))
             if before != after]
-
-
-def _run(src: str, *args: str) -> str:
-    completed = subprocess.run(
-        [sys.executable, __file__, *args], capture_output=True, text=True, check=False,
-    )
-    if completed.returncode != 0:
-        raise SystemExit(f"running under {src} failed:\n{completed.stderr}")
-    return completed.stdout
-
-
-def _models_of(src: str) -> dict[str, str]:
-    lines = [json.loads(line) for line in _run(src, "--emit", src).splitlines()]
-    return {line["name"]: line["model"] for line in lines}
-
-
-def _series_of(src: str) -> dict[str, bytes]:
-    with tempfile.TemporaryDirectory() as out:
-        _run(src, "--trajectory", src, out)
-        return {path.name: path.read_bytes() for path in sorted(Path(out).glob("*.csv"))}
 
 
 def _python(src: str, *args: str) -> tuple[int, bytes, bytes]:
@@ -309,9 +284,35 @@ def _python(src: str, *args: str) -> tuple[int, bytes, bytes]:
     return completed.returncode, completed.stdout, completed.stderr
 
 
+def _run(src: str, *args: str) -> str:
+    """Stdout of this script run with ``args`` and ``src`` first on the import path."""
+    status, stdout, stderr = _python(src, __file__, *args)
+    if status != 0:
+        raise SystemExit(f"running under {src} failed:\n{stderr.decode(errors='replace')}")
+    return stdout.decode()
+
+
 def _cli(src: str, *args: str) -> tuple[int, bytes, bytes]:
-    """Exit code, stdout and stderr of ``python -m ruleboost.cli args`` with the package in ``src``."""
+    """Exit code, stdout and stderr of ``python -m ruleboost.cli args`` under ``src``."""
     return _python(src, "-m", "ruleboost.cli", *args)
+
+
+def _models_of(src: str) -> dict[str, str]:
+    lines = [json.loads(line) for line in _run(src, "--emit").splitlines()]
+    return {line["name"]: line["model"] for line in lines}
+
+
+def _case(src: str, out: Path, args, files, timed) -> tuple:
+    """Exit code, stdout, stderr and each written file's bytes (None where absent) of
+    ``ruleboost args`` under ``src``, run with ``out`` empty; ``files`` are names in ``out``,
+    which is removed afterwards.  ``timed`` masks stdout's training time, which varies."""
+    out.mkdir()
+    status, stdout, stderr = _cli(src, *args)
+    written = [(out / name).read_bytes() if (out / name).exists() else None for name in files]
+    shutil.rmtree(out)
+    if timed:
+        stdout = re.sub(rb" in [0-9.]+s\n", b"\n", stdout)
+    return status, stdout, stderr, *written
 
 
 def check_package(src: str) -> None:
@@ -370,8 +371,7 @@ def _csv_test_files(test: Path) -> tuple[Path, Path, Path]:
 
 
 def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
-    """Each tree's ``--help`` texts, ``predict``, ``evaluate``, ``train``, ``tune`` and
-    ``synth`` outputs, by command line."""
+    """Each tree's ``_case`` of every command line case, by case name."""
 
     def parent_run(*args):
         status, _, stderr = _cli(parent_src, *args)
@@ -391,11 +391,14 @@ def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
         tie_heavy, commented, large, large_bad = _test_file_variants(data / "test.arff")
         plain, quoted, bad_cell = _csv_test_files(data / "test.arff")
         wide = data / "test_wide.arff"
-        _run(parent_src, "--wide-arff", parent_src, str(data / "test.arff"), str(wide))
+        _run(parent_src, "--wide-arff", str(data / "test.arff"), str(wide))
         parent_run("train", "--data", str(quoted), "--labels", str(N_LABELS),
                    "--rules", str(N_RULES), "--model", str(quoted_model))
-        commands = {" ".join(args): args
-                    for args in [("--help",)] + [(command, "--help") for command in SUBCOMMANDS]}
+        # Each case: its command line, the files it writes into out and whether its stdout
+        # carries a training time.
+        out = Path(work) / "out"
+        cases = {" ".join(args): (args, (), False)
+                 for args in [("--help",)] + [(command, "--help") for command in SUBCOMMANDS]}
         runs = [("predict", method, test, model) for test in (data / "test.arff", large)
                 for method in DECODERS]
         runs += [("predict", "sign", tie_heavy, model),
@@ -407,42 +410,30 @@ def _cli_outputs(parent_src: str, change_src: str) -> tuple[dict, dict]:
                  + [("evaluate", "sign")]]
         runs.append(("predict", "sign", bad_cell, model))
         for command, method, test, test_model in runs:
-            commands[f"{command} --decode {method} --data {test.name}"] = (
-                command, "--decode", method, "--data", str(test), "--labels", str(N_LABELS),
-                "--model", str(test_model))
-        trained, synthesized = Path(work) / "trained.json", Path(work) / "synthesized"
-        outputs = []
-        for tree, src in enumerate((parent_src, change_src)):
-            outputs.append({name: _cli(src, *args) for name, args in commands.items()})
-            report = Path(work) / f"tune-{tree}.json"
-            status, stdout, stderr = _cli(src, *TUNE_ARGS, "--data", str(tune_data / "train.arff"),
-                                          "--json", str(report))
-            outputs[-1]["tune --json"] = (status, stdout, stderr,
-                                          report.read_bytes() if report.exists() else None)
-            for method, test in [(method, large) for method in DECODERS] + [("sign", large_bad)]:
-                report = Path(work) / "evaluate.json"
-                status, stdout, stderr = _cli(src, "evaluate", "--decode", method,
-                                              "--data", str(test), "--labels", str(N_LABELS),
-                                              "--model", str(model), "--json", str(report))
-                outputs[-1][f"evaluate --json --decode {method} --data {test.name}"] = (
-                    status, stdout, stderr, report.read_bytes() if report.exists() else None)
-                report.unlink(missing_ok=True)
-            for test, extra in ((plain, ()), (quoted, ()), (data / "test.arff", NO_SAMPLING),
-                                (wide, NO_SAMPLING)):
-                # The model, and stdout without the training time, which varies between runs.
-                status, stdout, stderr = _cli(src, "train", *extra, "--data", str(test),
-                                              "--labels", str(N_LABELS), "--rules", "20",
-                                              "--model", str(trained))
-                outputs[-1][" ".join(("train", *extra, "--data", test.name))] = (
-                    status, re.sub(rb" in [0-9.]+s\n", b"\n", stdout), stderr,
-                    trained.read_bytes() if trained.exists() else None)
-                trained.unlink(missing_ok=True)
-            status, stdout, stderr = _cli(src, *SYNTH_DEFAULTS_ARGS, "--out", str(synthesized))
-            outputs[-1][" ".join(SYNTH_DEFAULTS_ARGS)] = (status, stdout, stderr, *(
-                (synthesized / name).read_bytes() if (synthesized / name).exists() else None
-                for name in ("train.arff", "test.arff", "boundaries.json")))
-            shutil.rmtree(synthesized, ignore_errors=True)
-        return tuple(outputs)
+            cases[f"{command} --decode {method} --data {test.name}"] = (
+                (command, "--decode", method, "--data", str(test), "--labels", str(N_LABELS),
+                 "--model", str(test_model)), (), False)
+        report = ("--json", str(out / "report.json"))
+        for method, test in [(method, large) for method in DECODERS] + [("sign", large_bad)]:
+            cases[f"evaluate --json --decode {method} --data {test.name}"] = (
+                ("evaluate", "--decode", method, "--data", str(test), "--labels", str(N_LABELS),
+                 "--model", str(model), *report), ("report.json",), False)
+        cases["tune --json"] = (
+            (*TUNE_ARGS, "--data", str(tune_data / "train.arff"), *report), ("report.json",), False)
+        for test, extra in ((plain, ()), (quoted, ()), (data / "test.arff", NO_SAMPLING),
+                            (wide, NO_SAMPLING)):
+            cases[" ".join(("train", *extra, "--data", test.name))] = (
+                ("train", *extra, "--data", str(test), "--labels", str(N_LABELS), "--rules", "20",
+                 "--model", str(out / "model.json")), ("model.json",), True)
+        cases[" ".join(SYNTH_DEFAULTS_ARGS)] = (
+            (*SYNTH_DEFAULTS_ARGS, "--out", str(out)),
+            ("train.arff", "test.arff", "boundaries.json"), False)
+        cases[" ".join(TRAJECTORY_ARGS)] = ((*TRAJECTORY_ARGS, "--out", str(out)), SERIES, False)
+        outputs = tuple({name: _case(src, out, *case) for name, case in cases.items()}
+                        for src in (parent_src, change_src))
+    if None in outputs[0][" ".join(TRAJECTORY_ARGS)]:
+        raise SystemExit(f"ruleboost trajectory under {parent_src} did not write all four series")
+    return outputs
 
 
 def _bodies_and_heads(model: str):
@@ -469,7 +460,6 @@ def compare(parent_src: str, change_src: str) -> int:
         check_package(src)
     with ThreadPoolExecutor(2) as pool:
         parent, change = pool.map(_models_of, (parent_src, change_src))
-        parent_series, change_series = pool.map(_series_of, (parent_src, change_src))
     if parent.keys() != change.keys():
         raise SystemExit("the two trees trained different model sets")
     identical = same_bodies = 0
@@ -501,13 +491,6 @@ def compare(parent_src: str, change_src: str) -> int:
     print(f"worst head difference among same bodies: {worst_head:.3g} (relative)")
     for line in differing:
         print(f"  {line}")
-    if parent_series.keys() != change_series.keys() or len(parent_series) != 4:
-        raise SystemExit("the two trees wrote different trajectory series")
-    same_series = [name for name in parent_series if parent_series[name] == change_series[name]]
-    print(f"trajectory series byte-identical: {len(same_series)}/{len(parent_series)}")
-    for name in parent_series:
-        if name not in same_series:
-            print(f"  {name} differs")
     parent_cli, change_cli = _cli_outputs(parent_src, change_src)
     same_cli = [name for name in parent_cli if parent_cli[name] == change_cli[name]]
     print(f"command line outputs byte-identical: {len(same_cli)}/{len(parent_cli)}")
@@ -518,15 +501,13 @@ def compare(parent_src: str, change_src: str) -> int:
     print(f"CSV texts loaded alike: {CSV_TEXTS - len(differing_csv)}/{CSV_TEXTS}")
     for line in differing_csv:
         print(f"  {line}")
-    same = (identical == total, len(same_series) == len(parent_series),
-            len(same_cli) == len(parent_cli), not differing_csv)
+    same = identical == total, len(same_cli) == len(parent_cli), not differing_csv
     return 0 if all(same) else 1
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    emitters = {"--emit": emit_models, "--trajectory": emit_trajectory,
-                "--wide-arff": emit_wide_arff, "--csv": emit_csv_digests}
+    emitters = {"--emit": emit_models, "--wide-arff": emit_wide_arff, "--csv": emit_csv_digests}
     if argv[:1] and argv[0] in emitters:
         return emitters[argv[0]](*argv[1:]) or 0
     if len(argv) != 2:
