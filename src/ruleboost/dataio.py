@@ -333,7 +333,8 @@ def read_arff_block(path) -> DataBlock:
 
 def _columns(block: DataBlock, label_idx) -> tuple[list[np.ndarray], list[int]]:
     """Each attribute's converted column and each row's line; the earliest bad line raises.
-    A missing value in a label column, one of ``label_idx``, is a bad cell."""
+    A label column, one of ``label_idx``, becomes its -1/+1 signs; a missing value there is
+    a bad cell."""
     cells, numbers, row_error = _data_cells(block)
     width = len(block.header)
     columns, cell_errors = [], []
@@ -344,10 +345,14 @@ def _columns(block: DataBlock, label_idx) -> tuple[list[np.ndarray], list[int]]:
         except RuleBoostError as error:
             cell_errors.append((error.line, j, error))
             continue
-        missing = np.flatnonzero(columns[-1] == MISSING_CODE) if j in label_idx else ()
+        if j not in label_idx:
+            continue
+        missing = np.flatnonzero(columns[-1] == MISSING_CODE)
         if len(missing):
             error = SchemaError(f"missing label value for {attr.name!r}", line=numbers[missing[0]])
             cell_errors.append((error.line, j, error))
+        signs = np.array([1 if value == "1" else -1 for value in attr.values], dtype=np.int8)
+        columns[-1] = signs[columns[-1]]
     if cell_errors:
         raise min(cell_errors)[2]
     if row_error is not None:
@@ -382,23 +387,6 @@ def _label_indices(attributes, labels) -> list[int]:
     return indices
 
 
-def _assemble(attributes, columns, label_idx) -> Dataset:
-    label_set = set(label_idx)
-    codes = np.column_stack([columns[i] for i in label_idx])
-    label_matrix = np.empty(codes.shape, dtype=np.int8)
-    for k, i in enumerate(label_idx):
-        sign = np.array([1 if v == "1" else -1 for v in attributes[i].values], dtype=np.int8)
-        label_matrix[:, k] = sign[codes[:, k]]
-    feature_idx = [i for i in range(len(attributes)) if i not in label_set]
-    schema = AttributeSchema(tuple(attributes[i] for i in feature_idx))
-    return Dataset(
-        schema,
-        [columns[i] for i in feature_idx],
-        label_matrix,
-        [attributes[i].name for i in label_idx],
-    )
-
-
 def load_arff(path, labels, block: DataBlock | None = None) -> Dataset:
     """Load an ARFF file; ``labels`` is a trailing count or a name list.
 
@@ -407,11 +395,16 @@ def load_arff(path, labels, block: DataBlock | None = None) -> Dataset:
     """
     if block is None:
         block = read_arff_block(path)
-    label_idx = _label_indices(block.header, labels)
+    header = block.header
+    label_idx = _label_indices(header, labels)
     columns, numbers = _columns(block, label_idx)
     if not numbers:
         raise ParseError(f"{path}: no data rows")
-    return _assemble(block.header, columns, label_idx)
+    feature_idx = [j for j in range(len(header)) if j not in label_idx]
+    return Dataset(AttributeSchema(tuple(header[j] for j in feature_idx)),
+                   [columns[j] for j in feature_idx],
+                   np.column_stack([columns[j] for j in label_idx]),
+                   [header[j].name for j in label_idx])
 
 
 def _needs_quoting(value: str) -> bool:

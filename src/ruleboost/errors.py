@@ -28,7 +28,8 @@ class ConfigError(RuleBoostError):
     """Invalid training or generation configuration."""
 
 
-_declared_types = cache(get_type_hints)
+# Each config class's fields and their declared types, in declaration order.
+declared_types = cache(get_type_hints)
 _KINDS = {int: (Integral, "an integer"), float: (Real, "a finite number"),
           bool: (bool, "a boolean"), str: (str, "a string")}
 
@@ -47,7 +48,7 @@ def check_fields(config) -> None:
     A number is not a bool (``True`` would pass as the count 1), a float is finite (NaN passes
     every range check), and a ``tuple[t, ...]`` field holds a tuple or list of ``t``.
     """
-    for name, kind in _declared_types(type(config)).items():
+    for name, kind in declared_types(type(config)).items():
         value = getattr(config, name)
         items = (value,)
         if get_origin(kind) is tuple:

@@ -2,19 +2,20 @@
 
 Floats are emitted through Python's shortest round-trip repr, so parsing
 a serialized model restores every score and threshold exactly.  The
-training settings are checked by the ``EnsembleMeta`` they load into, as in training.
+training settings a model records are ``EnsembleMeta``'s fields: each is
+written as its declared type and read back by name into an
+``EnsembleMeta``, which checks them as training does.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 
 import numpy as np
 
 from .dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema
-from .errors import (ConfigError, ParseError, SchemaError, UnsupportedVersionError, is_finite,
-                     read_text)
+from .errors import (ConfigError, ParseError, SchemaError, UnsupportedVersionError,
+                     declared_types, is_finite, read_text)
 from .rules import NOMINAL_OPS, NUMERIC_OPS, Body, Condition, Ensemble, EnsembleMeta, Head, Rule
 
 FORMAT_VERSION = 1
@@ -49,10 +50,9 @@ def ensemble_to_dict(ensemble: Ensemble) -> dict:
     )
     return {
         "format_version": FORMAT_VERSION,
-        "loss": ensemble.meta.loss,
-        "shrinkage": float(ensemble.meta.shrinkage),
-        "l2_weight": float(ensemble.meta.l2_weight),
-        "seed": int(ensemble.meta.seed),
+        # Each as its declared type, so that a numpy scalar saves as a JSON number.
+        **{name: kind(getattr(ensemble.meta, name))
+           for name, kind in declared_types(EnsembleMeta).items()},
         "label_names": list(ensemble.label_names),
         "schema": schema,
         "label_vectors": label_vectors,
@@ -98,7 +98,7 @@ def _finite_number(value, path: str) -> float:
 
 def _meta(document: dict) -> EnsembleMeta:
     """The training settings a model document records, checked by ``EnsembleMeta``."""
-    names = [setting.name for setting in fields(EnsembleMeta)]
+    names = declared_types(EnsembleMeta)
     if missing := [name for name in names if name not in document]:
         raise ParseError(f"{missing[0]} is missing from the model document")
     try:

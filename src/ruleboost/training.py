@@ -13,9 +13,12 @@ generators seeded by (seed, purpose, t).  Toggling one kind of sampling
 therefore never shifts the other, and a training prefix of length t is
 bit-identical to a fresh run with t rules.
 
-A ``TrainConfig`` checks each setting's declared type and range when it is
-built (and so under ``dataclasses.replace``), so training checks only its data.
-Its ``meta``, the ``EnsembleMeta`` a model records, checks all but ``n_rules`` and ``head_mode``.
+A ``TrainConfig`` declares each training setting's default (``run_trajectory``
+and ``GridSearchConfig`` take theirs from it) and checks each setting's declared
+type and range when it is built (and so under ``dataclasses.replace``), so
+training checks only its data.  Its ``meta`` holds its values of
+``EnsembleMeta``'s fields, the settings a model records, and checks all but
+``n_rules`` and ``head_mode``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .choices import HEAD_MODES, HEAD_MULTI, LABEL_WISE_LOGISTIC
 from .dataset import Dataset
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_fields, declared_types
 from .heads import aggregate_stats, find_head, solve_full_head, stats_for_rows
 from .induction import RefinementContext, presort, refine_rule_with_trace
 from .losses import init_store, make_loss, update_store
@@ -62,7 +65,7 @@ class TrainConfig:
     @property
     def meta(self) -> EnsembleMeta:
         """The settings a model trained with this config records, checked as it is built."""
-        return EnsembleMeta(self.loss, self.shrinkage, self.l2_weight, self.seed)
+        return EnsembleMeta(**{name: getattr(self, name) for name in declared_types(EnsembleMeta)})
 
 
 @dataclass

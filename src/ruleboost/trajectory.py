@@ -9,8 +9,8 @@ checkpoints is exact.  ``checkpoint_points`` scores them in one walk.
 The variants are independent, separately seeded runs, trained through
 ``workers.map_configs`` longest first (see ``_expected_cost``); every
 series is bit-identical to serial training.  ``run_trajectory`` declares
-the default checkpoints and settings, and each variant's ``TrainConfig``
-checks the settings as it is built, before any trains or forks.
+the default checkpoints; its settings default to ``TrainConfig``'s, and each
+variant's ``TrainConfig`` checks them as it is built, before any trains or forks.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ def run_trajectory(
     variants,
     checkpoints=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000),
     *,
-    shrinkage: float = 0.3,
-    l2_weight: float = 0.0,
-    seed: int = 0,
+    shrinkage: float = TrainConfig.shrinkage,
+    l2_weight: float = TrainConfig.l2_weight,
+    seed: int = TrainConfig.seed,
 ) -> dict[str, list[TrajectoryPoint]]:
     """Per-variant (rules, hamming, subset01) series at the checkpoints, in the order given."""
     checkpoints = list(checkpoints)

@@ -4,10 +4,10 @@ Tuning is a trajectory over grid cells: one training run per (shrinkage,
 l2) cell at the largest rule count gives every smaller count exactly, as
 in ``trajectory``, and the cells go through the same worker map,
 ``workers.map_configs``, in grid order.
-A ``GridSearchConfig`` declares the default grids, checks its fields and
-builds each cell's ``TrainConfig`` when built, so no cell trains or forks
-on a bad setting; a cell that then raises a RuleBoostError is recorded,
-not fatal.
+A ``GridSearchConfig`` declares the default grids, takes its loss, head
+mode and seed defaults from ``TrainConfig``, checks its fields and builds
+each cell's ``TrainConfig`` when built, so no cell trains or forks on a bad
+setting; a cell that then raises a RuleBoostError is recorded, not fatal.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .choices import HEAD_MULTI, LABEL_WISE_LOGISTIC, METRICS
+from .choices import METRICS
 from .dataset import Dataset
 from .errors import ConfigError, RuleBoostError, check_fields
 from .training import TrainConfig, train
@@ -33,14 +33,14 @@ def _check_fraction(fraction: float) -> None:
 
 @dataclass(frozen=True)
 class GridSearchConfig:
-    loss: str = LABEL_WISE_LOGISTIC
-    head_mode: str = HEAD_MULTI
+    loss: str = TrainConfig.loss
+    head_mode: str = TrainConfig.head_mode
     shrinkages: tuple[float, ...] = (0.1, 0.3, 0.5)
     l2_weights: tuple[float, ...] = (0.0, 0.25, 1.0, 4.0, 16.0, 64.0)
     rule_counts: tuple[int, ...] = tuple(range(50, 10001, 50))
     validation_fraction: float = 1.0 / 3.0
     metric: str = "subset01"
-    seed: int = 0
+    seed: int = TrainConfig.seed
 
     def __post_init__(self):
         check_fields(self)

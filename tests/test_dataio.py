@@ -79,6 +79,13 @@ class TestLoadArffDense:
         assert dataset.label_names == ["label1"]
         assert dataset.n_attributes == 2
 
+    def test_a_reversed_label_domain_keeps_each_values_sign(self, tmp_path):
+        path = tmp_path / "reversed.arff"
+        path.write_text(DENSE_ARFF.replace("label1 {0, 1}", "label1 {1, 0}"))
+        dataset = load_arff(path, 1)
+        assert dataset.labels.dtype == np.int8
+        assert dataset.labels[:, 0].tolist() == [1, -1, 1]
+
     def test_quoted_names_and_values(self, tmp_path):
         path = tmp_path / "quoted.arff"
         path.write_text(QUOTED_ARFF)
