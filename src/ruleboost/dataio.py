@@ -4,7 +4,8 @@ The ARFF reader supports @relation, numeric and nominal @attribute
 declarations, dense and sparse @data rows, quoted values and '?' missing
 markers; a quoted '?' is a value where a nominal domain declares it.
 Label attributes are the trailing ones (or an explicit list of names);
-they must be nominal with domain {0, 1} and are mapped to -1/+1.
+they must be nominal with domain {0, 1}, in either order, and each label
+column becomes its -1/+1 signs as it is converted.
 
 Sparse rows follow ARFF semantics: unspecified numeric entries are 0 and
 unspecified nominal entries are the first value of their domain.
@@ -13,6 +14,11 @@ A CSV file has a header row and the csv module's quoting; cells are
 stripped, blank rows skipped, and an empty or '?' cell is missing.  A
 column's first non-missing cell makes it numeric (if it is a float) or
 nominal (values in first-seen order).  Labels are exactly 0 or 1.
+
+In both formats a numeric cell is missing or a finite number: a cell that
+``float`` reads as ±inf or NaN (``inf``, ``nan``, ``1e999``) is refused at
+its line as a cell that is no number is, so no model holds a non-finite
+threshold.
 
 Each format is read in two steps: ``read_arff_block`` or
 ``read_csv_block`` reads the header and keeps the lines, and
@@ -32,6 +38,7 @@ order given.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -255,22 +262,31 @@ def _data_cells(block: DataBlock):
 
 
 def _floats(cells, token_of, missing, error) -> np.ndarray:
-    """The cells as floats, NaN where ``token_of`` is ``missing``; else ``error(row, token)``."""
+    """The cells as finite floats, NaN where ``token_of`` is ``missing``; the first other cell
+    that ``float`` reads as no finite number raises ``error(row, token)``."""
     try:
         # numpy calls float on each str, so this accepts exactly what float does.
-        return np.array(cells, dtype=np.float64)
+        column = np.array(cells, dtype=np.float64)
+        if np.isfinite(column).all():
+            return column
     except ValueError:
         pass  # missing or quoted cells, or a bad one
     column = np.empty(len(cells), dtype=np.float64)
     for i, cell in enumerate(cells):
         try:
-            column[i] = float(cell)
+            value = float(cell)
         except ValueError:
             token = token_of(cell)
+            if token in missing:
+                column[i] = np.nan
+                continue
             try:
-                column[i] = np.nan if token in missing else float(token)
+                value = float(token)
             except ValueError:
                 raise error(i, token) from None
+        if not math.isfinite(value):
+            raise error(i, token_of(cell))
+        column[i] = value
     return column
 
 

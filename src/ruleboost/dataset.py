@@ -1,8 +1,9 @@
 """Attribute schemas and columnar datasets for multi-label classification.
 
 Examples are stored column-wise for fast vectorized coverage checks:
-numeric attributes as float64 columns (NaN marks a missing value) and
-nominal attributes as integer value codes (-1 marks a missing value).
+numeric attributes as float64 columns (NaN marks a missing value; any other
+value is finite) and nominal attributes as integer value codes (-1 marks a
+missing value).
 Labels are kept as an (n_examples, n_labels) matrix with entries in
 {-1, +1}.
 """
@@ -75,9 +76,11 @@ class Dataset:
         n = self.n_examples
         if len(self.columns) != len(self.schema):
             raise SchemaError("column count does not match schema")
-        for column in self.columns:
+        for attr, column in zip(self.schema.attributes, self.columns):
             if column.shape != (n,):
                 raise SchemaError("column length does not match the label matrix's example count")
+            if attr.is_numeric and np.isinf(column).any():
+                raise SchemaError(f"numeric attribute {attr.name!r} holds an infinite value")
             column.setflags(write=False)
         if self.labels.shape[1] != len(self.label_names):
             raise SchemaError("label matrix width does not match label names")

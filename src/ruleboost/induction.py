@@ -111,7 +111,9 @@ def objective_improvement(candidate_objective: float, incumbent_objective: float
 
 
 def _midpoints(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    mid = (lower + upper) * 0.5
+    # Two values past half the largest float add to inf, which the fallback replaces.
+    with np.errstate(over="ignore"):
+        mid = (lower + upper) * 0.5
     # Adjacent floats can round the midpoint up to the higher value, which
     # would put both neighbors on the <= side; fall back to the lower value.
     return np.where(mid < upper, mid, lower)

@@ -635,6 +635,35 @@ class TestErrorPaths:
             "error: line 6: expected a number for attribute 'x', got 'abc'\n")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("suffix,text,error", [
+        (".arff", "@relation r\n@attribute y numeric\n@attribute l {0,1}\n@data\n",
+         "line 5: expected a number for attribute 'y', got 'nan'"),
+        (".csv", "y,l\n", "line 2: column 'y' is numeric but got 'nan'"),
+    ], ids=["arff", "csv"])
+    def test_a_non_finite_cell_exits_1_with_one_error_line(self, tmp_path, suffix, text, error):
+        data = tmp_path / f"inf{suffix}"
+        data.write_text(text + "nan,0\ninf,1\n4,0\n-inf,1\n")
+        result = _run_cli("train", "--data", data, "--labels", "1", "--rules", "20",
+                          "--no-bagging", "--no-feature-sampling", "--model", tmp_path / "m.json")
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr.decode().splitlines() == [f"error: {error}"]
+        assert not (tmp_path / "m.json").exists()
+
+    def test_cells_near_the_largest_float_train_without_a_warning(self, tmp_path):
+        data = tmp_path / "huge.arff"
+        data.write_text("@relation r\n@attribute y numeric\n@attribute l {0,1}\n@data\n"
+                        "1e308,0\n1.5e308,1\n1e308,0\n1.5e308,1\n")
+        model = tmp_path / "m.json"
+        result = _python("-W", "error", "-m", "ruleboost.cli", "train", "--data", data,
+                         "--labels", "1", "--rules", "5", "--no-bagging",
+                         "--no-feature-sampling", "--model", model)
+        assert (result.returncode, result.stderr) == (0, b"")
+        # The midpoint overflows, so the threshold falls back to the lower value.
+        thresholds = {condition.threshold for rule in load(model).rules
+                      for condition in rule.body.conditions}
+        assert thresholds == {1e308}
+
     def test_a_model_with_empty_label_vectors_names_the_field(self, synth_dir, model_path,
                                                               tmp_path, capsys):
         document = json.loads(model_path.read_text())

@@ -557,24 +557,47 @@ class TestBulkDataBlock:
 FLOAT_CASES = ["1_0", " 1.5\r", "nan", "-Infinity", "1e999", "\u0661", "0x10", "1e-400", "-0"]
 
 
+def finite_float(cell):
+    """``float(cell)`` if it is a finite number, else None."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if np.isfinite(value) else None
+
+
 class TestNumericCells:
+    """A cell converts as float does, but one that float reads as ±inf or NaN is refused as
+    a cell that is no number is."""
+
     @pytest.mark.parametrize("cell", FLOAT_CASES)
     def test_a_cell_converts_as_float_does(self, cell):
         attr = Attribute("x", NUMERIC)
-        try:
-            expected = np.array([float(cell)]).tobytes()
-        except ValueError:
+        if finite_float(cell) is None:
             with pytest.raises(ParseError) as caught:
                 dataio._numeric_column(attr, [cell], [5])
             assert str(caught.value) == (
                 f"line 5: expected a number for attribute 'x', got {cell.strip()!r}")
         else:
+            expected = np.array([float(cell)]).tobytes()
             assert dataio._numeric_column(attr, [cell], [5]).tobytes() == expected
 
     def test_a_column_of_valid_cells_converts_as_float_does(self):
-        cells = [cell for cell in FLOAT_CASES if cell not in ("0x10",)]
+        cells = [cell for cell in FLOAT_CASES if finite_float(cell) is not None]
         column = dataio._numeric_column(Attribute("x", NUMERIC), cells, range(len(cells)))
         assert column.tobytes() == np.array([float(cell) for cell in cells]).tobytes()
+
+    @pytest.mark.parametrize("cell", ["inf", "'-inf'", "nan", "1e999"])
+    def test_the_first_non_finite_cell_is_refused_before_a_later_bad_one(self, cell):
+        cells = ["1.5", "?", "'2'", cell, "oops", "nan"]
+        with pytest.raises(ParseError) as caught:
+            dataio._numeric_column(Attribute("x", NUMERIC), cells, range(1, 7))
+        assert str(caught.value) == (
+            f"line 4: expected a number for attribute 'x', got {cell.strip(chr(39))!r}")
+
+    def test_missing_markers_stay_nan(self):
+        column = dataio._numeric_column(Attribute("x", NUMERIC), ["?", "1e308", "'?'"], [1, 2, 3])
+        assert np.isnan(column[[0, 2]]).all() and column[1] == 1e308
 
 
 CSV_TEXT = """width,color,label1
@@ -607,6 +630,17 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as info:
             load_csv(path, ["label1"])
         assert "line 3" in str(info.value)
+
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("row", [2, 3])
+    def test_a_non_finite_cell_is_refused_at_its_line(self, tmp_path, cell, row):
+        rows = ["1.5,1", "2.5,0"]
+        rows[row - 2] = f"{cell},{row % 2}"
+        path = tmp_path / "bad.csv"
+        path.write_text("a,label1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=(
+                f"^line {row}: column 'a' is numeric but got {re.escape(repr(cell))}$")):
+            load_csv(path, ["label1"])
 
     def test_label_other_than_binary(self, tmp_path):
         path = tmp_path / "bad.csv"

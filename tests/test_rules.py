@@ -334,6 +334,11 @@ class TestDatasetValidation:
             with pytest.raises(ValueError):
                 array[0] = 0
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_an_infinite_numeric_value_is_rejected(self, value):
+        with pytest.raises(SchemaError, match="^numeric attribute 'a' holds an infinite value$"):
+            dataset_from_rows(SCHEMA, [[1.0, "a"], [value, "b"]], np.ones((2, 1)), ["l0"])
+
     def test_labels_must_be_plus_minus_one(self):
         with pytest.raises(SchemaError):
             dataset_from_rows(SCHEMA, [[1.0, "a"]], np.array([[1, 0]]), ["l0", "l1"])

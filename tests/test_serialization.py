@@ -2,17 +2,24 @@
 
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ruleboost.choices import ALL_VARIANTS
+from ruleboost.dataio import load_arff, load_csv
 from ruleboost.dataset import NOMINAL, NUMERIC, Attribute, AttributeSchema
-from ruleboost.errors import ConfigError, ParseError, UnsupportedVersionError
+from ruleboost.errors import ConfigError, ParseError, RuleBoostError, UnsupportedVersionError
 from ruleboost.rules import Body, Condition, Ensemble, EnsembleMeta, Head, Rule
 from ruleboost.serialization import dumps, ensemble_to_dict, load, loads, save
 from ruleboost.training import TrainConfig, train
 
 from conftest import random_dataset
+from test_dataio import csv_files, dense_arff_files
 
 
 def random_ensemble(rng) -> Ensemble:
@@ -126,6 +133,30 @@ class TestRoundTrip:
     def test_stable_field_order(self, rng):
         document = ensemble_to_dict(random_ensemble(rng))
         assert list(document)[:2] == ["format_version", "loss"]
+
+
+# Data files as the loaders' property tests draw them: a suffix, a text and a label count.
+DATA_FILES = st.one_of(dense_arff_files().map(lambda case: (".arff", *case[:2])),
+                       csv_files().map(lambda case: (".csv", *case)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(DATA_FILES, st.sampled_from(ALL_VARIANTS))
+def test_every_model_trained_from_a_file_loads_back(data_file, variant):
+    """For every file that a loader and ``train`` accept, ``loads(dumps(model))`` succeeds."""
+    suffix, text, n_labels = data_file
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / f"data{suffix}"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            dataset = (load_arff if suffix == ".arff" else load_csv)(path, n_labels)
+            # Without sampling, every round scans every threshold of every attribute.
+            ensemble = train(dataset, TrainConfig(loss=variant.loss, n_rules=20,
+                                                  head_mode=variant.head_mode, bagging=False,
+                                                  feature_sampling=False))
+        except RuleBoostError:
+            return
+    assert_ensembles_identical(ensemble, loads(dumps(ensemble)))
 
 
 class TestMalformedDocuments:
